@@ -1,0 +1,51 @@
+"""CLI output pinned byte for byte against committed goldens.
+
+Each case runs `tvk` in-process on a point file in tests/golden/ and
+compares stdout with the committed JSON next to it. The goldens were
+written by an earlier build of the CLI and are the reference: a mismatch
+means the partitions, witnesses, traces or serialisation changed.
+"""
+from pathlib import Path
+
+from tvk.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (golden JSON name, point file, CLI arguments after --input)
+CASES = [
+    ("partition_d2_n7_r3", "d2_n7_s1.txt", ["partition", "--r", "3"]),
+    ("partition_d3_n8_r2", "d3_n8_s2.txt", ["partition", "--r", "2"]),
+    ("crossing_d2_n12_r4", "d2_n12_s3.txt", ["crossing", "--r", "4"]),
+    ("crossing_d2_n15_r4", "d2_n15_s4.txt", ["crossing", "--r", "4"]),
+    ("crossing_d3_n8_r2", "d3_n8_s5.txt", ["crossing", "--r", "2"]),
+    ("crossing_one_fix_r3", "eight_one_fix.txt", ["crossing", "--r", "3"]),
+    ("crossing_nested_d3_r2", "nested_d3.txt", ["crossing", "--r", "2"]),
+    (
+        "crossing_triple_nested_r2_point_count",
+        "nine_triple_nested.txt",
+        ["crossing", "--r", "2", "--measure", "point-count"],
+    ),
+    ("simplices_d2_n14", "d2_n14_s6.txt", ["crossing", "--simplices"]),
+    (
+        "simplices_d2_n14_discard_0_5",
+        "d2_n14_s6.txt",
+        ["crossing", "--simplices", "--discard", "0,5"],
+    ),
+]
+
+
+def run_case(points, args, capsys):
+    command, *rest = args
+    code = main([command, "--input", str(GOLDEN / points), *rest])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_matches_goldens(capsys):
+    mismatched = []
+    for name, points, args in CASES:
+        code, out, err = run_case(points, args, capsys)
+        expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        if (code, out, err) != (0, expected, ""):
+            mismatched.append(name)
+    assert mismatched == []
