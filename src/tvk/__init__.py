@@ -13,24 +13,21 @@ from .errors import (
     DegenerateSimplex,
     DimensionMismatch,
     GeneralPositionViolated,
+    InternalError,
     ParityViolated,
     PerturbationFailed,
     SizeOutOfRange,
     TrianglesIntersect,
     TvkError,
-    WitnessNotContained,
 )
 from .geometry import (
     Containment,
-    Orientation,
     Point,
     PointSet,
-    caratheodory_reduce,
     in_general_position,
     orientation,
     perturb,
     point_in_simplex,
-    segment_triangle_parity,
     simplex_volume,
     triangles_linked,
 )
@@ -44,7 +41,6 @@ from .lp import (
 )
 from .tverberg import (
     Partition,
-    balance_parts,
     birch_partition_planar,
     centerpoint_planar,
     extend_partition,

@@ -9,7 +9,6 @@ from scratch using only the exact predicates, with no pipeline state.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +17,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
+    DegenerateSimplex,
     GeneralPositionViolated,
+    InternalError,
     SizeOutOfRange,
     TrianglesIntersect,
 )
@@ -32,6 +33,7 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    barycentric_coordinates,
     bounding_box,
     gp_violations_with_extra,
     in_general_position,
@@ -40,7 +42,7 @@ from .geometry import (
     triangles_linked,
     vsub,
 )
-from .lp import Witness, hull_membership, relative_interior_witness, witness_violations
+from .lp import Witness, hull_contains, relative_interior_witness, witness_violations
 from .tverberg import (
     Partition,
     birch_partition_planar,
@@ -51,28 +53,12 @@ from .tverberg import (
 
 @dataclass
 class CrossingReport:
-    """Pipeline output: partition, per-pair verdicts, trace, wall times."""
+    """Pipeline output: partition, per-pair verdicts, fixing trace, discards."""
 
     partition: Partition
     verdicts: list  # r x r matrix of verdict strings ("crossing" | None)
     trace: FixTrace
-    timings: dict = field(default_factory=dict)
     discarded: list = field(default_factory=list)
-
-
-def _pair_verdict_matrix(partition: Partition, ps: PointSet) -> list:
-    d = ps.dim
-    parts = partition.parts
-    o = partition.witness.point
-    r = len(parts)
-    matrix = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            if len(parts[i]) < d + 1 or len(parts[j]) < d + 1:
-                continue
-            verdict = hull_pair_verdict(parts[i], parts[j], ps, o)
-            matrix[i][j] = matrix[j][i] = verdict.kind
-    return matrix
 
 
 def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
@@ -121,11 +107,9 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
             continue
         if gp_violations_with_extra(anchor_points, cand):
             continue
-        weights = []
-        for part in parts:
-            from .geometry import barycentric_coordinates
-
-            weights.append(barycentric_coordinates(cand, [ps.points[i] for i in part]))
+        weights = [
+            barycentric_coordinates(cand, [ps.points[i] for i in part]) for part in parts
+        ]
         return Witness(cand, weights)
     raise GeneralPositionViolated(
         "no generic common point found after 512 seeded attempts"
@@ -157,24 +141,14 @@ def _nudge_directions(small_parts, ps: PointSet) -> list:
     return [tuple(v) for v in linalg.nullspace(normal_rows, d)]
 
 
-def crossing_tverberg(
-    ps: PointSet,
-    r: int,
-    measure: str = "volume",
-    budget: Optional[int] = None,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> CrossingReport:
-    """Partition into r parts sharing a point, all full-dimensional hulls
-    pairwise crossing; oversized inputs are handled by extending a crossing
-    partition of the first (d+1)r points."""
+def _crossing_pipeline(ps: PointSet, r: int, measure, budget, seed):
+    """Unverified crossing partition of ps into r parts, and its fixing trace."""
     d = ps.dim
     n = len(ps)
     if r < 1 or n < (d + 1) * (r - 1) + 1:
         raise SizeOutOfRange(
             f"need at least (d+1)(r-1)+1={(d + 1) * (r - 1) + 1} points, got {n}"
         )
-    t0 = time.perf_counter()
     violations = in_general_position(ps)
     if violations:
         raise GeneralPositionViolated(
@@ -182,34 +156,43 @@ def crossing_tverberg(
             "perturb the input or fix the data",
             violations,
         )
-    timings = {"gp_check": time.perf_counter() - t0}
     cap = (d + 1) * r
     core = list(range(min(n, cap)))
     leftover = list(range(cap, n))
     core_ps = ps if not leftover else ps.take(core)
-    t1 = time.perf_counter()
     if d == 2 and len(core) == 3 * r:
         partition = birch_partition_planar(core_ps, r)
     else:
-        partition = tverberg_partition_bruteforce(core_ps, r, workers=workers)
-    timings["partition"] = time.perf_counter() - t1
-    t2 = time.perf_counter()
+        partition = tverberg_partition_bruteforce(core_ps, r)
     witness = refine_witness(partition.parts, core_ps, seed=seed)
-    partition = Partition(partition.parts, witness)
-    timings["witness"] = time.perf_counter() - t2
-    t3 = time.perf_counter()
-    fixed, trace = fix_all(partition, core_ps, measure=measure, budget=budget)
-    timings["fixing"] = time.perf_counter() - t3
+    fixed, trace = fix_all(
+        Partition(partition.parts, witness), core_ps, measure=measure, budget=budget
+    )
     if leftover:
-        t4 = time.perf_counter()
         fixed = extend_partition(fixed, leftover, ps)
-        timings["extension"] = time.perf_counter() - t4
-    verdicts = _pair_verdict_matrix(fixed, ps)
-    report = CrossingReport(fixed, verdicts, trace, timings)
-    check = verify_crossing_partition(ps, fixed)
-    assert check.ok, f"pipeline output failed verification: {check.violations}"
-    timings["total"] = time.perf_counter() - t0
-    return report
+    return fixed, trace
+
+
+def _verified_report(ps: PointSet, partition: Partition, trace, discarded) -> CrossingReport:
+    """The report of a pipeline result, after its one independent verification."""
+    check = verify_crossing_partition(ps, partition)
+    if not check.ok:
+        raise InternalError(f"pipeline output failed verification: {check.violations}")
+    return CrossingReport(partition, check.verdicts, trace, discarded)
+
+
+def crossing_tverberg(
+    ps: PointSet,
+    r: int,
+    measure: str = "volume",
+    budget: Optional[int] = None,
+    seed: int = 0,
+) -> CrossingReport:
+    """Partition into r parts sharing a point, all full-dimensional hulls
+    pairwise crossing; oversized inputs are handled by extending a crossing
+    partition of the first (d+1)r points."""
+    partition, trace = _crossing_pipeline(ps, r, measure, budget, seed)
+    return _verified_report(ps, partition, trace, [])
 
 
 def crossing_simplices(
@@ -218,7 +201,6 @@ def crossing_simplices(
     budget: Optional[int] = None,
     seed: int = 0,
     discard: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
 ) -> CrossingReport:
     """floor(n/(d+1)) vertex-disjoint pairwise crossing simplices.
 
@@ -239,21 +221,12 @@ def crossing_simplices(
             raise SizeOutOfRange(
                 f"must discard exactly n mod (d+1) = {spare} points, got {len(discard)}"
             )
-    keep = [i for i in range(n) if i not in set(discard)]
-    sub = ps.take(keep)
-    report = crossing_tverberg(
-        sub, r, measure=measure, budget=budget, seed=seed, workers=workers
-    )
-    remap = {k: keep[k] for k in range(len(keep))}
-    parts = [tuple(remap[i] for i in part) for part in report.partition.parts]
-    witness = Witness(report.partition.witness.point, report.partition.witness.weights)
-    partition = Partition(parts, witness, size_bounded=True)
-    out = CrossingReport(
-        partition, report.verdicts, report.trace, report.timings, list(discard)
-    )
-    check = verify_crossing_partition(ps, partition)
-    assert check.ok, f"remapped output failed verification: {check.violations}"
-    return out
+        if any(i < 0 or i >= n for i in discard):
+            raise SizeOutOfRange(f"discarded indices must lie in 0..{n - 1}, got {discard}")
+    keep = [i for i in range(n) if i not in discard]
+    partition, trace = _crossing_pipeline(ps.take(keep), r, measure, budget, seed)
+    parts = [tuple(keep[i] for i in part) for part in partition.parts]
+    return _verified_report(ps, Partition(parts, partition.witness), trace, discard)
 
 
 # --- linking -----------------------------------------------------------------
@@ -340,6 +313,9 @@ def verify_linking_counterexample(
 @dataclass
 class VerificationReport:
     violations: list
+    # r x r pair verdicts ("crossing", "nested", ...; None where a part is
+    # not full-dimensional); empty when a structural check failed
+    verdicts: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -349,46 +325,55 @@ class VerificationReport:
 def verify_crossing_partition(ps: PointSet, partition: Partition) -> VerificationReport:
     """Re-check a claimed crossing partition from primitives only.
 
-    Checks disjointness, index range, the size bound when claimed, witness
-    certificates and hull membership, and a crossing verdict for every pair
-    of full-dimensional parts. No state from any producing pipeline is used.
+    Structural checks come first: indices in range, disjoint and not
+    repeated, the size bound when claimed, and a witness point of dimension
+    d. Only when they pass are the geometric checks run: the witness
+    certificates, hull membership of the witness point, and a crossing
+    verdict for every pair of full-dimensional parts. Returns violations
+    and never raises; no state from any producing pipeline is used.
     """
     d = ps.dim
     n = len(ps)
+    parts = partition.parts
     out = []
     seen = set()
-    for part in partition.parts:
+    for part in parts:
         if not part:
             out.append("empty part")
             continue
-        if any(i < 0 or i >= n for i in part):
-            out.append(f"part {part} has out-of-range indices")
+        if not all(isinstance(i, int) and 0 <= i < n for i in part):
+            out.append(f"part {part} has indices outside 0..{n - 1}")
+            continue
+        if len(set(part)) != len(part):
+            out.append(f"part {part} repeats an index")
         overlap = seen & set(part)
         if overlap:
             out.append(f"index {sorted(overlap)} appears in two parts")
         seen |= set(part)
         if partition.size_bounded and len(part) > d + 1:
             out.append(f"part {part} exceeds the size bound d+1={d + 1}")
-    if partition.witness is None:
-        out.append("partition has no witness")
-        return VerificationReport(out)
     witness = partition.witness
-    out.extend(witness_violations(witness, partition.parts, ps))
+    if witness is None:
+        out.append("partition has no witness")
+    elif len(witness.point) != d:
+        out.append(f"witness point has {len(witness.point)} coordinates, expected {d}")
+    if out:
+        return VerificationReport(out)
+    out.extend(witness_violations(witness, parts, ps))
     o = witness.point
-    for part in partition.parts:
-        if len(part) <= d + 1:
-            try:
-                status = point_in_simplex(o, [ps.points[i] for i in part])
-                inside = status != Containment.OUTSIDE
-            except Exception:
-                inside = hull_membership(o, part, ps)
-        else:
-            inside = hull_membership(o, part, ps)
-        if not inside:
+    for part in parts:
+        if not hull_contains(o, part, ps):
             out.append(f"witness point is outside the hull of part {part}")
-    full = [p for p in partition.parts if len(p) >= d + 1]
-    for a, b in combinations(full, 2):
-        verdict = hull_pair_verdict(a, b, ps, o)
-        if verdict.kind != "crossing":
-            out.append(f"parts {a} and {b} do not cross ({verdict.kind})")
-    return VerificationReport(out)
+    r = len(parts)
+    verdicts = [[None] * r for _ in range(r)]
+    for i, j in combinations(range(r), 2):
+        if len(parts[i]) < d + 1 or len(parts[j]) < d + 1:
+            continue
+        try:
+            kind = hull_pair_verdict(parts[i], parts[j], ps, o).kind
+        except DegenerateSimplex:
+            kind = "degenerate"
+        verdicts[i][j] = verdicts[j][i] = kind
+        if kind != "crossing":
+            out.append(f"parts {parts[i]} and {parts[j]} do not cross ({kind})")
+    return VerificationReport(out, verdicts)

@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 degenerate input, 3 size gate, 4 budget exceeded,
-5 verification failure, 64 usage error. Output is machine-readable JSON on
-stdout (or --out); diagnostics are single lines on stderr. All randomness
-is seeded, so identical configs produce byte-identical JSON.
+5 verification failure or failed internal check, 64 usage error. Output
+is machine-readable JSON on stdout (or --out); diagnostics are single
+lines on stderr. All randomness is seeded, so identical configs produce
+byte-identical JSON.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import fileio, svg
@@ -49,26 +49,12 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    r: Optional[int] = None
-    seed: int = 0
-    perturb: bool = False
-    perturb_k: int = 16
-    measure: str = "volume"
-    budget: Optional[int] = None
-    simplices: bool = False
-    discard: Optional[list] = None
-    point: Optional[tuple] = None
-    d: Optional[int] = None
-    n: Optional[int] = None
-    bound: int = 10000
-    svg_path: Optional[str] = None
-    out: Optional[str] = None
-    report: Optional[str] = None
-    workers: int = 1
+def _index_list(raw: str):
+    """--discard value: comma-separated point indices (empty: the default)."""
+    try:
+        return [int(t) for t in raw.split(",") if t.strip()] if raw else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
 def _build_parser() -> _Parser:
@@ -96,7 +82,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--budget", type=int)
     sp.add_argument("--perturb", action="store_true")
     sp.add_argument("--perturb-k", type=int, default=16)
-    sp.add_argument("--discard", help="comma-separated indices to drop (simplices mode)")
+    sp.add_argument("--discard", type=_index_list,
+                    help="comma-separated indices to drop (simplices mode)")
     sp.add_argument("--svg", dest="svg_path", help="render the result (d=2 only)")
 
     sp = sub.add_parser("verify", help="re-verify a crossing/partition JSON report")
@@ -144,27 +131,16 @@ def _emit(payload, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _workers() -> int:
-    raw = os.environ.get("TVK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"TVK_THREADS must be an integer >= 1, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"TVK_THREADS must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def _gate_general_position(ps, cfg):
+def _gate_general_position(ps, args):
     violations = in_general_position(ps)
     if not violations:
         return ps, None
-    if not cfg.perturb:
+    if not args.perturb:
         raise GeneralPositionViolated(
             f"{len(violations)} affinely dependent subsets (rerun with --perturb)",
             violations,
         )
-    moved = perturb(ps, cfg.seed, cfg.perturb_k)
+    moved = perturb(ps, args.seed, args.perturb_k)
     return moved, {
         "perturbed": True,
         "original_points": [[fileio.fmt_rat(c) for c in p] for p in ps.points],
@@ -174,62 +150,60 @@ def _gate_general_position(ps, cfg):
 def _parse_point(raw, dim):
     if raw is None:
         return mk_point([0] * dim)
-    coords = [fileio.parse_rat(t) for t in raw.split(",")]
+    try:
+        coords = [fileio.parse_rat(t) for t in raw.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse point {raw!r}: {exc}") from exc
     if len(coords) != dim:
         raise UsageError(f"point has {len(coords)} coordinates, expected {dim}")
     return mk_point(coords)
 
 
-def cmd_partition(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
-    if cfg.r is None or cfg.r < 1:
+def cmd_partition(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
+    if args.r is None or args.r < 1:
         raise UsageError("--r must be a positive integer")
-    ps, extra = _gate_general_position(ps, cfg)
-    partition = tverberg_partition_bruteforce(ps, cfg.r, workers=cfg.workers)
+    ps, extra = _gate_general_position(ps, args)
+    partition = tverberg_partition_bruteforce(ps, args.r)
     payload = fileio.partition_payload(
         partition,
         ps.dim,
         {
             "command": "partition",
             "n": len(ps),
-            "r": cfg.r,
-            "seed": cfg.seed,
+            "r": args.r,
+            "seed": args.seed,
             "points": [[fileio.fmt_rat(c) for c in p] for p in ps.points],
         },
     )
     if extra:
         payload.update(extra)
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
-def cmd_crossing(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
-    ps, extra = _gate_general_position(ps, cfg)
-    if cfg.simplices:
-        discard = None
-        if cfg.discard:
-            discard = [int(t) for t in cfg.discard.split(",") if t.strip()]
+def cmd_crossing(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
+    ps, extra = _gate_general_position(ps, args)
+    if args.simplices:
         report = crossing_simplices(
             ps,
-            measure=cfg.measure,
-            budget=cfg.budget,
-            seed=cfg.seed,
-            discard=discard,
-            workers=cfg.workers,
+            measure=args.measure,
+            budget=args.budget,
+            seed=args.seed,
+            discard=args.discard,
         )
         r = len(report.partition.parts)
     else:
-        if cfg.r is None or cfg.r < 1:
+        if args.r is None or args.r < 1:
             raise UsageError("--r must be a positive integer (or use --simplices)")
-        r = cfg.r
+        r = args.r
         report = crossing_tverberg(
             ps,
             r,
-            measure=cfg.measure,
-            budget=cfg.budget,
-            seed=cfg.seed,
-            workers=cfg.workers,
+            measure=args.measure,
+            budget=args.budget,
+            seed=args.seed,
         )
     payload = fileio.partition_payload(
         report.partition,
@@ -238,7 +212,7 @@ def cmd_crossing(cfg: RunConfig) -> int:
             "command": "crossing",
             "n": len(ps),
             "r": r,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "measure": report.trace.measure,
             "trace": fileio.trace_payload(report.trace),
             "verdicts": report.verdicts,
@@ -248,61 +222,58 @@ def cmd_crossing(cfg: RunConfig) -> int:
     )
     if extra:
         payload.update(extra)
-    _emit(payload, cfg.out)
-    if cfg.svg_path:
+    _emit(payload, args.out)
+    if args.svg_path:
         if ps.dim != 2:
             raise UsageError("--svg requires d=2")
-        with open(cfg.svg_path, "w", encoding="utf-8") as fh:
+        with open(args.svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg.render_partition(ps, report.partition, report.discarded))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
+def cmd_verify(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
     try:
-        with open(cfg.report, "r", encoding="utf-8") as fh:
-            import json
-
-            data = json.load(fh)
+        with open(args.report, "r", encoding="utf-8") as fh:
+            partition = fileio.partition_from_payload(json.load(fh))
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read report {cfg.report}: {exc}") from exc
-    partition = fileio.partition_from_payload(data)
+        raise UsageError(f"cannot read report {args.report}: {exc}") from exc
     result = verify_crossing_partition(ps, partition)
-    _emit({"command": "verify", "ok": result.ok, "violations": result.violations}, cfg.out)
+    _emit({"command": "verify", "ok": result.ok, "violations": result.violations}, args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
-def cmd_parity(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
-    o = _parse_point(cfg.point, ps.dim)
+def cmd_parity(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
+    o = _parse_point(args.point, ps.dim)
     count, even = parity_check(ps, o)
-    _emit({"command": "parity", "count": count, "even": even}, cfg.out)
+    _emit({"command": "parity", "count": count, "even": even}, args.out)
     return EXIT_OK
 
 
-def cmd_cocycle(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
-    o = _parse_point(cfg.point, ps.dim)
+def cmd_cocycle(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
+    o = _parse_point(args.point, ps.dim)
     result = cocycle_check(ps, o)
     payload = {
         "command": "cocycle",
         "ok": result.ok,
         "offending": list(result.offending) if result.offending else None,
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
-def cmd_link(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input)
+def cmd_link(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input)
     if ps.dim != 3 or len(ps) != 8:
         raise UsageError("link needs exactly 8 points in R^3 (two tetrahedra)")
     verdict = tetrahedra_face_linked((0, 1, 2, 3), (4, 5, 6, 7), ps)
-    _emit({"command": "link", "verdict": verdict.value}, cfg.out)
+    _emit({"command": "link", "verdict": verdict.value}, args.out)
     return EXIT_OK
 
 
-def cmd_fs(cfg: RunConfig) -> int:
+def cmd_fs(args: argparse.Namespace) -> int:
     report = verify_linking_counterexample()
     payload = {
         "command": "fs",
@@ -312,17 +283,17 @@ def cmd_fs(cfg: RunConfig) -> int:
         "faces_intersect_pairs": report.faces_intersect_pairs,
         "falsified": report.falsified,
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return EXIT_OK if not report.falsified else EXIT_VERIFY
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.d is None or cfg.d < 1 or cfg.n is None or cfg.n < 1:
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.d is None or args.d < 1 or args.n is None or args.n < 1:
         raise UsageError("--d and --n must be positive integers")
-    ps = random_point_set(cfg.d, cfg.n, cfg.seed, bound=cfg.bound)
+    ps = random_point_set(args.d, args.n, args.seed, bound=args.bound)
     text = fileio.format_points(ps)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -344,28 +315,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            input=getattr(ns, "input", None),
-            r=getattr(ns, "r", None),
-            seed=getattr(ns, "seed", 0),
-            perturb=getattr(ns, "perturb", False),
-            perturb_k=getattr(ns, "perturb_k", 16),
-            measure=getattr(ns, "measure", "volume"),
-            budget=getattr(ns, "budget", None),
-            simplices=getattr(ns, "simplices", False),
-            discard=getattr(ns, "discard", None),
-            point=getattr(ns, "point", None),
-            d=getattr(ns, "d", None),
-            n=getattr(ns, "n", None),
-            bound=getattr(ns, "bound", 10000),
-            svg_path=getattr(ns, "svg_path", None),
-            out=getattr(ns, "out", None),
-            report=getattr(ns, "report", None),
-            workers=_workers(),
-        )
-        return _COMMANDS[cfg.command](cfg)
+        args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"tvk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

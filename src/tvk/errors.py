@@ -13,10 +13,6 @@ class DegenerateSimplex(TvkError):
     """Simplex vertices are affinely dependent."""
 
 
-class WitnessNotContained(TvkError):
-    """Claimed common point is not in the convex hull it should certify."""
-
-
 class DegenerateIncidence(TvkError):
     """3D incidence test hit a configuration outside its precondition."""
 
@@ -56,3 +52,7 @@ class BudgetExceeded(TvkError):
 
 class CrossingLost(TvkError):
     """Extension step broke a crossing; indicates a bug, not a data condition."""
+
+
+class InternalError(TvkError):
+    """An internal invariant failed: a bug, never a property of the input."""

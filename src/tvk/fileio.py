@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch
-from .fixing import FixStep, FixTrace
+from .fixing import FixTrace
 from .geometry import PointSet, rat
 from .lp import Witness
 from .tverberg import Partition
@@ -87,19 +87,6 @@ def trace_payload(trace: Optional[FixTrace]):
     ]
 
 
-def trace_from_payload(rows, measure="volume") -> FixTrace:
-    trace = FixTrace(measure=measure)
-    for row in rows:
-        trace.steps.append(
-            FixStep(
-                tuple(row["fixed"]),
-                [parse_rat(v) for v in row["volumes_before"]],
-                [parse_rat(v) for v in row["volumes_after"]],
-            )
-        )
-    return trace
-
-
 def partition_payload(partition: Partition, dim: int, extra=None) -> dict:
     out = {
         "dim": dim,
@@ -113,11 +100,15 @@ def partition_payload(partition: Partition, dim: int, extra=None) -> dict:
 
 
 def partition_from_payload(data) -> Partition:
-    return Partition(
-        [tuple(p) for p in data["parts"]],
-        witness_from_payload(data.get("witness")),
-        size_bounded=bool(data.get("size_bounded", True)),
-    )
+    """Partition read back from a report; ValueError when it is malformed."""
+    try:
+        return Partition(
+            [tuple(p) for p in data["parts"]],
+            witness_from_payload(data.get("witness")),
+            size_bounded=bool(data.get("size_bounded", True)),
+        )
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from exc
 
 
 def dump_json(payload) -> str:

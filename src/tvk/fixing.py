@@ -16,7 +16,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BudgetExceeded,
     GeneralPositionViolated,
+    InternalError,
     ParityViolated,
+    SizeOutOfRange,
 )
 from .geometry import (
     Containment,
@@ -85,7 +87,7 @@ def hull_pair_verdict(a, b, ps: PointSet, o: Point) -> PairClass:
 def _require_origin_setup(ps: PointSet, o: Point):
     d = ps.dim
     if len(ps) != 2 * (d + 1):
-        raise GeneralPositionViolated(
+        raise SizeOutOfRange(
             f"need exactly 2(d+1)={2 * (d + 1)} points, got {len(ps)}"
         )
     violations = in_general_position(ps, extra=o)
@@ -381,7 +383,7 @@ def fix_all(
 
     The witness point is left untouched and part sizes are preserved. Each
     step must strictly decrease the sorted measure vector in lexicographic
-    order; a violation is a bug and raises AssertionError. An explicit
+    order; a violation is a bug and raises InternalError. An explicit
     budget that runs out raises BudgetExceeded with the partial trace.
     """
     if partition.witness is None:
@@ -416,23 +418,18 @@ def fix_all(
             )
         i, j, verdict = nested_at
         before = _measure_vector(parts, ps, measure)
-        outer_value = (
-            simplex_volume([ps.points[k] for k in verdict.outer])
-            if measure == "volume"
-            else Fraction(count_interior_points(verdict.outer, ps))
-        )
         s1, s2 = unnest_pair(parts[i], parts[j], ps, o)
         if measure == "volume":
-            for s in (s1, s2):
-                assert (
-                    simplex_volume([ps.points[k] for k in s]) < outer_value
-                ), "replacement simplex not smaller than the outer one"
+            outer = simplex_volume([ps.points[k] for k in verdict.outer])
+            if any(simplex_volume([ps.points[k] for k in s]) >= outer for s in (s1, s2)):
+                raise InternalError("replacement simplex not smaller than the outer one")
         parts[i], parts[j] = s1, s2
         parts = canonical_parts(parts)
         after = _measure_vector(parts, ps, measure)
-        assert after < before, (
-            f"measure vector did not drop lexicographically: {before} -> {after}"
-        )
+        if not after < before:
+            raise InternalError(
+                f"measure vector did not drop lexicographically: {before} -> {after}"
+            )
         trace.steps.append(FixStep((i, j), before, after))
     witness = _rebuild_witness(parts, o, ps)
     return Partition(parts, witness, size_bounded=partition.size_bounded), trace

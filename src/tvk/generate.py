@@ -23,24 +23,44 @@ def random_point_set(
     they would violate general position against the accepted points (and the
     optional extra point, e.g. the origin). Deterministic for a fixed seed.
     """
-    rng = random.Random(seed)
     fixed = [mk_point(extra)] if extra is not None else []
-    pts: list = []
+    pts = _draw(random.Random(seed), d, fixed, n, bound, max_tries)
+    if pts is None:
+        raise PerturbationFailed(
+            f"could not place {n} general-position points (seed={seed})"
+        )
+    return PointSet(d, pts[len(fixed):])
+
+
+def random_extension(
+    ps: PointSet, k: int, seed: int, bound: int = 10000, max_tries: int = 10000
+) -> PointSet:
+    """ps plus k fresh points, keeping the whole set in general position."""
+    pts = _draw(random.Random(seed), ps.dim, ps.points, k, bound, max_tries)
+    if pts is None:
+        raise PerturbationFailed(
+            f"could not extend by {k} general-position points (seed={seed})"
+        )
+    return PointSet(ps.dim, pts)
+
+
+def _draw(rng, d, pool, k, bound, max_tries) -> Optional[list]:
+    """pool plus k candidates drawn from [-bound, bound]^d and kept when they
+    leave the pool in general position; None once max_tries draws are spent."""
+    pts = list(pool)
+    target = len(pts) + k
     tries = 0
-    while len(pts) < n:
+    while len(pts) < target:
         tries += 1
         if tries > max_tries:
-            raise PerturbationFailed(
-                f"could not place {n} general-position points (seed={seed})"
-            )
+            return None
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
-        pool = fixed + pts
-        if any(cand == p for p in pool):
+        if any(cand == p for p in pts):
             continue
-        if len(pool) >= d and _violates(cand, pool, d):
+        if len(pts) >= d and _violates(cand, pts, d):
             continue
         pts.append(cand)
-    return PointSet(d, pts)
+    return pts
 
 
 def _violates(cand, pool, d) -> bool:
@@ -48,26 +68,3 @@ def _violates(cand, pool, d) -> bool:
         if orientation([pool[i] for i in idx] + [cand]) == 0:
             return True
     return False
-
-
-def random_extension(
-    ps: PointSet, k: int, seed: int, bound: int = 10000, max_tries: int = 10000
-) -> PointSet:
-    """ps plus k fresh points, keeping the whole set in general position."""
-    rng = random.Random(seed)
-    pts = list(ps.points)
-    target = len(pts) + k
-    tries = 0
-    while len(pts) < target:
-        tries += 1
-        if tries > max_tries:
-            raise PerturbationFailed(
-                f"could not extend by {k} general-position points (seed={seed})"
-            )
-        cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(ps.dim)))
-        if any(cand == p for p in pts):
-            continue
-        if len(pts) >= ps.dim and _violates(cand, pts, ps.dim):
-            continue
-        pts.append(cand)
-    return PointSet(ps.dim, pts)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -23,17 +23,10 @@ from .errors import (
     DimensionMismatch,
     PerturbationFailed,
     TrianglesIntersect,
-    WitnessNotContained,
 )
 
 Rat = Fraction
 Point = tuple
-
-
-class Orientation(IntEnum):
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
 
 
 class Containment(Enum):
@@ -68,7 +61,6 @@ class PointSet:
 
     dim: int
     points: list
-    labels: Optional[list] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -90,18 +82,6 @@ class PointSet:
 
 def vsub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
-
-
-def vadd(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def vscale(p: Point, s) -> Point:
-    return tuple(a * s for a in p)
-
-
-def dot(p: Point, q: Point):
-    return sum(a * b for a, b in zip(p, q))
 
 
 def cross2(u, v):
@@ -205,7 +185,7 @@ def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
             tuple(c + Fraction(rng.randint(-span, span), den) * diam for c in p)
             for p in ps.points
         ]
-        candidate = PointSet(ps.dim, moved, ps.labels)
+        candidate = PointSet(ps.dim, moved)
         if not in_general_position(candidate):
             return candidate
     raise PerturbationFailed(f"no general-position perturbation after 64 rounds (seed={seed})")
@@ -247,41 +227,6 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
     return Containment.INTERIOR
 
 
-def iter_subsets_lex(pool: Sequence[int], max_size: int) -> Iterator[tuple]:
-    """Nonempty subsets of the sorted pool in lexicographic tuple order.
-
-    Prefixes come first: (a,) < (a,b) < (a,b,c) < (a,c) < (b,) ...
-    """
-    pool = sorted(pool)
-
-    def rec(prefix, start):
-        for i in range(start, len(pool)):
-            t = prefix + (pool[i],)
-            yield t
-            if len(t) < max_size:
-                yield from rec(t, i + 1)
-
-    yield from rec((), 0)
-
-
-def caratheodory_reduce(indices, o: Point, ps: PointSet) -> tuple:
-    """First (lexicographic) subset of at most d+1 indices whose hull contains o.
-
-    Raises WitnessNotContained when o is not in the hull of the full set,
-    which by Caratheodory's theorem is equivalent to every small subset
-    failing.
-    """
-    o = mk_point(o)
-    for sub in iter_subsets_lex(indices, ps.dim + 1):
-        try:
-            status = point_in_simplex(o, [ps.points[i] for i in sub])
-        except DegenerateSimplex:
-            continue
-        if status != Containment.OUTSIDE:
-            return tuple(sub)
-    raise WitnessNotContained(f"point {o} is not in the hull of {sorted(indices)}")
-
-
 # --- planar angular order -------------------------------------------------
 
 
@@ -320,29 +265,6 @@ def _require_r3(*pts):
     for p in pts:
         if len(p) != 3:
             raise DimensionMismatch("operation is defined in R^3 only")
-
-
-def segment_triangle_parity(seg: Sequence[Point], tri: Sequence[Point]) -> int:
-    """1 iff the open segment crosses the open triangle transversally.
-
-    Precondition: neither endpoint on the triangle's plane, and no crossing
-    through the triangle's boundary; violations raise DegenerateIncidence.
-    """
-    a, b = seg
-    t0, t1, t2 = tri
-    _require_r3(a, b, t0, t1, t2)
-    sa = orientation([t0, t1, t2, a])
-    sb = orientation([t0, t1, t2, b])
-    if sa == 0 or sb == 0:
-        raise DegenerateIncidence("segment endpoint on the triangle's plane")
-    if sa == sb:
-        return 0
-    s1 = orientation([a, b, t0, t1])
-    s2 = orientation([a, b, t1, t2])
-    s3 = orientation([a, b, t2, t0])
-    if 0 in (s1, s2, s3):
-        raise DegenerateIncidence("segment meets the triangle's boundary")
-    return 1 if s1 == s2 == s3 else 0
 
 
 def _collinear_overlap_1d(a, b, c, d) -> bool:

@@ -118,10 +118,3 @@ def nullspace(a_rows, ncols=None):
         basis.append(v)
     return basis
 
-
-def rank(a_rows, ncols=None) -> int:
-    if ncols is None:
-        ncols = len(a_rows[0]) if a_rows else 0
-    aug = [[Fraction(v) for v in r] for r in a_rows]
-    _, pivots = _eliminate(aug, ncols)
-    return len(pivots)

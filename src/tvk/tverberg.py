@@ -9,21 +9,25 @@ witness whose certificates re-verify by exact arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .errors import DimensionMismatch, GeneralPositionViolated, SizeOutOfRange
+from .errors import (
+    CrossingLost,
+    DimensionMismatch,
+    GeneralPositionViolated,
+    InternalError,
+    SizeOutOfRange,
+)
 from .geometry import (
     Containment,
     Point,
     PointSet,
     angular_order,
     barycentric_coordinates,
-    caratheodory_reduce,
     mk_point,
     point_in_simplex,
     vsub,
@@ -49,13 +53,10 @@ class Partition:
     def __post_init__(self):
         self.parts = canonical_parts(self.parts)
 
-    def indices(self):
-        return sorted(i for part in self.parts for i in part)
-
 
 def canonical_parts(parts) -> list:
     out = [tuple(sorted(p)) for p in parts]
-    out.sort(key=lambda p: p[0])
+    out.sort(key=lambda p: p[:1])
     return out
 
 
@@ -158,20 +159,7 @@ def _first_valid(ps, candidates):
     return None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TVK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TVK_THREADS must be an integer >= 1, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"TVK_THREADS must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def tverberg_partition_bruteforce(
-    ps: PointSet, r: int, workers: Optional[int] = None
-) -> Partition:
+def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
     """First canonical size-bounded partition whose hulls share a point.
 
     Existence is guaranteed for (d+1)(r-1)+1 <= n <= (d+1)r points. Gated at
@@ -190,50 +178,12 @@ def tverberg_partition_bruteforce(
             f"brute force is gated at {BRUTE_FORCE_MAX_POINTS} points (got {n}); "
             "use the planar fast path for larger inputs"
         )
-    if workers is None:
-        workers = _worker_count()
-    gen = iter_bounded_partitions(n, r, d + 1)
-    if workers <= 1:
-        found = _first_valid(ps, gen)
-    else:
-        found = _parallel_first_valid(ps, r, d, workers)
-    assert found is not None, "Tverberg partition must exist in the stated range"
+    found = _first_valid(ps, iter_bounded_partitions(n, r, d + 1))
+    if found is None:
+        raise InternalError(
+            f"no partition found for n={n}, d={d}, r={r}, where one must exist"
+        )
     return found
-
-
-def _search_block(args):
-    ps_data, dim, block = args
-    ps = PointSet(dim, ps_data)
-    res = _first_valid(ps, block)
-    if res is None:
-        return None
-    return res.parts, res.witness.point, res.witness.weights
-
-
-def _parallel_first_valid(ps, r, d, workers):
-    """Split the canonical enumeration into first-part blocks and scan them
-    in batches; the earliest block with a hit wins, so the result matches
-    the sequential canonical-first contract."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    all_parts = list(iter_bounded_partitions(len(ps), r, d + 1))
-    blocks = []
-    for parts in all_parts:
-        if blocks and blocks[-1][0][0] == parts[0]:
-            blocks[-1].append(parts)
-        else:
-            blocks.append([parts])
-    ps_data = list(ps.points)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(blocks), workers):
-            chunk = blocks[start : start + workers]
-            for result in pool.map(
-                _search_block, [(ps_data, ps.dim, blk) for blk in chunk]
-            ):
-                if result is not None:
-                    parts, point, weights = result
-                    return Partition(list(parts), Witness(point, weights))
-    return None
 
 
 # --- planar centerpoint fast path -------------------------------------------
@@ -247,8 +197,9 @@ def _scaled_int_points(ps: PointSet):
     return [(int(p[0] * denom), int(p[1] * denom)) for p in ps.points], denom
 
 
-def _depth_at_least(qx: int, qy: int, qd: int, pts, m: int) -> bool:
-    """Exact halfplane depth >= m for homogeneous candidate (qx/qd, qy/qd)."""
+def _depth(qx: int, qy: int, qd: int, pts, stop_below: int) -> int:
+    """Exact halfplane depth of the homogeneous candidate (qx/qd, qy/qd)
+    over integer points; returns early once the depth is below stop_below."""
     vs = []
     zeros = 0
     for x, y in pts:
@@ -257,22 +208,23 @@ def _depth_at_least(qx: int, qy: int, qd: int, pts, m: int) -> bool:
             zeros += 1
         else:
             vs.append(v)
-    if not vs:
-        return len(pts) >= m
     dirs = set()
     for vx, vy in vs:
         g = math.gcd(abs(vx), abs(vy))
         dirs.add((-vy // g, vx // g))
         dirs.add((vy // g, -vx // g))
+    best = len(pts)
     for wx, wy in dirs:
         count = zeros
         for vx, vy in vs:
             s = vx * wx + vy * wy
             if s > 0 or (s == 0 and wx * vy - wy * vx > 0):
                 count += 1
-        if count < m:
-            return False
-    return True
+        if count < best:
+            best = count
+            if best < stop_below:
+                break
+    return best
 
 
 def _homogeneous_candidate(q: Point, denom: int):
@@ -289,30 +241,7 @@ def halfplane_depth(q: Point, ps: PointSet) -> int:
     q = mk_point(q)
     pts, denom = _scaled_int_points(ps)
     qx, qy, qd = _homogeneous_candidate(q, denom)
-    vs = []
-    zeros = 0
-    for x, y in pts:
-        v = (x * qd - qx, y * qd - qy)
-        if v == (0, 0):
-            zeros += 1
-        else:
-            vs.append(v)
-    if not vs:
-        return len(ps)
-    dirs = set()
-    for vx, vy in vs:
-        g = math.gcd(abs(vx), abs(vy))
-        dirs.add((-vy // g, vx // g))
-        dirs.add((vy // g, -vx // g))
-    best = len(ps)
-    for wx, wy in dirs:
-        count = zeros
-        for vx, vy in vs:
-            s = vx * wx + vy * wy
-            if s > 0 or (s == 0 and wx * vy - wy * vx > 0):
-                count += 1
-        best = min(best, count)
-    return best
+    return _depth(qx, qy, qd, pts, 0)
 
 
 def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Point:
@@ -333,7 +262,7 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     def ok(qx, qy, qd):
         if exclude_input_points and qd == 1 and (qx, qy) in input_set:
             return None
-        if _depth_at_least(qx, qy, qd, pts, m):
+        if _depth(qx, qy, qd, pts, m) >= m:
             return (Fraction(qx, qd * denom), Fraction(qy, qd * denom))
         return None
 
@@ -403,50 +332,6 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         return tverberg_partition_bruteforce(ps, r)
 
 
-def balance_parts(partition: Partition, ps: PointSet) -> Partition:
-    """Shrink oversized parts around the witness and refill small ones.
-
-    Oversized parts are reduced to at most d+1 points still containing the
-    witness (Caratheodory search); removed points top up parts below d+1 in
-    canonical order. The witness point is unchanged and stays valid.
-    """
-    if partition.witness is None:
-        raise ValueError("balance_parts needs a witness")
-    d = ps.dim
-    o = partition.witness.point
-    total = sum(len(p) for p in partition.parts)
-    if total > (d + 1) * len(partition.parts):
-        raise SizeOutOfRange("more points than r*(d+1); the bound is unreachable")
-    reduced = []
-    pool = []
-    for part in partition.parts:
-        if len(part) <= d + 1:
-            reduced.append(tuple(part))
-            continue
-        keep = caratheodory_reduce(part, o, ps)
-        reduced.append(tuple(keep))
-        pool.extend(sorted(set(part) - set(keep)))
-    pool.sort()
-    filled = []
-    for part in canonical_parts(reduced):
-        room = (d + 1) - len(part)
-        if room > 0 and pool:
-            take, pool = pool[:room], pool[room:]
-            part = tuple(sorted(part + tuple(take)))
-        filled.append(part)
-    assert not pool, "removed points exceed refill capacity"
-    parts = canonical_parts(filled)
-    weights = []
-    for part in parts:
-        coords = barycentric_coordinates(o, [ps.points[i] for i in part])
-        if coords is None:
-            # refilled part may exceed the witness's affine span only when
-            # degenerate; certify via the reduced core instead
-            raise GeneralPositionViolated("witness left a refilled part's hull")
-        weights.append(coords)
-    return Partition(parts, Witness(o, weights))
-
-
 def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet) -> Partition:
     """Insert leftover points one at a time, preserving pairwise crossings.
 
@@ -497,8 +382,6 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
             for b in range(a + 1, len(full)):
                 verdict = hull_pair_verdict(parts[full[a]], parts[full[b]], ps, o)
                 if verdict.kind != "crossing":
-                    from .errors import CrossingLost
-
                     raise CrossingLost(
                         f"inserting point {idx} broke crossing of parts "
                         f"{parts[full[a]]} / {parts[full[b]]} ({verdict.kind})"

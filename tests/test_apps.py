@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tvk.errors import GeneralPositionViolated, SizeOutOfRange
+from tvk import apps, fixing, tverberg
+from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import PointSet, in_general_position
 from tvk.lp import Witness, hull_membership
@@ -211,6 +215,153 @@ def test_verifier_rejects_overlap_and_size():
     bad2 = Partition([(0, 1, 2, 3), (4, 5, 6)], good.witness, size_bounded=True)
     rep2 = verify_crossing_partition(ps, bad2)
     assert any("size bound" in v for v in rep2.violations)
+
+
+def test_verifier_reports_malformed_partitions_without_raising():
+    ps = PointSet(2, NINE_ONE_FIX)
+    good = crossing_tverberg(ps, 3, seed=0).partition
+    cases = [
+        ("indices outside", [(0, 1, 99), (3, 4, 5), (6, 7, 8)]),
+        ("indices outside", [(-1, 1, 2), (3, 4, 5), (6, 7, 8)]),
+        ("repeats an index", [(0, 0, 2), (3, 4, 5), (6, 7, 8)]),
+        ("empty part", [(), (3, 4, 5), (6, 7, 8)]),
+    ]
+    for message, parts in cases:
+        rep = verify_crossing_partition(ps, Partition(parts, good.witness))
+        assert any(message in v for v in rep.violations), (message, rep.violations)
+    lifted = Witness(good.witness.point + (F(0),), good.witness.weights)
+    rep = verify_crossing_partition(ps, Partition(good.parts, lifted))
+    assert any("coordinates, expected 2" in v for v in rep.violations)
+    rows = good.witness.weights
+    long_row = Witness(good.witness.point, [rows[0] + [F(0)]] + rows[1:])
+    rep = verify_crossing_partition(ps, Partition(good.parts, long_row))
+    assert any("weights for 3 points" in v for v in rep.violations)
+    flat = PointSet(2, [(0, 0), (2, 0), (4, 0), (1, 1), (3, -1), (2, 5)])
+    thirds = [F(1, 3)] * 3
+    on_line = Partition([(0, 1, 2), (3, 4, 5)], Witness((2, 0), [thirds, thirds]))
+    rep = verify_crossing_partition(flat, on_line)
+    assert any("degenerate" in v for v in rep.violations)
+
+
+@lru_cache(maxsize=None)
+def valid_reports():
+    """Verified size-bounded outputs whose witness weights are all positive."""
+    out = []
+    for d, n, r, seed in ((2, 6, 2, 1), (2, 9, 3, 2), (3, 8, 2, 3), (2, 8, 3, 4)):
+        ps = random_point_set(d, n, seed=seed)
+        part = crossing_tverberg(ps, r, seed=0).partition
+        assert all(w > 0 for row in part.witness.weights for w in row)
+        out.append((ps, part))
+    return out
+
+
+def _mutate(kind, parts, weights, point, n, draw):
+    """One mutation of a valid report that must make it invalid."""
+    i = draw(st.integers(0, len(parts) - 1))
+    k = draw(st.integers(0, len(parts[i]) - 1))
+    j = draw(st.integers(0, len(parts) - 1).filter(lambda j: j != i))
+    l = draw(st.integers(0, len(parts[j]) - 1))
+    if kind == "swap":
+        parts[i][k], parts[j][l] = parts[j][l], parts[i][k]
+    elif kind == "duplicate":
+        parts[i][k] = parts[j][l]
+    elif kind == "duplicate within a part":
+        parts[i].append(parts[i][k])
+        weights[i].append(F(0))
+    elif kind == "drop":
+        del parts[i][k]
+    elif kind == "out of range":
+        parts[i][k] = draw(st.sampled_from([n, n + 7, 99, -1, -n]))
+    elif kind == "bump weight":
+        weights[i][k] += draw(st.fractions(min_value=F(1, 1000), max_value=3))
+    elif kind == "long weight row":
+        weights[i].append(F(0))
+    elif kind == "move witness":
+        c = draw(st.integers(0, len(point) - 1))
+        point[c] += draw(st.fractions(min_value=F(1, 1000), max_value=3))
+    elif kind == "lift witness":
+        point.append(F(0))
+
+
+@given(
+    st.integers(0, 3),
+    st.sampled_from(
+        [
+            "swap",
+            "duplicate",
+            "duplicate within a part",
+            "drop",
+            "out of range",
+            "bump weight",
+            "long weight row",
+            "move witness",
+            "lift witness",
+        ]
+    ),
+    st.data(),
+)
+def test_verifier_flags_every_mutation(which, kind, data):
+    ps, good = valid_reports()[which]
+    parts = [list(p) for p in good.parts]
+    weights = [list(row) for row in good.witness.weights]
+    point = list(good.witness.point)
+    _mutate(kind, parts, weights, point, len(ps), data.draw)
+    bad = Partition(good.parts, Witness(tuple(point), weights))
+    bad.parts = [tuple(p) for p in parts]  # as mutated, not re-canonicalised
+    rep = verify_crossing_partition(ps, bad)
+    assert rep.violations
+
+
+def test_simplices_verify_each_result_once(monkeypatch):
+    calls = {"verify": 0, "pair": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    verify, pair = apps.verify_crossing_partition, apps.hull_pair_verdict
+    monkeypatch.setattr(apps, "verify_crossing_partition", counting("verify", verify))
+    monkeypatch.setattr(apps, "hull_pair_verdict", counting("pair", pair))
+    ps = random_point_set(2, 14, seed=6)
+    rep = crossing_simplices(ps)
+    assert calls == {"verify": 1, "pair": 4 * 3 // 2}
+    assert all(rep.verdicts[i][j] == "crossing" for i, j in combinations(range(4), 2))
+
+
+def test_failed_verification_is_an_internal_error(monkeypatch):
+    def failing(ps, partition):
+        return apps.VerificationReport(["forced violation"])
+
+    monkeypatch.setattr(apps, "verify_crossing_partition", failing)
+    ps = PointSet(2, NINE_ONE_FIX)
+    for run in (lambda: crossing_tverberg(ps, 3), lambda: crossing_simplices(ps)):
+        with pytest.raises(InternalError, match="forced violation"):
+            run()
+
+
+def test_bruteforce_without_a_partition_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(tverberg, "common_point", lambda parts, ps: None)
+    with pytest.raises(InternalError):
+        tverberg.tverberg_partition_bruteforce(random_point_set(2, 5, seed=1), 2)
+
+
+def test_fixing_without_a_measure_drop_is_an_internal_error(monkeypatch):
+    ps = PointSet(2, NESTED_SIX)
+    w = refine_witness([(0, 1, 2), (3, 4, 5)], ps, seed=0)
+    monkeypatch.setattr(fixing, "unnest_pair", lambda t1, t2, ps, o: (t1, t2))
+    for measure in ("volume", "point-count"):
+        with pytest.raises(InternalError):
+            fixing.fix_all(Partition([(0, 1, 2), (3, 4, 5)], w), ps, measure=measure)
+
+
+def test_simplices_discard_out_of_range():
+    ps = random_point_set(2, 7, seed=3)
+    for discard in ([99], [7], [-1]):
+        with pytest.raises(SizeOutOfRange):
+            crossing_simplices(ps, discard=discard)
 
 
 # --- extension acceptance shape -----------------------------------------------------

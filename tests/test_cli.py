@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tvk import apps
 from tvk.cli import main
 
 from conftest import NESTED_SIX
@@ -20,13 +21,22 @@ def write_points(path, rows):
     path.write_text("\n".join(" ".join(str(c) for c in p) for p in rows) + "\n")
 
 
-@pytest.fixture
-def nine(tmp_path, capsys):
-    path = tmp_path / "nine.txt"
-    code, out, _ = run_cli(capsys, "gen", "--d", "2", "--n", "9", "--seed", "7")
+def gen_points(tmp_path, capsys, n):
+    path = tmp_path / f"gen{n}.txt"
+    code, out, _ = run_cli(capsys, "gen", "--d", "2", "--n", str(n), "--seed", "7")
     assert code == 0
     path.write_text(out)
     return path
+
+
+@pytest.fixture
+def nine(tmp_path, capsys):
+    return gen_points(tmp_path, capsys, 9)
+
+
+@pytest.fixture
+def seven(tmp_path, capsys):
+    return gen_points(tmp_path, capsys, 7)
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -183,16 +193,82 @@ def test_link_command(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "linked"
 
 
-def test_tvk_threads_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TVK_THREADS", "zero")
-    code, _, err = run_cli(capsys, "fs")
+def test_discard_not_an_integer_is_a_usage_error(seven, capsys):
+    code, _, err = run_cli(
+        capsys, "crossing", "--input", str(seven), "--simplices", "--discard", "x"
+    )
     assert code == 64
-    monkeypatch.setenv("TVK_THREADS", "0")
-    code, _, _ = run_cli(capsys, "fs")
+    assert "Traceback" not in err
+
+
+def test_discard_out_of_range_is_a_size_gate(seven, capsys):
+    for bad in ("99", "7", "-1"):
+        code, _, err = run_cli(
+            capsys, "crossing", "--input", str(seven), "--simplices", "--discard", bad
+        )
+        assert code == 3, (bad, err)
+
+
+def test_verify_malformed_report_is_a_usage_error(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    good = json.loads(out_path.read_text())
+    broken = [
+        {**good, "parts": 5},
+        {k: v for k, v in good.items() if k != "parts"},
+        {**good, "witness": {"weights": good["witness"]["weights"]}},
+        {**good, "witness": {**good["witness"], "point": [1, 2]}},
+        {**good, "parts": [[0, "a"]]},
+        [1, 2, 3],
+    ]
+    for data in broken:
+        out_path.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "verify", "--input", str(nine), "--report", str(out_path)
+        )
+        assert code == 64, (data, err)
+
+
+def test_verify_bad_indices_and_witness_are_violations(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    good = json.loads(out_path.read_text())
+    parts = [list(p) for p in good["parts"]]
+    parts[0][0] = 99
+    lifted = {**good["witness"], "point": good["witness"]["point"] + ["0/1"]}
+    for data in ({**good, "parts": parts}, {**good, "witness": lifted}):
+        out_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(nine), "--report", str(out_path)
+        )
+        assert code == 5
+        assert json.loads(out)["violations"]
+
+
+def test_parity_wrong_point_count_is_a_size_gate(tmp_path, capsys):
+    path = tmp_path / "nine.txt"
+    write_points(path, NESTED_SIX + [(3, 7), (-8, 5), (6, 11)])
+    code, _, err = run_cli(capsys, "parity", "--input", str(path))
+    assert code == 3
+    assert "size gate" in err
+
+
+def test_bad_point_option_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "six.txt"
+    write_points(path, NESTED_SIX)
+    code, _, _ = run_cli(capsys, "parity", "--input", str(path), "--point", "a,b")
     assert code == 64
-    monkeypatch.setenv("TVK_THREADS", "2")
-    code, _, _ = run_cli(capsys, "fs")
-    assert code == 0
+
+
+def test_failed_internal_check_exits_5(nine, capsys, monkeypatch):
+    def failing(ps, partition):
+        return apps.VerificationReport(["forced violation"])
+
+    monkeypatch.setattr(apps, "verify_crossing_partition", failing)
+    code, out, err = run_cli(capsys, "crossing", "--input", str(nine), "--r", "3")
+    assert code == 5
+    assert out == ""
+    assert "forced violation" in err
 
 
 def test_console_entrypoint_subprocess(tmp_path):

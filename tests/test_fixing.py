@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvk.errors import BudgetExceeded, GeneralPositionViolated
+from tvk.errors import BudgetExceeded, GeneralPositionViolated, SizeOutOfRange
 from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex, simplex_volume
 from tvk.lp import hull_membership
@@ -101,6 +101,14 @@ def test_parity_empty_when_halfplane():
     ps = PointSet(2, HALFPLANE_SIX)
     count, even = parity_check(ps, ORIGIN2)
     assert count == 0 and even
+
+
+def test_origin_setup_requires_2d_plus_2_points():
+    ps = PointSet(2, HEXAGON[:5])
+    with pytest.raises(SizeOutOfRange):
+        enumerate_origin_pairs(ps, ORIGIN2)
+    with pytest.raises(SizeOutOfRange):
+        swap_witness_planar(ps, ORIGIN2)
 
 
 def test_parity_requires_general_position():

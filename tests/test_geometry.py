@@ -8,19 +8,15 @@ from tvk.errors import (
     DegenerateIncidence,
     DegenerateSimplex,
     TrianglesIntersect,
-    WitnessNotContained,
 )
 from tvk.geometry import (
     Containment,
     PointSet,
     barycentric_coordinates,
-    caratheodory_reduce,
     in_general_position,
-    iter_subsets_lex,
     orientation,
     perturb,
     point_in_simplex,
-    segment_triangle_parity,
     segments_intersect_3d,
     simplex_volume,
     triangles_linked,
@@ -145,35 +141,6 @@ def test_barycentric_reconstruction(a, b, c, wa, wb, wc):
     assert point_in_simplex(p, [a, b, c]) == Containment.INTERIOR
 
 
-# --- subset order / caratheodory ------------------------------------------------
-
-
-def test_iter_subsets_lex_order():
-    got = list(iter_subsets_lex([0, 1, 2], 2))
-    assert got == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
-
-
-def test_caratheodory_identity_when_small():
-    ps = PointSet(2, [(0, 0), (4, 0), (0, 4)])
-    assert caratheodory_reduce([0, 1, 2], (1, 1), ps) == (0, 1, 2)
-
-
-def test_caratheodory_square_center():
-    ps = PointSet(2, [(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    assert caratheodory_reduce([0, 1, 2, 3], (0, 0), ps) == (0, 1, 2)
-
-
-def test_caratheodory_d1():
-    ps = PointSet(1, [(-2,), (-1,), (3,)])
-    assert caratheodory_reduce([0, 1, 2], (0,), ps) == (0, 2)
-
-
-def test_caratheodory_not_contained():
-    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-    with pytest.raises(WitnessNotContained):
-        caratheodory_reduce([0, 1, 2], (5, 5), ps)
-
-
 # --- perturbation ----------------------------------------------------------------
 
 
@@ -197,17 +164,6 @@ def test_perturb_fixes_collinear():
 # --- 3D incidence ------------------------------------------------------------------
 
 TRI = [(3, 0, 0), (-3, 2, 0), (-3, -2, 0)]
-
-
-def test_segment_triangle_parity_examples():
-    assert segment_triangle_parity([(0, 0, 1), (0, 0, -1)], TRI) == 1
-    assert segment_triangle_parity([(10, 0, 1), (10, 0, -1)], TRI) == 0
-    assert segment_triangle_parity([(0, 0, 1), (0, 0, 2)], TRI) == 0
-
-
-def test_segment_triangle_parity_degenerate():
-    with pytest.raises(DegenerateIncidence):
-        segment_triangle_parity([(0, 0, 0), (0, 0, 1)], TRI)  # endpoint on plane
 
 
 def test_triangles_linked_examples():

@@ -11,7 +11,6 @@ from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import common_point, hull_membership, witness_violations
 from tvk.tverberg import (
     Partition,
-    balance_parts,
     birch_partition_planar,
     centerpoint_planar,
     extend_partition,
@@ -120,14 +119,6 @@ def test_bruteforce_gate():
         tverberg_partition_bruteforce(ps, 5)
 
 
-def test_bruteforce_workers_agree():
-    ps = random_point_set(3, 8, seed=21)
-    seq = tverberg_partition_bruteforce(ps, 2, workers=1)
-    par = tverberg_partition_bruteforce(ps, 2, workers=2)
-    assert seq.parts == par.parts
-    assert seq.witness.point == par.witness.point
-
-
 # --- centerpoint ------------------------------------------------------------------
 
 
@@ -199,41 +190,6 @@ def test_birch_output_is_bruteforce_acceptable():
     p = birch_partition_planar(ps, 3)
     w = common_point(p.parts, ps)
     assert w is not None
-
-
-# --- balance ------------------------------------------------------------------------
-
-
-def test_balance_identity():
-    ps = PointSet(2, [(0, 0), (4, 0), (0, 4), (10, 10)])
-    w = common_point([(0, 1, 2), (3,)], ps)
-    # no common point for these; use a genuinely intersecting configuration
-    ps = PointSet(2, [(0, 0), (4, 0), (0, 4), (1, 1)])
-    w = common_point([(0, 1, 2), (3,)], ps)
-    part = Partition([(0, 1, 2), (3,)], w)
-    bal = balance_parts(part, ps)
-    assert bal.parts == part.parts
-
-
-def test_balance_reduces_and_refills():
-    ps = PointSet(2, [(0, 0), (4, 0), (0, 4), (4, 4), (1, 1), (2, 1)])
-    w = common_point([(0, 1, 2, 3, 4), (5,)], ps)
-    assert w is not None
-    bal = balance_parts(Partition([(0, 1, 2, 3, 4), (5,)], w), ps)
-    assert sorted(len(p) for p in bal.parts) == [3, 3]
-    assert bal.witness.point == w.point
-    assert witness_violations(bal.witness, bal.parts, ps) == []
-    assert witness_in_all_hulls(bal, ps)
-
-
-def test_balance_leftover_capacity_unfilled():
-    # 4-point part reduced to 3 frees one point; the singleton can hold two
-    ps = PointSet(2, [(0, 0), (4, 0), (0, 4), (3, 3), (1, 1)])
-    w = common_point([(0, 1, 2, 3), (4,)], ps)
-    assert w is not None and w.point == (F(1), F(1))
-    bal = balance_parts(Partition([(0, 1, 2, 3), (4,)], w), ps)
-    assert sorted(len(p) for p in bal.parts) == [2, 3]
-    assert witness_violations(bal.witness, bal.parts, ps) == []
 
 
 # --- extension ---------------------------------------------------------------------
