@@ -8,13 +8,11 @@ All coordinates are rationals and every computation is exact.
 
 from .errors import (
     BudgetExceeded,
-    CrossingLost,
     DegenerateIncidence,
     DegenerateSimplex,
     DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
-    ParityViolated,
     PerturbationFailed,
     SizeOutOfRange,
     TrianglesIntersect,
@@ -34,13 +32,13 @@ from .geometry import (
 from .lp import (
     FeasibilityProblem,
     LPResult,
+    Partition,
     Witness,
     common_point,
     hull_membership,
     solve_feasibility,
 )
 from .tverberg import (
-    Partition,
     birch_partition_planar,
     centerpoint_planar,
     extend_partition,

@@ -33,7 +33,6 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
-    barycentric_coordinates,
     bounding_box,
     gp_violations_with_extra,
     in_general_position,
@@ -42,13 +41,15 @@ from .geometry import (
     triangles_linked,
     vsub,
 )
-from .lp import Witness, hull_contains, relative_interior_witness, witness_violations
-from .tverberg import (
+from .lp import (
     Partition,
-    birch_partition_planar,
-    extend_partition,
-    tverberg_partition_bruteforce,
+    Witness,
+    barycentric_witness,
+    hull_contains,
+    relative_interior_witness,
+    witness_violations,
 )
+from .tverberg import bounded_partition, extend_partition
 
 
 @dataclass
@@ -107,10 +108,7 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
             continue
         if gp_violations_with_extra(anchor_points, cand):
             continue
-        weights = [
-            barycentric_coordinates(cand, [ps.points[i] for i in part]) for part in parts
-        ]
-        return Witness(cand, weights)
+        return barycentric_witness(cand, parts, ps)
     raise GeneralPositionViolated(
         "no generic common point found after 512 seeded attempts"
     )
@@ -160,10 +158,7 @@ def _crossing_pipeline(ps: PointSet, r: int, measure, budget, seed):
     core = list(range(min(n, cap)))
     leftover = list(range(cap, n))
     core_ps = ps if not leftover else ps.take(core)
-    if d == 2 and len(core) == 3 * r:
-        partition = birch_partition_planar(core_ps, r)
-    else:
-        partition = tverberg_partition_bruteforce(core_ps, r)
+    partition = bounded_partition(core_ps, r)
     witness = refine_witness(partition.parts, core_ps, seed=seed)
     fixed, trace = fix_all(
         Partition(partition.parts, witness), core_ps, measure=measure, budget=budget

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 2 degenerate input, 3 size gate, 4 budget exceeded,
-5 verification failure or failed internal check, 64 usage error. Output
+Exit codes: 0 ok, 2 degenerate input (including a failed perturbation or
+point generation), 3 size gate, 4 budget exceeded, 5 verification failure
+or failed internal check, 64 usage error. Output
 is machine-readable JSON on stdout (or --out); diagnostics are single
 lines on stderr. All randomness is seeded, so identical configs produce
 byte-identical JSON.
@@ -23,14 +24,16 @@ from .apps import (
 )
 from .errors import (
     BudgetExceeded,
+    DegenerateIncidence,
     GeneralPositionViolated,
+    PerturbationFailed,
     SizeOutOfRange,
     TvkError,
 )
 from .fixing import cocycle_check, parity_check
 from .generate import random_point_set
 from .geometry import PointSet, in_general_position, mk_point, perturb
-from .tverberg import tverberg_partition_bruteforce
+from .tverberg import bounded_partition
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -71,7 +74,6 @@ def _build_parser() -> _Parser:
     add_common(sp)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--perturb", action="store_true")
-    sp.add_argument("--perturb-k", type=int, default=16)
 
     sp = sub.add_parser("crossing", help="crossing partition pipeline")
     add_common(sp)
@@ -81,7 +83,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--measure", choices=["volume", "point-count"], default="volume")
     sp.add_argument("--budget", type=int)
     sp.add_argument("--perturb", action="store_true")
-    sp.add_argument("--perturb-k", type=int, default=16)
     sp.add_argument("--discard", type=_index_list,
                     help="comma-separated indices to drop (simplices mode)")
     sp.add_argument("--svg", dest="svg_path", help="render the result (d=2 only)")
@@ -140,7 +141,7 @@ def _gate_general_position(ps, args):
             f"{len(violations)} affinely dependent subsets (rerun with --perturb)",
             violations,
         )
-    moved = perturb(ps, args.seed, args.perturb_k)
+    moved = perturb(ps, args.seed)
     return moved, {
         "perturbed": True,
         "original_points": [[fileio.fmt_rat(c) for c in p] for p in ps.points],
@@ -164,7 +165,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if args.r is None or args.r < 1:
         raise UsageError("--r must be a positive integer")
     ps, extra = _gate_general_position(ps, args)
-    partition = tverberg_partition_bruteforce(ps, args.r)
+    partition = bounded_partition(ps, args.r)
     payload = fileio.partition_payload(
         partition,
         ps.dim,
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tvk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GeneralPositionViolated as exc:
+    except (GeneralPositionViolated, PerturbationFailed, DegenerateIncidence) as exc:
         print(f"tvk: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except SizeOutOfRange as exc:

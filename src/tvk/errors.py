@@ -29,10 +29,6 @@ class GeneralPositionViolated(TvkError):
         self.violations = violations or []
 
 
-class ParityViolated(TvkError):
-    """Odd number of origin-containing complementary pairs: predicate bug."""
-
-
 class PerturbationFailed(TvkError):
     """Bounded perturbation retries did not reach general position."""
 
@@ -48,10 +44,6 @@ class BudgetExceeded(TvkError):
         super().__init__(message)
         self.partition = partition
         self.trace = trace
-
-
-class CrossingLost(TvkError):
-    """Extension step broke a crossing; indicates a bug, not a data condition."""
 
 
 class InternalError(TvkError):

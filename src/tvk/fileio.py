@@ -17,8 +17,7 @@ from typing import Optional
 from .errors import DimensionMismatch
 from .fixing import FixTrace
 from .geometry import PointSet, rat
-from .lp import Witness
-from .tverberg import Partition
+from .lp import Partition, Witness
 
 
 def fmt_rat(q) -> str:

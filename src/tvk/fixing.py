@@ -17,7 +17,6 @@ from .errors import (
     BudgetExceeded,
     GeneralPositionViolated,
     InternalError,
-    ParityViolated,
     SizeOutOfRange,
 )
 from .geometry import (
@@ -25,15 +24,13 @@ from .geometry import (
     Point,
     PointSet,
     angular_order,
-    barycentric_coordinates,
     in_general_position,
     mk_point,
     point_in_simplex,
     simplex_volume,
     vsub,
 )
-from .lp import Witness, hull_contains
-from .tverberg import Partition, canonical_parts
+from .lp import Partition, barycentric_witness, canonical_parts, hull_contains
 
 
 @dataclass
@@ -123,12 +120,12 @@ def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
 def parity_check(ps: PointSet, o: Point):
     """Count origin-containing complementary pairs; the count must be even.
 
-    Returns (count, True); an odd count raises ParityViolated since it would
+    Returns (count, True); an odd count raises InternalError since it would
     indicate a predicate bug.
     """
     count = len(enumerate_origin_pairs(ps, o))
     if count % 2 != 0:
-        raise ParityViolated(f"odd origin-pair count {count}")
+        raise InternalError(f"odd origin-pair count {count}")
     return count, True
 
 
@@ -276,7 +273,7 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
         if classify_pair(fa, ga, ps, o).kind == "crossing":
             first = min(fa[0], ga[0])
             return (fa, ga) if fa[0] == first else (ga, fa)
-    raise AssertionError(
+    raise InternalError(
         "no crossing repartition exists: contradicts the parity argument"
     )
 
@@ -310,7 +307,8 @@ def swap_witness_planar(ps: PointSet, o: Point):
         if owner[a][1] == owner[b][1]:
             pair = (owner[a][0], owner[b][0])
             break
-    assert pair is not None, "alternating colors would force mirrored duplicates"
+    if pair is None:
+        raise InternalError("alternating colors would force mirrored duplicates")
     p, p_prime = sorted(pair)
     counted = enumerate_origin_pairs(ps, o)
     matching = {}
@@ -318,14 +316,14 @@ def swap_witness_planar(ps: PointSet, o: Point):
     for f, g in counted:
         fs, gs = set(f), set(g)
         if p in fs and p_prime in fs or p in gs and p_prime in gs:
-            raise AssertionError(
+            raise InternalError(
                 "consecutive same-side points inside one origin triple: predicate bug"
             )
         fs2 = (fs - {p}) | {p_prime} if p in fs else (fs - {p_prime}) | {p}
         gs2 = (gs - {p_prime}) | {p} if p_prime in gs else (gs - {p}) | {p_prime}
         image = key.get(frozenset((frozenset(fs2), frozenset(gs2))))
         if image is None:
-            raise AssertionError("swap left the counted set: predicate bug")
+            raise InternalError("swap left the counted set: predicate bug")
         matching[(f, g)] = image
     return p, p_prime, matching
 
@@ -400,9 +398,7 @@ def fix_all(
                 i, j = full[a], full[b]
                 verdict = classify_pair(parts[i], parts[j], ps, o)
                 if verdict.kind == "no_common_point":
-                    raise AssertionError(
-                        "witness missing from a part during fixing: invalid input"
-                    )
+                    raise ValueError("fix_all needs a witness inside every part")
                 if verdict.kind == "nested":
                     nested_at = (i, j, verdict)
                     break
@@ -413,7 +409,7 @@ def fix_all(
         if budget is not None and trace.iterations >= budget:
             raise BudgetExceeded(
                 f"fixing needs more than {budget} steps",
-                partition=Partition(parts, _rebuild_witness(parts, o, ps)),
+                partition=Partition(parts, barycentric_witness(o, parts, ps)),
                 trace=trace,
             )
         i, j, verdict = nested_at
@@ -431,16 +427,5 @@ def fix_all(
                 f"measure vector did not drop lexicographically: {before} -> {after}"
             )
         trace.steps.append(FixStep((i, j), before, after))
-    witness = _rebuild_witness(parts, o, ps)
+    witness = barycentric_witness(o, parts, ps)
     return Partition(parts, witness, size_bounded=partition.size_bounded), trace
-
-
-def _rebuild_witness(parts, o, ps):
-    weights = []
-    for part in parts:
-        coords = barycentric_coordinates(o, [ps.points[i] for i in part])
-        assert coords is not None and all(c >= 0 for c in coords), (
-            "witness must stay inside every part during fixing"
-        )
-        weights.append(coords)
-    return Witness(o, weights)

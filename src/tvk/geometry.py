@@ -21,6 +21,7 @@ from .errors import (
     DegenerateIncidence,
     DegenerateSimplex,
     DimensionMismatch,
+    InternalError,
     PerturbationFailed,
     TrianglesIntersect,
 )
@@ -405,5 +406,5 @@ def triangles_linked(tri1: Sequence[Point], tri2: Sequence[Point]) -> bool:
     p1 = _curve_pierce_parity(t1, t2)
     p2 = _curve_pierce_parity(t2, t1)
     if p1 != p2:
-        raise AssertionError("linking parity differs between directions: predicate bug")
+        raise InternalError("linking parity differs between directions: predicate bug")
     return p1 == 1

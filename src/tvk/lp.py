@@ -10,8 +10,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch
-from .geometry import Containment, Point, PointSet, mk_point, point_in_simplex
+from .errors import DegenerateSimplex, DimensionMismatch, InternalError
+from .geometry import (
+    Containment,
+    Point,
+    PointSet,
+    barycentric_coordinates,
+    mk_point,
+    point_in_simplex,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,21 +53,17 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
     n = len(prob.a[0]) if m else 0
     if m == 0:
         return LPResult(True, [])
-    # rows with b >= 0, artificial identity appended
+    # rows with b >= 0 and column n holding b; artificial i is basis label
+    # n + i, and its column is never stored: artificials never re-enter
     tab = []
     for i in range(m):
-        row = list(prob.a[i]) + [ZERO] * m + [prob.b[i]]
+        row = list(prob.a[i]) + [prob.b[i]]
         if prob.b[i] < 0:
             row = [-v for v in row]
-        row[n + i] = ONE
         tab.append(row)
     basis = [n + i for i in range(m)]
-    width = n + m
-    # net reduced-cost row r_j = z_j - c_j for minimizing the artificial sum;
-    # artificials may not re-enter once they leave (safe for feasibility)
-    rrow = [sum(tab[i][j] for i in range(m)) for j in range(width + 1)]
-    for j in range(n, width):
-        rrow[j] -= ONE
+    # net reduced-cost row r_j = z_j - c_j for minimizing the artificial sum
+    rrow = [sum(tab[i][j] for i in range(m)) for j in range(n + 1)]
     while True:
         entering = None
         for j in range(n):  # Bland: smallest improving original column
@@ -74,12 +77,12 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
         for i in range(m):
             coef = tab[i][entering]
             if coef > 0:
-                ratio = tab[i][width] / coef
+                ratio = tab[i][n] / coef
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
         if leaving is None:
-            raise AssertionError("phase-1 objective unbounded: malformed tableau")
+            raise InternalError("phase-1 objective unbounded: malformed tableau")
         piv = tab[leaving][entering]
         tab[leaving] = [v / piv for v in tab[leaving]]
         for i in range(m):
@@ -90,13 +93,13 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
         if f:
             rrow = [a - f * b for a, b in zip(rrow, tab[leaving])]
         basis[leaving] = entering
-    remaining = sum(tab[i][width] for i in range(m) if basis[i] >= n)
+    remaining = sum(tab[i][n] for i in range(m) if basis[i] >= n)
     if remaining != 0:
         return LPResult(False, None)
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][width]
+            x[var] = tab[i][n]
     return LPResult(True, x)
 
 
@@ -110,6 +113,52 @@ class Witness:
     def __post_init__(self):
         self.point = mk_point(self.point)
         self.weights = [[Fraction(w) for w in ws] for ws in self.weights]
+
+
+@dataclass
+class Partition:
+    """Disjoint index sets over a PointSet, optionally with a witness.
+
+    Parts are kept canonical: each part sorted ascending, parts ordered by
+    smallest element, and the witness weight rows reordered with them. A
+    witness shaped unlike the parts is left as given for the verifier to
+    report. `size_bounded` records whether the partition claims the
+    at-most-(d+1) size bound.
+    """
+
+    parts: list
+    witness: Optional[Witness] = None
+    size_bounded: bool = True
+
+    def __post_init__(self):
+        w = self.witness
+        if w is None or [len(ws) for ws in w.weights] != [len(p) for p in self.parts]:
+            self.parts = canonical_parts(self.parts)
+            return
+        paired = canonical_parts(zip(p, ws) for p, ws in zip(self.parts, w.weights))
+        self.parts = [tuple(i for i, _ in part) for part in paired]
+        self.witness = Witness(w.point, [[x for _, x in part] for part in paired])
+
+
+def canonical_parts(parts) -> list:
+    out = [tuple(sorted(p)) for p in parts]
+    out.sort(key=lambda p: p[:1])
+    return out
+
+
+def barycentric_witness(o: Point, parts, ps: PointSet) -> Witness:
+    """Witness at o with exact barycentric weights in every (simplex) part.
+
+    Callers have established that o lies in every part, so a part missing o
+    is a bug and raises InternalError.
+    """
+    weights = []
+    for part in parts:
+        coords = barycentric_coordinates(o, [ps.points[i] for i in part])
+        if coords is None or any(c < 0 for c in coords):
+            raise InternalError(f"witness point is not in the hull of part {tuple(part)}")
+        weights.append(coords)
+    return Witness(o, weights)
 
 
 def witness_violations(witness: Witness, parts: Sequence[Sequence[int]], ps: PointSet) -> list:
@@ -166,13 +215,18 @@ def _common_point_problem(parts, ps: PointSet, shift: Fraction = ZERO) -> Feasib
     return FeasibilityProblem(a, b)
 
 
-def _split_weights(x, parts, shift: Fraction = ZERO):
+def _decode_witness(x, parts, ps: PointSet, shift: Fraction = ZERO) -> Witness:
+    """Witness from a solution of _common_point_problem with the same shift."""
     weights = []
     pos = 0
     for part in parts:
-        weights.append([x[pos + k] + shift for k in range(len(part))])
+        weights.append([v + shift for v in x[pos:pos + len(part)]])
         pos += len(part)
-    return weights
+    o = tuple(
+        sum(w * ps.points[j][c] for w, j in zip(weights[0], parts[0]))
+        for c in range(ps.dim)
+    )
+    return Witness(o, weights)
 
 
 def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witness]:
@@ -192,12 +246,7 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     res = solve_feasibility(_common_point_problem(parts, ps))
     if not res.feasible:
         return None
-    weights = _split_weights(res.x, parts)
-    o = tuple(
-        sum(w * ps.points[j][c] for w, j in zip(weights[0], parts[0]))
-        for c in range(ps.dim)
-    )
-    return Witness(o, weights)
+    return _decode_witness(res.x, parts, ps)
 
 
 def relative_interior_witness(parts, ps: PointSet, max_halvings: int = 64) -> Optional[Witness]:
@@ -213,12 +262,7 @@ def relative_interior_witness(parts, ps: PointSet, max_halvings: int = 64) -> Op
     for _ in range(max_halvings):
         res = solve_feasibility(_common_point_problem(parts, ps, shift=t))
         if res.feasible:
-            weights = _split_weights(res.x, parts, shift=t)
-            o = tuple(
-                sum(w * ps.points[j][c] for w, j in zip(weights[0], parts[0]))
-                for c in range(ps.dim)
-            )
-            return Witness(o, weights)
+            return _decode_witness(res.x, parts, ps, shift=t)
         t /= 2
     return None
 
@@ -235,8 +279,6 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
 
 def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Hull membership using the barycentric fast path for simplices."""
-    from .errors import DegenerateSimplex
-
     idx = tuple(indices)
     if len(idx) <= ps.dim + 1:
         try:

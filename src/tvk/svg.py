@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .geometry import PointSet
-from .tverberg import Partition
+from .geometry import PointSet, angular_order
+from .lp import Partition
 
 VIEW = 800
 MARGIN = Fraction(5, 100)
@@ -100,8 +100,6 @@ def _ccw_hull_order(points):
     n = len(points)
     cx = sum(p[0] for p in points) / n
     cy = sum(p[1] for p in points) / n
-    from .geometry import angular_order
-
     vecs = []
     kept = []
     for p in points:

@@ -9,68 +9,30 @@ witness whose certificates re-verify by exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import (
-    CrossingLost,
     DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
 )
+from .fixing import hull_pair_verdict
 from .geometry import (
     Containment,
     Point,
     PointSet,
     angular_order,
-    barycentric_coordinates,
     mk_point,
     point_in_simplex,
     vsub,
 )
-from .lp import Witness, common_point, hull_contains
+from .lp import Partition, Witness, barycentric_witness, common_point, hull_contains
 
 BRUTE_FORCE_MAX_POINTS = 14
-
-
-@dataclass
-class Partition:
-    """Disjoint index sets over a PointSet, optionally with a witness.
-
-    Parts are kept canonical: each part sorted ascending, parts ordered by
-    smallest element. `size_bounded` records whether the partition claims
-    the at-most-(d+1) size bound.
-    """
-
-    parts: list
-    witness: Optional[Witness] = None
-    size_bounded: bool = True
-
-    def __post_init__(self):
-        self.parts = canonical_parts(self.parts)
-
-
-def canonical_parts(parts) -> list:
-    out = [tuple(sorted(p)) for p in parts]
-    out.sort(key=lambda p: p[:1])
-    return out
-
-
-def part_weights(o: Point, parts, ps: PointSet) -> list:
-    """Exact barycentric weights of o for every part (simplex parts only)."""
-    weights = []
-    for part in parts:
-        coords = barycentric_coordinates(o, [ps.points[i] for i in part])
-        if coords is None or any(c < 0 for c in coords):
-            raise GeneralPositionViolated(
-                f"witness is not in the hull of part {part}"
-            )
-        weights.append(coords)
-    return weights
 
 
 def radon_partition(ps: PointSet) -> Partition:
@@ -82,27 +44,23 @@ def radon_partition(ps: PointSet) -> Partition:
     rows = [[ps.points[j][c] for j in range(n)] for c in range(d)]
     rows.append([Fraction(1)] * n)
     kernel = linalg.nullspace(rows, n)
-    assert kernel, "d+2 points always carry an affine dependence"
+    if not kernel:
+        raise InternalError("d+2 points always carry an affine dependence")
     alpha = kernel[0]
     lead = next(a for a in alpha if a != 0)
     if lead < 0:
         alpha = [-a for a in alpha]
     pos = tuple(i for i in range(n) if alpha[i] >= 0)
     neg = tuple(i for i in range(n) if alpha[i] < 0)
-    assert pos and neg, "dependence must have both signs"
+    if not (pos and neg):
+        raise InternalError("an affine dependence must have both signs")
     total = sum(alpha[i] for i in pos)
     o = tuple(
         sum((alpha[i] / total) * ps.points[i][c] for i in pos) for c in range(d)
     )
     w_pos = [alpha[i] / total for i in pos]
     w_neg = [-alpha[i] / total for i in neg]
-    parts = [pos, neg]
-    weights = [w_pos, w_neg]
-    order = sorted(range(2), key=lambda k: parts[k][0])
-    return Partition(
-        [parts[k] for k in order],
-        Witness(o, [weights[k] for k in order]),
-    )
+    return Partition([pos, neg], Witness(o, [w_pos, w_neg]))
 
 
 def iter_bounded_partitions(n: int, r: int, max_size: int) -> Iterator[tuple]:
@@ -319,17 +277,22 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         o = centerpoint_planar(ps, exclude_input_points=True)
         vectors = [vsub(p, o) for p in ps.points]
         order = angular_order(vectors)
-        parts = canonical_parts(
-            (order[i], order[i + r], order[i + 2 * r]) for i in range(r)
-        )
+        parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
         for part in parts:
             status = point_in_simplex(o, [ps.points[i] for i in part])
             if status == Containment.OUTSIDE:
                 raise GeneralPositionViolated("centerpoint fell outside a triple")
-        weights = part_weights(o, parts, ps)
-        return Partition(parts, Witness(o, weights))
+        return Partition(parts, barycentric_witness(o, parts, ps))
     except GeneralPositionViolated:
         return tverberg_partition_bruteforce(ps, r)
+
+
+def bounded_partition(ps: PointSet, r: int) -> Partition:
+    """Size-bounded partition into r parts sharing a point: the planar fast
+    path for d=2 with n=3r, brute force otherwise."""
+    if ps.dim == 2 and len(ps) == 3 * r:
+        return birch_partition_planar(ps, r)
+    return tverberg_partition_bruteforce(ps, r)
 
 
 def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet) -> Partition:
@@ -339,8 +302,6 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     a part whose grown hull is inclusion-minimal (smallest index on ties).
     Crossings are re-verified exactly after every insertion.
     """
-    from .fixing import hull_pair_verdict
-
     if partition.witness is None:
         raise ValueError("extend_partition needs a witness")
     d = ps.dim
@@ -375,27 +336,15 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
                 )
             ]
             target = minimal[0]
-        parts[target] = tuple(sorted(parts[target] + (idx,)))
-        weights[target] = _weights_with_zero(parts[target], idx, weights[target])
+        parts[target] += (idx,)
+        weights[target].append(Fraction(0))
         full = [i for i, part in enumerate(parts) if len(part) >= d + 1]
         for a in range(len(full)):
             for b in range(a + 1, len(full)):
                 verdict = hull_pair_verdict(parts[full[a]], parts[full[b]], ps, o)
                 if verdict.kind != "crossing":
-                    raise CrossingLost(
+                    raise InternalError(
                         f"inserting point {idx} broke crossing of parts "
                         f"{parts[full[a]]} / {parts[full[b]]} ({verdict.kind})"
                     )
-    order = sorted(range(len(parts)), key=lambda i: parts[i][0])
-    return Partition(
-        [parts[i] for i in order],
-        Witness(o, [weights[i] for i in order]),
-        size_bounded=False,
-    )
-
-
-def _weights_with_zero(new_part, new_idx, old_weights):
-    pos = new_part.index(new_idx)
-    out = list(old_weights)
-    out.insert(pos, Fraction(0))
-    return out
+    return Partition(parts, Witness(o, weights), size_bounded=False)

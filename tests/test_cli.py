@@ -7,6 +7,8 @@ import pytest
 
 from tvk import apps
 from tvk.cli import main
+from tvk.fileio import partition_from_payload, parse_points
+from tvk.lp import witness_violations
 
 from conftest import NESTED_SIX
 
@@ -88,6 +90,20 @@ def test_verify_roundtrip(nine, tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_accepts_reordered_parts_with_their_weights(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    # parts reversed and each part rotated, every weight moved with its index
+    data["parts"] = [p[1:] + p[:1] for p in reversed(data["parts"])]
+    rows = data["witness"]["weights"]
+    data["witness"]["weights"] = [w[1:] + w[:1] for w in reversed(rows)]
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(nine), "--report", str(out_path))
+    assert code == 0, out
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_detects_tampering(nine, tmp_path, capsys):
     out_path = tmp_path / "crossing.json"
     run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
@@ -142,6 +158,28 @@ def test_degenerate_exit_and_perturb(tmp_path, capsys):
     )
     assert code2 == 0
     assert json.loads(out)["perturbed"] is True
+
+
+def test_failed_point_generation_is_degenerate_input(capsys):
+    # three integer values in [-1, 1] cannot hold five distinct points
+    code, out, err = run_cli(capsys, "gen", "--d", "1", "--n", "5", "--bound", "1")
+    assert code == 2
+    assert out == ""
+    assert "degenerate input" in err
+
+
+def test_partition_takes_the_planar_fast_path(tmp_path, capsys):
+    # n = 15 = 3r is above the brute-force gate of 14 points
+    path = tmp_path / "gen15.txt"
+    code, out, _ = run_cli(capsys, "gen", "--d", "2", "--n", "15", "--seed", "3")
+    assert code == 0
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "partition", "--input", str(path), "--r", "5")
+    assert code == 0
+    partition = partition_from_payload(json.loads(out))
+    assert len(partition.parts) == 5
+    ps = parse_points(path.read_text())
+    assert witness_violations(partition.witness, partition.parts, ps) == []
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvk.errors import BudgetExceeded, GeneralPositionViolated, SizeOutOfRange
+from tvk import fixing
+from tvk.errors import BudgetExceeded, GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex, simplex_volume
-from tvk.lp import hull_membership
+from tvk.lp import Witness, hull_membership
 from tvk.fixing import (
     classify_pair,
     cocycle_check,
@@ -205,6 +206,21 @@ def test_unnest_concrete_repartition():
     ps = nested_six_ps()
     s1, s2 = unnest_pair((0, 1, 2), (3, 4, 5), ps, ORIGIN2)
     assert {frozenset(s1), frozenset(s2)} != {frozenset((0, 1, 2)), frozenset((3, 4, 5))}
+
+
+def test_fix_all_rejects_a_witness_outside_a_part():
+    ps = nested_six_ps()
+    thirds = [F(1, 3)] * 3
+    far = Partition([(0, 1, 2), (3, 4, 5)], Witness((F(1000), F(1000)), [thirds, thirds]))
+    with pytest.raises(ValueError):
+        fix_all(far, ps)
+
+
+def test_unnest_without_a_repartition_is_an_internal_error(monkeypatch):
+    # parity guarantees a second origin pair; finding none is a bug
+    monkeypatch.setattr(fixing, "enumerate_origin_pairs", lambda ps, o: [])
+    with pytest.raises(InternalError):
+        unnest_pair((0, 1, 2), (3, 4, 5), nested_six_ps(), ORIGIN2)
 
 
 # --- planar swap construction ---------------------------------------------------------
