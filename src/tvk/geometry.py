@@ -1,9 +1,13 @@
 """Exact geometric predicates over rational coordinates.
 
-Coordinates are `fractions.Fraction` throughout. Every verdict is the sign
-of an exactly computed determinant or the exact solution of a linear
-system; there are no tolerances anywhere in this module. Degenerate inputs
-raise rather than silently picking a side.
+Points hold `fractions.Fraction` (or int) coordinates. Every sign predicate
+works in an integer frame: the points it compares are scaled by the least
+common multiple of their denominators, which keeps every sign, so
+orientation, volume and simplex containment are integer determinants
+(closed forms for d <= 3, Bareiss elimination beyond). Only sub-dimensional
+and degenerate simplices fall back to an exact rational solve. There are
+no tolerances anywhere in this module; degenerate inputs raise rather than
+silently picking a side.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import linalg
@@ -28,6 +33,7 @@ from .errors import (
 
 Rat = Fraction
 Point = tuple
+_numerator = attrgetter("numerator")
 
 
 class Containment(Enum):
@@ -97,33 +103,57 @@ def cross3(u, v):
     )
 
 
+def _int_frame(points):
+    """The points scaled by the lcm of their coordinates' denominators.
+
+    Returns (integer tuples, lcm). Scaling by a positive factor keeps the
+    sign of every orientation and every barycentric coordinate.
+    """
+    den = 1
+    for p in points:
+        for c in p:
+            if c.denominator != 1:
+                den = math.lcm(den, c.denominator)
+    if den == 1:
+        return [tuple(map(_numerator, p)) for p in points], 1
+    return [tuple([c.numerator * (den // c.denominator) for c in p]) for p in points], den
+
+
+def _det(simplex) -> int:
+    """det[p1-p0, ..., pd-p0] of d+1 integer points in R^d."""
+    p0 = simplex[0]
+    d = len(p0)
+    if d == 2:
+        (ax, ay), (bx, by), (cx, cy) = simplex
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    rows = [[a - b for a, b in zip(p, p0)] for p in simplex[1:]]
+    if d == 3:
+        (a, b, c), (e, f, g), (h, i, j) = rows
+        return a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
+    return linalg.det(rows).numerator
+
+
+def _simplex_dim(simplex) -> int:
+    d = len(simplex) - 1
+    if d < 1 or set(map(len, simplex)) != {d}:
+        raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {len(simplex)}")
+    return d
+
+
 def orientation(simplex: Sequence[Point]) -> int:
     """Sign of det[p1-p0, ..., pd-p0] for d+1 points in R^d.
 
     Zero exactly when the points are affinely dependent.
     """
-    d = len(simplex) - 1
-    if d < 1:
-        raise DimensionMismatch("orientation needs at least two points")
-    for p in simplex:
-        if len(p) != d:
-            raise DimensionMismatch(
-                f"orientation of {d + 1} points needs dimension {d}, got {len(p)}"
-            )
-    p0 = simplex[0]
-    rows = [list(vsub(p, p0)) for p in simplex[1:]]
-    return linalg.sign(linalg.det(rows))
+    _simplex_dim(simplex)
+    return linalg.sign(_det(_int_frame(simplex)[0]))
 
 
 def simplex_volume(simplex: Sequence[Point]) -> Fraction:
     """Exact d-volume |det[p1-p0,...,pd-p0]| / d! of d+1 points in R^d."""
-    d = len(simplex) - 1
-    for p in simplex:
-        if len(p) != d:
-            raise DimensionMismatch("simplex_volume needs d+1 points of dimension d")
-    p0 = simplex[0]
-    rows = [list(vsub(p, p0)) for p in simplex[1:]]
-    return abs(linalg.det(rows)) / math.factorial(d)
+    d = _simplex_dim(simplex)
+    pts, den = _int_frame(simplex)
+    return Fraction(abs(_det(pts)), math.factorial(d) * den**d)
 
 
 def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
@@ -138,6 +168,7 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     d = ps.dim
     if len(pts) <= d:
         return []
+    pts = _int_frame(pts)[0]
     return [
         idx
         for idx in combinations(range(len(pts)), d + 1)
@@ -150,10 +181,11 @@ def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     d = len(extra)
     if len(points) < d:
         return []
+    *pts, extra = _int_frame([*points, extra])[0]
     out = []
-    for idx in combinations(range(len(points)), d):
-        if orientation([points[i] for i in idx] + [extra]) == 0:
-            out.append(idx + (len(points),))
+    for idx in combinations(range(len(pts)), d):
+        if orientation([pts[i] for i in idx] + [extra]) == 0:
+            out.append(idx + (len(pts),))
     return out
 
 
@@ -216,8 +248,23 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
     """Containment of p in the simplex spanned by up to d+1 vertices.
 
     Sub-dimensional simplices are tested in their affine hull: INTERIOR means
-    relative interior, and points off the hull are OUTSIDE.
+    relative interior, and points off the hull are OUTSIDE. For d+1 affinely
+    independent vertices the barycentric signs are read off d+2 integer
+    orientation determinants (Cramer's rule) instead of a linear solve.
     """
+    d = len(p)
+    if d >= 1 and len(vertices) == d + 1 and all(len(v) == d for v in vertices):
+        q, *verts = _int_frame([p, *vertices])[0]
+        full = _det(verts)
+        if full:
+            on_face = False
+            for i in range(d + 1):
+                part = _det(verts[:i] + [q] + verts[i + 1:])
+                if not part:
+                    on_face = True
+                elif (part > 0) != (full > 0):
+                    return Containment.OUTSIDE
+            return Containment.ON_BOUNDARY if on_face else Containment.INTERIOR
     coords = barycentric_coordinates(p, vertices)
     if coords is None:
         return Containment.OUTSIDE

@@ -1,10 +1,12 @@
-"""Small exact linear algebra toolkit over Fraction matrices.
+"""Small exact linear algebra toolkit over int and Fraction matrices.
 
-Everything here is plain Gaussian elimination with exact rational pivots;
-no scaling, no tolerances. Matrices are lists of row lists.
+`det` is fraction-free Bareiss elimination on the rows scaled to integers;
+the solvers are plain Gaussian elimination with exact rational pivots. No
+tolerances anywhere. Matrices are lists of row lists.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -20,33 +22,34 @@ def sign(x) -> int:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant of a square matrix (entries int or Fraction)."""
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    if n == 2:
-        (a, b), (c, d) = rows
-        return Fraction(a * d - b * c)
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    m = [[Fraction(v) for v in r] for r in rows]
-    out = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        p = m[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            f = m[r][col] / p
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return out
+    """Exact determinant of a square matrix (entries int or Fraction).
+
+    Bareiss elimination (Math. Comp. 1968): each row is scaled to integers,
+    and every step divides exactly by the previous pivot, so each entry
+    stays an integer minor of the scaled matrix.
+    """
+    scale = 1
+    m = []
+    for row in rows:
+        den = math.lcm(*[v.denominator for v in row])
+        scale *= den
+        m.append([v.numerator * (den // v.denominator) for v in row])
+    n = len(m)
+    flip, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return ZERO
+            m[k], m[swap] = m[swap], m[k]
+            flip = -flip
+        p = m[k][k]
+        for i in range(k + 1, n):
+            mi, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * p - f * m[k][j]) // prev
+        prev = p
+    return Fraction(flip * m[-1][-1], scale) if n else ONE
 
 
 def _eliminate(aug, ncols):

@@ -2,6 +2,8 @@
 
 The solver is a phase-1 simplex over Fractions with Bland's rule, so it
 terminates on every input and is deterministic for a fixed variable order.
+A pivot touches only the nonzero columns of the pivot row, in place. The
+tableau stays in Fractions rather than a fraction-free integer form.
 Only feasibility is supported; nothing here optimizes.
 """
 from __future__ import annotations
@@ -83,15 +85,17 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
                     leaving = i
         if leaving is None:
             raise InternalError("phase-1 objective unbounded: malformed tableau")
-        piv = tab[leaving][entering]
-        tab[leaving] = [v / piv for v in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
-        f = rrow[entering]
-        if f:
-            rrow = [a - f * b for a, b in zip(rrow, tab[leaving])]
+        # only the nonzero columns of the pivot row change
+        prow = tab[leaving]
+        piv = prow[entering]
+        nonzero = [j for j in range(n + 1) if prow[j]]
+        for j in nonzero:
+            prow[j] /= piv
+        for row in tab + [rrow]:
+            f = row[entering]
+            if f and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         basis[leaving] = entering
     remaining = sum(tab[i][n] for i in range(m) if basis[i] >= n)
     if remaining != 0:

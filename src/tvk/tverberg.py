@@ -25,6 +25,7 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    _int_frame,
     angular_order,
     mk_point,
     point_in_simplex,
@@ -147,66 +148,61 @@ def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
 # --- planar centerpoint fast path -------------------------------------------
 
 
-def _scaled_int_points(ps: PointSet):
-    denom = 1
-    for p in ps.points:
-        for c in p:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return [(int(p[0] * denom), int(p[1] * denom)) for p in ps.points], denom
-
-
-def _depth(qx: int, qy: int, qd: int, pts, stop_below: int) -> int:
+def _depth(qx: int, qy: int, qd: int, pts, stop_below: int, first=None):
     """Exact halfplane depth of the homogeneous candidate (qx/qd, qy/qd)
-    over integer points; returns early once the depth is below stop_below."""
-    vs = []
-    zeros = 0
-    for x, y in pts:
-        v = (x * qd - qx, y * qd - qy)
-        if v == (0, 0):
-            zeros += 1
-        else:
-            vs.append(v)
-    dirs = set()
-    for vx, vy in vs:
-        g = math.gcd(abs(vx), abs(vy))
-        dirs.add((-vy // g, vx // g))
-        dirs.add((vy // g, -vx // g))
-    best = len(pts)
-    for wx, wy in dirs:
-        count = zeros
+    over integer points, with the direction of a closed halfplane through
+    the candidate that holds that many points.
+
+    Returns early, with the count of the first halfplane holding fewer than
+    stop_below points; the direction `first` is tried before the others.
+    """
+    vs = [(x * qd - qx, y * qd - qy) for x, y in pts]
+
+    def count(wx, wy):
+        # closed halfplane through q with inner normal w, its boundary line
+        # cut to the ray where w x v > 0; v = 0 (q itself) counts too
+        total = 0
         for vx, vy in vs:
             s = vx * wx + vy * wy
-            if s > 0 or (s == 0 and wx * vy - wy * vx > 0):
-                count += 1
-        if count < best:
-            best = count
+            if s > 0 or (s == 0 and wx * vy - wy * vx >= 0):
+                total += 1
+        return total
+
+    if first is not None:
+        c = count(*first)
+        if c < stop_below:
+            return c, first
+    dirs = set()
+    for vx, vy in vs:
+        if vx or vy:
+            g = math.gcd(vx, vy)
+            dirs.add((-vy // g, vx // g))
+            dirs.add((vy // g, -vx // g))
+    best, best_dir = len(pts), None
+    for w in dirs:
+        c = count(*w)
+        if c < best:
+            best, best_dir = c, w
             if best < stop_below:
                 break
-    return best
-
-
-def _homogeneous_candidate(q: Point, denom: int):
-    """Express q in the scaled integer frame as (qx, qy, qd) with qd > 0."""
-    a, b = q[0] * denom, q[1] * denom
-    qd = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return int(a * qd), int(b * qd), qd
+    return best, best_dir
 
 
 def halfplane_depth(q: Point, ps: PointSet) -> int:
     """Exact halfplane depth of q: min points in a closed halfplane containing q."""
     if ps.dim != 2:
         raise DimensionMismatch("halfplane_depth is planar only")
-    q = mk_point(q)
-    pts, denom = _scaled_int_points(ps)
-    qx, qy, qd = _homogeneous_candidate(q, denom)
-    return _depth(qx, qy, qd, pts, 0)
+    *pts, (qx, qy) = _int_frame([*ps.points, mk_point(q)])[0]
+    return _depth(qx, qy, 1, pts, 0)[0]
 
 
 def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Point:
     """First candidate point of halfplane depth >= ceil(n/3).
 
     Candidates are the input points (in index order) followed by all
-    pairwise line intersections in lexicographic line-pair order.
+    pairwise line intersections in lexicographic line-pair order. A closed
+    halfplane that held too few points for one candidate is tried first on
+    the next: any closed halfplane containing q bounds its depth.
     """
     if ps.dim != 2:
         raise DimensionMismatch("centerpoint_planar requires d=2")
@@ -214,14 +210,18 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     if n == 0:
         raise SizeOutOfRange("empty point set has no centerpoint")
     m = -(-n // 3)  # ceil
-    pts, denom = _scaled_int_points(ps)
+    pts, denom = _int_frame(ps.points)
     input_set = set(pts)
+    shallow = None  # direction of the last halfplane with fewer than m points
 
     def ok(qx, qy, qd):
+        nonlocal shallow
         if exclude_input_points and qd == 1 and (qx, qy) in input_set:
             return None
-        if _depth(qx, qy, qd, pts, m) >= m:
+        depth, direction = _depth(qx, qy, qd, pts, m, shallow)
+        if depth >= m:
             return (Fraction(qx, qd * denom), Fraction(qy, qd * denom))
+        shallow = direction
         return None
 
     seen = set()

@@ -21,6 +21,11 @@ CASES = [
     ("crossing_one_fix_r3", "eight_one_fix.txt", ["crossing", "--r", "3"]),
     ("crossing_nested_d3_r2", "nested_d3.txt", ["crossing", "--r", "2"]),
     (
+        "crossing_nested_d3_r2_point_count",
+        "nested_d3.txt",
+        ["crossing", "--r", "2", "--measure", "point-count"],
+    ),
+    (
         "crossing_triple_nested_r2_point_count",
         "nine_triple_nested.txt",
         ["crossing", "--r", "2", "--measure", "point-count"],

@@ -1,0 +1,226 @@
+"""Differential tests of the exact predicates against plain Fraction references.
+
+The references below share no code with `tvk`: a determinant by Fraction
+elimination, barycentric containment by solving the affine system in
+Fractions, and a centerpoint scan that asks `halfplane_depth` about every
+candidate in the documented order. Any change to how the predicates compute
+must leave every verdict, volume, raised error and returned point equal.
+"""
+import math
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvk.errors import DegenerateSimplex
+from tvk.generate import random_point_set
+from tvk.geometry import (
+    Containment,
+    PointSet,
+    orientation,
+    point_in_simplex,
+    simplex_volume,
+)
+from tvk.tverberg import centerpoint_planar, halfplane_depth
+
+
+def ref_det(rows):
+    m = [[F(v) for v in r] for r in rows]
+    n = len(m)
+    out = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            out = -out
+        out *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return out
+
+
+def ref_volume_det(simplex):
+    p0 = simplex[0]
+    return ref_det([[F(a) - F(b) for a, b in zip(p, p0)] for p in simplex[1:]])
+
+
+def ref_containment(p, verts):
+    """Containment by an exact solve of sum w_i v_i = p, sum w_i = 1.
+
+    Off the affine hull is OUTSIDE, checked before uniqueness; a consistent
+    system with more than one solution raises DegenerateSimplex.
+    """
+    k = len(verts)
+    aug = [[F(v[c]) for v in verts] + [F(p[c])] for c in range(len(p))]
+    aug.append([F(1)] * k + [F(1)])
+    pivots = []
+    row = 0
+    for col in range(k):
+        piv = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        aug[row] = [v / aug[row][col] for v in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    if any(aug[r][k] != 0 for r in range(row, len(aug))):
+        return Containment.OUTSIDE
+    if len(pivots) < k:
+        raise DegenerateSimplex("reference: dependent vertices")
+    w = [aug[i][k] for i in range(k)]
+    if any(c < 0 for c in w):
+        return Containment.OUTSIDE
+    if any(c == 0 for c in w):
+        return Containment.ON_BOUNDARY
+    return Containment.INTERIOR
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateSimplex:
+        return DegenerateSimplex
+
+
+# small numerators so that dependent and boundary cases are common; mixed
+# int and Fraction entries with unequal denominators
+small_int = st.integers(min_value=-3, max_value=3)
+coordinate = st.one_of(
+    small_int,
+    st.builds(F, small_int, st.sampled_from([1, 2, 3, 5, 7])),
+)
+
+
+@st.composite
+def simplex_case(draw, full=True):
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = d + 1 if full else draw(st.integers(min_value=1, max_value=d + 1))
+    verts = [tuple(draw(st.lists(coordinate, min_size=d, max_size=d))) for _ in range(k)]
+    if draw(st.booleans()):
+        # p as an affine combination of the vertices: lands on faces and in
+        # the interior far more often than a random point does
+        ws = [F(draw(st.integers(min_value=-1, max_value=3))) for _ in range(k)]
+        total = sum(ws)
+        if total == 0:
+            ws[0] += 1
+            total = 1
+        p = tuple(sum(w * F(v[c]) for w, v in zip(ws, verts)) / total for c in range(d))
+    else:
+        p = tuple(draw(st.lists(coordinate, min_size=d, max_size=d)))
+    return p, verts
+
+
+@settings(max_examples=300)
+@given(simplex_case())
+def test_orientation_matches_fraction_determinant(case):
+    _, verts = case
+    got = orientation(verts)
+    assert type(got) is int
+    assert got == (ref_volume_det(verts) > 0) - (ref_volume_det(verts) < 0)
+
+
+@settings(max_examples=300)
+@given(simplex_case())
+def test_simplex_volume_matches_fraction_determinant(case):
+    _, verts = case
+    got = simplex_volume(verts)
+    assert type(got) is F
+    assert got == abs(ref_volume_det(verts)) / math.factorial(len(verts) - 1)
+
+
+@settings(max_examples=400)
+@given(simplex_case())
+def test_point_in_full_simplex_matches_barycentric_reference(case):
+    p, verts = case
+    assert outcome(point_in_simplex, p, verts) == outcome(ref_containment, p, verts)
+
+
+@settings(max_examples=300)
+@given(simplex_case(full=False))
+def test_point_in_subdimensional_simplex_matches_barycentric_reference(case):
+    p, verts = case
+    assert outcome(point_in_simplex, p, verts) == outcome(ref_containment, p, verts)
+
+
+def test_degenerate_simplex_raises_only_for_points_on_its_hull():
+    flat = [(0, 0), (1, 1), (2, 2)]
+    with pytest.raises(DegenerateSimplex):
+        point_in_simplex((F(1, 2), F(1, 2)), flat)
+    assert point_in_simplex((1, 0), flat) == Containment.OUTSIDE
+    flat3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    with pytest.raises(DegenerateSimplex):
+        point_in_simplex((F(1, 3), F(1, 3), 0), flat3)
+    assert point_in_simplex((0, 0, F(1, 9)), flat3) == Containment.OUTSIDE
+
+
+def test_int_and_fraction_inputs_agree():
+    tri_int = [(0, 0), (6, 0), (0, 6)]
+    tri_frac = [tuple(F(c) for c in p) for p in tri_int]
+    for p in [(1, 1), (3, 3), (4, 4), (0, 2), (F(1, 3), F(1, 5))]:
+        assert point_in_simplex(p, tri_int) == point_in_simplex(p, tri_frac)
+    assert orientation(tri_int) == orientation(tri_frac) == 1
+    assert simplex_volume(tri_int) == simplex_volume(tri_frac) == F(18)
+
+
+# --- centerpoint scan ----------------------------------------------------------
+
+
+def ref_centerpoint(ps, exclude_input_points):
+    """First candidate, in the documented order, with depth >= ceil(n/3)."""
+    pts = ps.points
+    m = -(-len(pts) // 3)
+    inputs = set(pts)
+
+    def candidates():
+        if not exclude_input_points:
+            yield from pts
+        lines = list(combinations(range(len(pts)), 2))
+        for (i, j), (k, l) in combinations(lines, 2):
+            a, b, c, d = pts[i], pts[j], pts[k], pts[l]
+            u = (b[0] - a[0], b[1] - a[1])
+            v = (d[0] - c[0], d[1] - c[1])
+            den = u[0] * v[1] - u[1] * v[0]
+            if den == 0:
+                continue
+            t = ((c[0] - a[0]) * v[1] - (c[1] - a[1]) * v[0]) / den
+            yield (a[0] + t * u[0], a[1] + t * u[1])
+
+    seen = set()
+    for q in candidates():
+        if q in seen:
+            continue
+        seen.add(q)
+        if exclude_input_points and q in inputs:
+            continue
+        if halfplane_depth(q, ps) >= m:
+            return q
+    return None
+
+
+def centerpoint_inputs():
+    for seed in range(24):
+        n = 6 + seed % 15
+        ps = random_point_set(2, n, seed=seed, bound=60)
+        if seed % 2:
+            # an affine image keeps general position and gives the points
+            # denominators
+            ps = PointSet(2, [(x / 3 + F(1, 5), y / 7 - F(2, 9)) for x, y in ps.points])
+        yield ps
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_centerpoint_matches_reference_scan(exclude):
+    for ps in centerpoint_inputs():
+        assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
+            ps, exclude
+        )
