@@ -35,7 +35,7 @@ from .lp import (
     Partition,
     Witness,
     common_point,
-    hull_membership,
+    hull_contains,
     solve_feasibility,
 )
 from .tverberg import (

@@ -17,27 +17,20 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
-    DegenerateSimplex,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
     TrianglesIntersect,
 )
-from .fixing import (
-    FixTrace,
-    enumerate_origin_pairs,
-    fix_all,
-    hull_pair_verdict,
-)
+from .fixing import FixTrace, classify_pair, enumerate_origin_pairs, fix_all
 from .geometry import (
-    Containment,
     Point,
     PointSet,
     bounding_box,
     gp_violations_with_extra,
     in_general_position,
     mk_point,
-    point_in_simplex,
+    orientation,
     triangles_linked,
     vsub,
 )
@@ -101,10 +94,7 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
             oc + eps * scale * sum(c * v[k] for c, v in zip(coeffs, directions))
             for k, oc in enumerate(o)
         )
-        if any(
-            point_in_simplex(cand, [ps.points[i] for i in part]) == Containment.OUTSIDE
-            for part in parts
-        ):
+        if not all(hull_contains(cand, part, ps) for part in parts):
             continue
         if gp_violations_with_extra(anchor_points, cand):
             continue
@@ -115,27 +105,14 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
 
 
 def _nudge_directions(small_parts, ps: PointSet) -> list:
-    """Basis of the intersection of the small parts' affine-hull directions."""
+    """Basis of the intersection of the small parts' affine-hull directions
+    (empty when a single-point part pins the witness completely)."""
     d = ps.dim
-    if not small_parts:
-        return [
-            tuple(Fraction(1) if k == i else Fraction(0) for k in range(d))
-            for i in range(d)
-        ]
     normal_rows = []
     for part in small_parts:
         base = ps.points[part[0]]
-        dirs = [list(vsub(ps.points[i], base)) for i in part[1:]]
-        for normal in linalg.nullspace(dirs, d) if dirs else []:
-            normal_rows.append(normal)
-        if not dirs:
-            # single-point part pins the witness completely
-            return []
-    if not normal_rows:
-        return [
-            tuple(Fraction(1) if k == i else Fraction(0) for k in range(d))
-            for i in range(d)
-        ]
+        dirs = [vsub(ps.points[i], base) for i in part[1:]]
+        normal_rows.extend(linalg.nullspace(dirs, d))
     return [tuple(v) for v in linalg.nullspace(normal_rows, d)]
 
 
@@ -323,9 +300,11 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     Structural checks come first: indices in range, disjoint and not
     repeated, the size bound when claimed, and a witness point of dimension
     d. Only when they pass are the geometric checks run: the witness
-    certificates, hull membership of the witness point, and a crossing
-    verdict for every pair of full-dimensional parts. Returns violations
-    and never raises; no state from any producing pipeline is used.
+    certificates (nonnegative weights summing to 1 that reproduce the
+    point, which proves it lies in every part's hull) and a crossing verdict
+    for every pair of full-dimensional parts; a pair involving an affinely
+    dependent (d+1)-point part is "degenerate". Returns violations and
+    never raises; no state from any producing pipeline is used.
     """
     d = ps.dim
     n = len(ps)
@@ -356,18 +335,20 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
         return VerificationReport(out)
     out.extend(witness_violations(witness, parts, ps))
     o = witness.point
-    for part in parts:
-        if not hull_contains(o, part, ps):
-            out.append(f"witness point is outside the hull of part {part}")
     r = len(parts)
+    degenerate = {
+        i
+        for i, part in enumerate(parts)
+        if len(part) == d + 1 and orientation([ps.points[k] for k in part]) == 0
+    }
     verdicts = [[None] * r for _ in range(r)]
     for i, j in combinations(range(r), 2):
         if len(parts[i]) < d + 1 or len(parts[j]) < d + 1:
             continue
-        try:
-            kind = hull_pair_verdict(parts[i], parts[j], ps, o).kind
-        except DegenerateSimplex:
+        if i in degenerate or j in degenerate:
             kind = "degenerate"
+        else:
+            kind = classify_pair(parts[i], parts[j], ps, o).kind
         verdicts[i][j] = verdicts[j][i] = kind
         if kind != "crossing":
             out.append(f"parts {parts[i]} and {parts[j]} do not cross ({kind})")

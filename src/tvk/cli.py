@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 2 degenerate input (including a failed perturbation or
 point generation), 3 size gate, 4 budget exceeded, 5 verification failure
-or failed internal check, 64 usage error. Output
+or failed internal check, 64 usage error (including an unwritable output
+path). Output
 is machine-readable JSON on stdout (or --out); diagnostics are single
 lines on stderr. All randomness is seeded, so identical configs produce
 byte-identical JSON.
@@ -64,19 +65,20 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="tvk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_input=True):
+    def add_common(sp, needs_input=True, seeded=False):
         if needs_input:
             sp.add_argument("--input", required=True, help="point file")
-        sp.add_argument("--seed", type=int, default=0)
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write JSON here instead of stdout")
 
     sp = sub.add_parser("partition", help="size-bounded common-point partition")
-    add_common(sp)
+    add_common(sp, seeded=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--perturb", action="store_true")
 
     sp = sub.add_parser("crossing", help="crossing partition pipeline")
-    add_common(sp)
+    add_common(sp, seeded=True)
     sp.add_argument("--r", type=int)
     sp.add_argument("--simplices", action="store_true",
                     help="run the floor(n/(d+1)) crossing-simplices variant")
@@ -106,7 +108,7 @@ def _build_parser() -> _Parser:
     add_common(sp, needs_input=False)
 
     sp = sub.add_parser("gen", help="seeded general-position point generator")
-    add_common(sp, needs_input=False)
+    add_common(sp, needs_input=False, seeded=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, default=10000)
@@ -123,13 +125,19 @@ def _read_points(path: str) -> PointSet:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 
-def _emit(payload, out_path: Optional[str]):
-    text = fileio.dump_json(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _output(text: str, path: Optional[str]):
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(payload, out_path: Optional[str]):
+    _output(fileio.dump_json(payload), out_path)
 
 
 def _gate_general_position(ps, args):
@@ -185,6 +193,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_crossing(args: argparse.Namespace) -> int:
     ps = _read_points(args.input)
+    if args.svg_path and ps.dim != 2:
+        raise UsageError("--svg requires d=2")
     ps, extra = _gate_general_position(ps, args)
     if args.simplices:
         report = crossing_simplices(
@@ -223,12 +233,9 @@ def cmd_crossing(args: argparse.Namespace) -> int:
     )
     if extra:
         payload.update(extra)
+    if args.svg_path:  # first, so an unwritable --svg path leaves no JSON behind
+        _output(svg.render_partition(ps, report.partition, report.discarded), args.svg_path)
     _emit(payload, args.out)
-    if args.svg_path:
-        if ps.dim != 2:
-            raise UsageError("--svg requires d=2")
-        with open(args.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg.render_partition(ps, report.partition, report.discarded))
     return EXIT_OK
 
 
@@ -289,15 +296,10 @@ def cmd_fs(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.d is None or args.d < 1 or args.n is None or args.n < 1:
-        raise UsageError("--d and --n must be positive integers")
+    if args.d < 1 or args.n < 1 or args.bound < 1:
+        raise UsageError("--d, --n and --bound must be positive integers")
     ps = random_point_set(args.d, args.n, args.seed, bound=args.bound)
-    text = fileio.format_points(ps)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(fileio.format_points(ps), args.out)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import (
     BudgetExceeded,
@@ -43,34 +43,14 @@ class PairClass:
 
 
 def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
-    """Classify two disjoint (d+1)-simplices relative to a candidate point o.
+    """Classify two disjoint parts of any size relative to a candidate point o.
 
-    NoCommonPoint when o misses either hull; Nested when one simplex's
-    vertices all lie in the other's closed hull; Crossing otherwise (for
-    simplices sharing a point this exhausts the possibilities).
+    NoCommonPoint when o misses either hull; Nested when one part's points
+    all lie in the other's closed hull; Crossing otherwise (for hulls
+    sharing a point this exhausts the possibilities). Every membership test
+    is `hull_contains`.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
-    o = mk_point(o)
-    pa = [ps.points[i] for i in a]
-    pb = [ps.points[i] for i in b]
-    if (
-        point_in_simplex(o, pa) == Containment.OUTSIDE
-        or point_in_simplex(o, pb) == Containment.OUTSIDE
-    ):
-        return PairClass("no_common_point")
-    if all(point_in_simplex(p, pb) != Containment.OUTSIDE for p in pa):
-        return PairClass("nested", inner=a, outer=b)
-    if all(point_in_simplex(p, pa) != Containment.OUTSIDE for p in pb):
-        return PairClass("nested", inner=b, outer=a)
-    return PairClass("crossing")
-
-
-def hull_pair_verdict(a, b, ps: PointSet, o: Point) -> PairClass:
-    """classify_pair generalized to hulls with more than d+1 vertices."""
-    a, b = tuple(sorted(a)), tuple(sorted(b))
-    d = ps.dim
-    if len(a) == d + 1 and len(b) == d + 1:
-        return classify_pair(a, b, ps, o)
     o = mk_point(o)
     if not (hull_contains(o, a, ps) and hull_contains(o, b, ps)):
         return PairClass("no_common_point")
@@ -109,11 +89,8 @@ def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
     for rest in combinations(range(1, n), d):
         f = (0,) + rest
         g = tuple(i for i in range(n) if i not in f)
-        if point_in_simplex(o, [ps.points[i] for i in f]) == Containment.OUTSIDE:
-            continue
-        if point_in_simplex(o, [ps.points[i] for i in g]) == Containment.OUTSIDE:
-            continue
-        out.append((f, g))
+        if hull_contains(o, f, ps) and hull_contains(o, g, ps):
+            out.append((f, g))
     return out
 
 
@@ -150,97 +127,12 @@ def cocycle_check(ps: PointSet, o: Point) -> CocycleResult:
         )
     d = ps.dim
     n = len(ps)
-    member = {}
-    for f in combinations(range(n), d + 1):
-        member[f] = (
-            point_in_simplex(o, [ps.points[i] for i in f]) != Containment.OUTSIDE
-        )
+    member = {f: hull_contains(o, f, ps) for f in combinations(range(n), d + 1)}
     for m in combinations(range(n), d + 2):
         count = sum(1 for f in combinations(m, d + 1) if member[f])
         if count not in (0, 2):
             return CocycleResult(False, m)
     return CocycleResult(True)
-
-
-# --- abstract cocycles -------------------------------------------------------
-
-
-def delta_cocycle(universe: Sequence[int], d_set: Sequence[int]) -> frozenset:
-    """Generator cocycle: all k-sets containing the fixed (k-1)-set."""
-    d_set = frozenset(d_set)
-    k = len(d_set) + 1
-    rest = [v for v in universe if v not in d_set]
-    return frozenset(d_set | {v} for v in rest) if rest else frozenset()
-
-
-def is_cocycle(family: Iterable[frozenset], universe: Sequence[int], k: int) -> bool:
-    fam = set(frozenset(f) for f in family)
-    for m in combinations(universe, k + 1):
-        count = sum(1 for f in combinations(m, k) if frozenset(f) in fam)
-        if count % 2 != 0:
-            return False
-    return True
-
-
-def generated_cocycles(universe: Sequence[int], k: int):
-    """All symmetric-difference sums of delta generators, as frozensets of k-sets."""
-    gens = [
-        delta_cocycle(universe, d) for d in combinations(universe, k - 1)
-    ]
-    seen = set()
-    for mask in range(2 ** len(gens)):
-        fam = frozenset()
-        for i, g in enumerate(gens):
-            if mask >> i & 1:
-                fam = fam ^ g
-        if fam not in seen:
-            seen.add(fam)
-            yield fam
-
-def disjoint_pair_count(family: Iterable[frozenset], universe: Sequence[int]) -> int:
-    """Number of unordered pairs {F, G} in the family with F, G disjoint."""
-    fam = set(frozenset(f) for f in family)
-    total = 0
-    for f, g in combinations(sorted(fam, key=sorted), 2):
-        if not (f & g):
-            total += 1
-    return total
-
-
-def cocycle_generator_masks(n: int, k: int):
-    """Bitmask form of the generator cocycles over universe range(n).
-
-    Returns (subsets, gens): `subsets` lists all k-subsets, and each
-    generator is an int whose bits select the k-sets containing one fixed
-    (k-1)-set. XOR of generators is symmetric difference of families.
-    """
-    subsets = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
-    gens = []
-    for d in combinations(range(n), k - 1):
-        mask = 0
-        for v in range(n):
-            if v not in d:
-                mask |= 1 << index[tuple(sorted(d + (v,)))]
-        gens.append(mask)
-    return subsets, gens
-
-
-def mask_disjoint_pair_count(mask: int, subsets, n: int) -> int:
-    """Complementary-pair count of a bitmask family on a 2k-element universe."""
-    index = {s: i for i, s in enumerate(subsets)}
-    full = frozenset(range(n))
-    total = 0
-    for i, s in enumerate(subsets):
-        comp = tuple(sorted(full - frozenset(s)))
-        j = index[comp]
-        if i < j and (mask >> i & 1) and (mask >> j & 1):
-            total += 1
-    return total
-
-
-def mask_to_family(mask: int, subsets):
-    return frozenset(frozenset(subsets[i]) for i in range(len(subsets)) if mask >> i & 1)
 
 
 # --- unnesting ---------------------------------------------------------------

@@ -8,6 +8,9 @@ from typing import Optional
 from .errors import PerturbationFailed
 from .geometry import Point, PointSet, mk_point, orientation
 
+# candidate draws allowed before point generation gives up
+MAX_TRIES = 10000
+
 
 def random_point_set(
     d: int,
@@ -15,7 +18,6 @@ def random_point_set(
     seed: int,
     bound: int = 10000,
     extra: Optional[Point] = None,
-    max_tries: int = 10000,
 ) -> PointSet:
     """n integer-coordinate points in R^d, no d+1 on a common hyperplane.
 
@@ -24,7 +26,7 @@ def random_point_set(
     optional extra point, e.g. the origin). Deterministic for a fixed seed.
     """
     fixed = [mk_point(extra)] if extra is not None else []
-    pts = _draw(random.Random(seed), d, fixed, n, bound, max_tries)
+    pts = _draw(random.Random(seed), d, fixed, n, bound)
     if pts is None:
         raise PerturbationFailed(
             f"could not place {n} general-position points (seed={seed})"
@@ -32,11 +34,9 @@ def random_point_set(
     return PointSet(d, pts[len(fixed):])
 
 
-def random_extension(
-    ps: PointSet, k: int, seed: int, bound: int = 10000, max_tries: int = 10000
-) -> PointSet:
+def random_extension(ps: PointSet, k: int, seed: int, bound: int = 10000) -> PointSet:
     """ps plus k fresh points, keeping the whole set in general position."""
-    pts = _draw(random.Random(seed), ps.dim, ps.points, k, bound, max_tries)
+    pts = _draw(random.Random(seed), ps.dim, ps.points, k, bound)
     if pts is None:
         raise PerturbationFailed(
             f"could not extend by {k} general-position points (seed={seed})"
@@ -44,15 +44,15 @@ def random_extension(
     return PointSet(ps.dim, pts)
 
 
-def _draw(rng, d, pool, k, bound, max_tries) -> Optional[list]:
+def _draw(rng, d, pool, k, bound) -> Optional[list]:
     """pool plus k candidates drawn from [-bound, bound]^d and kept when they
-    leave the pool in general position; None once max_tries draws are spent."""
+    leave the pool in general position; None once MAX_TRIES draws are spent."""
     pts = list(pool)
     target = len(pts) + k
     tries = 0
     while len(pts) < target:
         tries += 1
-        if tries > max_tries:
+        if tries > MAX_TRIES:
             return None
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
         if any(cand == p for p in pts):

@@ -24,6 +24,8 @@ from .geometry import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# relative_interior_witness halves its positivity threshold at most this often
+MAX_HALVINGS = 64
 
 
 @dataclass
@@ -253,17 +255,17 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     return _decode_witness(res.x, parts, ps)
 
 
-def relative_interior_witness(parts, ps: PointSet, max_halvings: int = 64) -> Optional[Witness]:
+def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     """Witness with every barycentric weight strictly positive.
 
     Feasibility of {lambda >= t} is monotone in t, so a shrinking-t loop
     finds a strictly positive certificate whenever one exists (down to
-    2^-max_halvings of the starting threshold).
+    2^-MAX_HALVINGS of the starting threshold).
     """
     parts = [tuple(p) for p in parts]
     biggest = max(len(p) for p in parts)
     t = Fraction(1, 2 * biggest)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         res = solve_feasibility(_common_point_problem(parts, ps, shift=t))
         if res.feasible:
             return _decode_witness(res.x, parts, ps, shift=t)
@@ -272,7 +274,8 @@ def relative_interior_witness(parts, ps: PointSet, max_halvings: int = 64) -> Op
 
 
 def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
-    """Exact test p in conv({ps[i] : i in indices}) via LP feasibility."""
+    """Exact test p in conv({ps[i] : i in indices}) via LP feasibility;
+    the LP path of hull_contains."""
     p = mk_point(p)
     idx = tuple(indices)
     a = [[ps.points[j][c] for j in idx] for c in range(ps.dim)]
@@ -282,7 +285,9 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
 
 
 def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
-    """Hull membership using the barycentric fast path for simplices."""
+    """Exact test p in conv({ps[i] : i in indices}), the one membership
+    predicate: `point_in_simplex` for at most d+1 affinely independent
+    points (integer signs for d+1 of them), the LP otherwise."""
     idx = tuple(indices)
     if len(idx) <= ps.dim + 1:
         try:

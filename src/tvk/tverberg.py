@@ -20,17 +20,8 @@ from .errors import (
     InternalError,
     SizeOutOfRange,
 )
-from .fixing import hull_pair_verdict
-from .geometry import (
-    Containment,
-    Point,
-    PointSet,
-    _int_frame,
-    angular_order,
-    mk_point,
-    point_in_simplex,
-    vsub,
-)
+from .fixing import classify_pair
+from .geometry import Point, PointSet, _int_frame, angular_order, mk_point, vsub
 from .lp import Partition, Witness, barycentric_witness, common_point, hull_contains
 
 BRUTE_FORCE_MAX_POINTS = 14
@@ -278,10 +269,8 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         vectors = [vsub(p, o) for p in ps.points]
         order = angular_order(vectors)
         parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
-        for part in parts:
-            status = point_in_simplex(o, [ps.points[i] for i in part])
-            if status == Containment.OUTSIDE:
-                raise GeneralPositionViolated("centerpoint fell outside a triple")
+        if not all(hull_contains(o, part, ps) for part in parts):
+            raise GeneralPositionViolated("centerpoint fell outside a triple")
         return Partition(parts, barycentric_witness(o, parts, ps))
     except GeneralPositionViolated:
         return tverberg_partition_bruteforce(ps, r)
@@ -341,7 +330,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
         full = [i for i, part in enumerate(parts) if len(part) >= d + 1]
         for a in range(len(full)):
             for b in range(a + 1, len(full)):
-                verdict = hull_pair_verdict(parts[full[a]], parts[full[b]], ps, o)
+                verdict = classify_pair(parts[full[a]], parts[full[b]], ps, o)
                 if verdict.kind != "crossing":
                     raise InternalError(
                         f"inserting point {idx} broke crossing of parts "

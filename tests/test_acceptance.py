@@ -13,13 +13,7 @@ import pytest
 from tvk.cli import main as cli_main
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import PointSet
-from tvk.fixing import (
-    cocycle_check,
-    cocycle_generator_masks,
-    fix_all,
-    mask_disjoint_pair_count,
-    parity_check,
-)
+from tvk.fixing import cocycle_check, fix_all, parity_check
 from tvk.lp import witness_violations
 from tvk.tverberg import Partition, extend_partition, radon_partition
 from tvk.apps import (
@@ -30,6 +24,7 @@ from tvk.apps import (
     verify_linking_counterexample,
 )
 
+from cocycles import cocycle_generator_masks, mask_disjoint_pair_count
 from conftest import NESTED_SIX, NINE_ONE_FIX
 
 

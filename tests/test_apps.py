@@ -243,6 +243,19 @@ def test_verifier_reports_malformed_partitions_without_raising():
     assert any("degenerate" in v for v in rep.violations)
 
 
+def test_verify_degenerate_simplex_against_a_larger_part():
+    # a collinear triple through the witness paired with a square around it:
+    # the verdict is "degenerate" whatever the partner's size
+    ps = PointSet(2, [(-2, 0), (1, 0), (2, 0), (-1, -1), (1, -1), (1, 1), (-1, 1)])
+    weights = [[F(1, 2), F(0), F(1, 2)], [F(1, 4)] * 4]
+    unbounded = Partition(
+        [(0, 1, 2), (3, 4, 5, 6)], Witness((0, 0), weights), size_bounded=False
+    )
+    rep = verify_crossing_partition(ps, unbounded)
+    assert rep.verdicts[0][1] == "degenerate"
+    assert rep.violations == ["parts (0, 1, 2) and (3, 4, 5, 6) do not cross (degenerate)"]
+
+
 @lru_cache(maxsize=None)
 def valid_reports():
     """Verified size-bounded outputs whose witness weights are all positive."""
@@ -322,9 +335,9 @@ def test_simplices_verify_each_result_once(monkeypatch):
 
         return wrapped
 
-    verify, pair = apps.verify_crossing_partition, apps.hull_pair_verdict
+    verify, pair = apps.verify_crossing_partition, apps.classify_pair
     monkeypatch.setattr(apps, "verify_crossing_partition", counting("verify", verify))
-    monkeypatch.setattr(apps, "hull_pair_verdict", counting("pair", pair))
+    monkeypatch.setattr(apps, "classify_pair", counting("pair", pair))
     ps = random_point_set(2, 14, seed=6)
     rep = crossing_simplices(ps)
     assert calls == {"verify": 1, "pair": 4 * 3 // 2}

@@ -298,6 +298,48 @@ def test_bad_point_option_is_a_usage_error(tmp_path, capsys):
     assert code == 64
 
 
+def test_unwritable_out_path_is_a_usage_error(nine, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(missing)
+    )
+    assert code == 64
+    assert out == ""
+    assert "cannot write" in err and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_svg_path_is_a_usage_error(nine, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.svg"
+    code, out, err = run_cli(
+        capsys, "crossing", "--input", str(nine), "--r", "3", "--svg", str(missing)
+    )
+    assert code == 64
+    assert out == ""  # no JSON goes out before the SVG is written
+    assert "cannot write" in err and len(err.strip().splitlines()) == 1
+
+
+def test_svg_outside_the_plane_is_rejected_before_any_output(tmp_path, capsys):
+    path = tmp_path / "d3.txt"
+    code, out, _ = run_cli(capsys, "gen", "--d", "3", "--n", "8", "--seed", "2")
+    path.write_text(out)
+    svg_path = tmp_path / "x.svg"
+    code, out, err = run_cli(
+        capsys, "crossing", "--input", str(path), "--r", "2", "--svg", str(svg_path)
+    )
+    assert code == 64
+    assert out == ""
+    assert "--svg requires d=2" in err
+    assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("bound", ["-4", "0"])
+def test_nonpositive_bound_is_a_usage_error(capsys, bound):
+    code, out, err = run_cli(capsys, "gen", "--d", "2", "--n", "5", "--bound", bound)
+    assert code == 64
+    assert out == ""
+    assert "--bound" in err and len(err.strip().splitlines()) == 1
+
+
 def test_failed_internal_check_exits_5(nine, capsys, monkeypatch):
     def failing(ps, partition):
         return apps.VerificationReport(["forced violation"])

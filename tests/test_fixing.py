@@ -14,17 +14,9 @@ from tvk.lp import Witness, hull_membership
 from tvk.fixing import (
     classify_pair,
     cocycle_check,
-    cocycle_generator_masks,
     count_interior_points,
-    delta_cocycle,
-    disjoint_pair_count,
     enumerate_origin_pairs,
     fix_all,
-    generated_cocycles,
-    hull_pair_verdict,
-    is_cocycle,
-    mask_disjoint_pair_count,
-    mask_to_family,
     parity_check,
     swap_witness_planar,
     unnest_pair,
@@ -32,6 +24,15 @@ from tvk.fixing import (
 from tvk.tverberg import Partition
 from tvk.apps import refine_witness
 
+from cocycles import (
+    cocycle_generator_masks,
+    delta_cocycle,
+    disjoint_pair_count,
+    generated_cocycles,
+    is_cocycle,
+    mask_disjoint_pair_count,
+    mask_to_family,
+)
 from conftest import HEXAGON, NESTED_SIX, NINE_ONE_FIX
 
 ORIGIN2 = (F(0), F(0))
@@ -64,6 +65,76 @@ def test_classify_crossing_mirror():
 def test_classify_no_common_point():
     ps = PointSet(2, [(10, 10), (11, 10), (10, 11), (-10, -10), (-11, -10), (-10, -11)])
     assert classify_pair((0, 1, 2), (3, 4, 5), ps, ORIGIN2).kind == "no_common_point"
+
+
+def ref_pair_verdict(a, b, ps, o):
+    """The trichotomy with every membership test an LP (hull_membership)."""
+    a, b = tuple(sorted(a)), tuple(sorted(b))
+    if not (hull_membership(o, a, ps) and hull_membership(o, b, ps)):
+        return "no_common_point", None, None
+    if all(hull_membership(ps.points[i], b, ps) for i in a):
+        return "nested", a, b
+    if all(hull_membership(ps.points[i], a, ps) for i in b):
+        return "nested", b, a
+    return "crossing", None, None
+
+
+def _convex_combination(draw, points):
+    ws = [draw(st.integers(min_value=0, max_value=3)) for _ in points]
+    if not any(ws):
+        ws[0] = 1
+    total = sum(ws)
+    return tuple(
+        sum(F(w, total) * p[c] for w, p in zip(ws, points)) for c in range(len(points[0]))
+    )
+
+
+@st.composite
+def pair_case(draw):
+    """Two disjoint parts of d+1..d+3 points in d=2,3, and a point o.
+
+    Parts are often centred (their last point cancels the others, so the
+    origin is their centroid) and b is sometimes drawn inside a's hull, so
+    that every verdict is common; o is the origin, a point of b's hull or a
+    lattice point that may miss both. Small coordinates make dependent and
+    boundary cases common too.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    ka, kb = (draw(st.sampled_from([d + 1, d + 1, d + 2, d + 3])) for _ in range(2))
+    centred = draw(st.sampled_from([True, True, False]))
+
+    def part(k):
+        coord = st.integers(min_value=-6, max_value=6)
+        pts = [tuple(draw(st.lists(coord, min_size=d, max_size=d))) for _ in range(k)]
+        if centred:
+            pts[-1] = tuple(-sum(p[c] for p in pts[:-1]) for c in range(d))
+        return pts
+
+    pa = part(ka)
+    if draw(st.booleans()):
+        pb = [_convex_combination(draw, pa) for _ in range(kb)]
+    else:
+        pb = part(kb)
+    where = draw(st.sampled_from(["origin", "in b", "lattice"]))
+    if where == "origin":
+        o = (0,) * d
+    elif where == "in b":
+        o = _convex_combination(draw, pb)
+    else:
+        o = tuple(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)))
+    order = draw(st.permutations(range(ka + kb)))
+    points = [None] * (ka + kb)
+    for slot, p in zip(order, pa + pb):
+        points[slot] = p
+    return PointSet(d, points), tuple(order[:ka]), tuple(order[ka:]), o
+
+
+@settings(max_examples=200)
+@given(pair_case())
+def test_classify_pair_matches_lp_reference(case):
+    ps, a, b, o = case
+    v = classify_pair(a, b, ps, o)
+    assert (v.kind, v.inner, v.outer) == ref_pair_verdict(a, b, ps, o)
 
 
 # --- origin pairs / parity -----------------------------------------------------
@@ -361,6 +432,9 @@ def test_count_interior_points():
     assert count_interior_points((0, 1, 2), ps2) >= 3  # inner vertices inside outer
 
 
-def test_hull_pair_verdict_matches_classify_for_simplices():
-    ps = nested_six_ps()
-    assert hull_pair_verdict((0, 1, 2), (3, 4, 5), ps, ORIGIN2).kind == "nested"
+def test_classify_nested_in_a_four_point_part():
+    # a triangle around the origin inside a square: the outer part has d+2 points
+    ps = PointSet(2, [(-5, -5), (5, -5), (5, 5), (-5, 5), (2, -1), (-1, 2), (-1, -1)])
+    v = classify_pair((6, 4, 5), (0, 1, 2, 3), ps, ORIGIN2)
+    assert v.kind == "nested"
+    assert v.inner == (4, 5, 6) and v.outer == (0, 1, 2, 3)
