@@ -27,7 +27,6 @@ from .geometry import (
     perturb,
     point_in_simplex,
     simplex_volume,
-    triangles_linked,
 )
 from .lp import (
     FeasibilityProblem,
@@ -64,6 +63,7 @@ from .apps import (
     crossing_simplices,
     crossing_tverberg,
     tetrahedra_face_linked,
+    triangles_linked,
     verify_crossing_partition,
     verify_linking_counterexample,
 )

@@ -5,6 +5,7 @@ partition (planar fast path or brute force), witness refinement to a
 generic interior common point, the fixing loop, and optional extension
 with leftover points. `verify_crossing_partition` re-checks everything
 from scratch using only the exact predicates, with no pipeline state.
+The linking section decides whether two triangles in R^3 are linked.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
+    DegenerateIncidence,
+    DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
@@ -24,20 +27,22 @@ from .errors import (
 )
 from .fixing import FixTrace, classify_pair, enumerate_origin_pairs, fix_all
 from .geometry import (
+    Containment,
     Point,
     PointSet,
-    bounding_box,
     gp_violations_with_extra,
-    in_general_position,
+    longest_side,
     mk_point,
     orientation,
-    triangles_linked,
+    point_in_simplex,
+    require_general_position,
     vsub,
 )
 from .lp import (
     Partition,
     Witness,
     barycentric_witness,
+    common_point,
     hull_contains,
     relative_interior_witness,
     witness_violations,
@@ -81,8 +86,7 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
         raise GeneralPositionViolated(
             "witness is pinned to a degenerate affine subspace"
         )
-    mins, maxs = bounding_box(ps.points)
-    scale = max((hi - lo for lo, hi in zip(mins, maxs)), default=Fraction(1)) or Fraction(1)
+    scale = longest_side(ps.points)
     rng = random.Random(seed)
     o = witness.point
     for attempt in range(512):
@@ -124,13 +128,7 @@ def _crossing_pipeline(ps: PointSet, r: int, measure, budget, seed):
         raise SizeOutOfRange(
             f"need at least (d+1)(r-1)+1={(d + 1) * (r - 1) + 1} points, got {n}"
         )
-    violations = in_general_position(ps)
-    if violations:
-        raise GeneralPositionViolated(
-            f"{len(violations)} affinely dependent (d+1)-subsets; "
-            "perturb the input or fix the data",
-            violations,
-        )
+    require_general_position(ps)
     cap = (d + 1) * r
     core = list(range(min(n, cap)))
     leftover = list(range(cap, n))
@@ -202,6 +200,104 @@ def crossing_simplices(
 
 
 # --- linking -----------------------------------------------------------------
+
+
+def _require_r3(*pts):
+    for p in pts:
+        if len(p) != 3:
+            raise DimensionMismatch("operation is defined in R^3 only")
+
+
+def segments_intersect_3d(a, b, c, d) -> bool:
+    """Exact closed-segment intersection test in R^3."""
+    _require_r3(a, b, c, d)
+    if orientation([a, b, c, d]) != 0:
+        return False  # skew segments cannot meet
+    return common_point([(0, 1), (2, 3)], PointSet(3, [a, b, c, d])) is not None
+
+
+def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> int:
+    """Mod-2 count of transversal passages of a triangle's boundary curve
+    through another triangle's spanned surface.
+
+    Assumes the two boundary curves are disjoint. Vertices lying exactly on
+    the surface's plane are handled by looking at the sign change across
+    them; a whole edge in the plane is rejected as degenerate.
+    """
+    sides = [orientation(list(surface) + [v]) for v in curve]
+    if all(s == 0 for s in sides):
+        return 0  # coplanar disjoint curves are never linked
+    parity = 0
+    n = len(curve)
+    for i in range(n):
+        si, sj = sides[i], sides[(i + 1) % n]
+        if si == 0 or sj == 0 or si == sj:
+            continue
+        a, b = curve[i], curve[(i + 1) % n]
+        s1 = orientation([a, b, surface[0], surface[1]])
+        s2 = orientation([a, b, surface[1], surface[2]])
+        s3 = orientation([a, b, surface[2], surface[0]])
+        if 0 in (s1, s2, s3):
+            raise DegenerateIncidence("edge crossing through the surface boundary")
+        if s1 == s2 == s3:
+            parity ^= 1
+    # maximal runs of vertices on the surface's plane: disjointness of the
+    # boundary curves forces each run to lie wholly inside the open triangle
+    # (a passage event when the flanking signs differ) or wholly outside the
+    # closed triangle (no event)
+    i = 0
+    while i < n:
+        if sides[i] != 0:
+            i += 1
+            continue
+        if i == 0 and sides[-1] == 0:
+            # rotate so the run does not wrap
+            k = next(j for j in range(n) if sides[j] != 0)
+            sides = sides[k:] + sides[:k]
+            curve = list(curve[k:]) + list(curve[:k])
+            i = 0
+            continue
+        j = i
+        while j < n and sides[j] == 0:
+            j += 1
+        run = range(i, j)
+        statuses = [point_in_simplex(curve[m], list(surface)) for m in run]
+        if any(s == Containment.ON_BOUNDARY for s in statuses):
+            raise DegenerateIncidence("curve vertex on the surface boundary")
+        kinds = set(statuses)
+        if len(kinds) > 1:
+            raise DegenerateIncidence(
+                "in-plane edge would cross the surface boundary"
+            )
+        if kinds == {Containment.INTERIOR}:
+            prev_s = sides[i - 1]
+            next_s = sides[j % n]
+            if prev_s != next_s:
+                parity ^= 1
+        i = j
+    return parity
+
+
+def triangles_linked(tri1: Sequence[Point], tri2: Sequence[Point]) -> bool:
+    """Whether two disjoint triangle boundary curves in R^3 are linked.
+
+    Computed as the mod-2 number of times one curve pierces the other's
+    spanned surface; both directions are computed and asserted equal.
+    Raises TrianglesIntersect when the boundary curves meet.
+    """
+    t1, t2 = [mk_point(p) for p in tri1], [mk_point(p) for p in tri2]
+    _require_r3(*t1, *t2)
+    edges1 = [(t1[i], t1[(i + 1) % 3]) for i in range(3)]
+    edges2 = [(t2[i], t2[(i + 1) % 3]) for i in range(3)]
+    for a, b in edges1:
+        for c, d in edges2:
+            if segments_intersect_3d(a, b, c, d):
+                raise TrianglesIntersect("triangle boundaries intersect")
+    p1 = _curve_pierce_parity(t1, t2)
+    p2 = _curve_pierce_parity(t2, t1)
+    if p1 != p2:
+        raise InternalError("linking parity differs between directions: predicate bug")
+    return p1 == 1
 
 
 class FaceLinkVerdict(Enum):

@@ -33,7 +33,13 @@ from .errors import (
 )
 from .fixing import cocycle_check, parity_check
 from .generate import random_point_set
-from .geometry import PointSet, in_general_position, mk_point, perturb
+from .geometry import (
+    PointSet,
+    in_general_position,
+    mk_point,
+    perturb,
+    require_general_position,
+)
 from .tverberg import bounded_partition
 
 EXIT_OK = 0
@@ -140,15 +146,11 @@ def _emit(payload, out_path: Optional[str]):
     _output(fileio.dump_json(payload), out_path)
 
 
-def _gate_general_position(ps, args):
-    violations = in_general_position(ps)
-    if not violations:
+def _perturbed(ps, args):
+    """(ps, None); under --perturb with a degenerate ps, its seeded jitter and
+    the payload fields that record the original points."""
+    if not args.perturb or not in_general_position(ps):
         return ps, None
-    if not args.perturb:
-        raise GeneralPositionViolated(
-            f"{len(violations)} affinely dependent subsets (rerun with --perturb)",
-            violations,
-        )
     moved = perturb(ps, args.seed)
     return moved, {
         "perturbed": True,
@@ -172,7 +174,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
     ps = _read_points(args.input)
     if args.r is None or args.r < 1:
         raise UsageError("--r must be a positive integer")
-    ps, extra = _gate_general_position(ps, args)
+    ps, extra = _perturbed(ps, args)
+    if not args.perturb:  # bounded_partition has no gate of its own
+        require_general_position(ps)
     partition = bounded_partition(ps, args.r)
     payload = fileio.partition_payload(
         partition,
@@ -192,30 +196,42 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_crossing(args: argparse.Namespace) -> int:
+    if args.simplices and args.r is not None:
+        raise UsageError("--r and --simplices exclude each other")
+    if not args.simplices and (args.r is None or args.r < 1):
+        raise UsageError("--r must be a positive integer (or use --simplices)")
+    if args.discard is not None and not args.simplices:
+        raise UsageError("--discard requires --simplices")
+    if args.budget is not None and args.budget < 0:
+        raise UsageError("--budget must be a nonnegative integer")
     ps = _read_points(args.input)
     if args.svg_path and ps.dim != 2:
         raise UsageError("--svg requires d=2")
-    ps, extra = _gate_general_position(ps, args)
-    if args.simplices:
-        report = crossing_simplices(
-            ps,
-            measure=args.measure,
-            budget=args.budget,
-            seed=args.seed,
-            discard=args.discard,
-        )
-        r = len(report.partition.parts)
-    else:
-        if args.r is None or args.r < 1:
-            raise UsageError("--r must be a positive integer (or use --simplices)")
-        r = args.r
-        report = crossing_tverberg(
-            ps,
-            r,
-            measure=args.measure,
-            budget=args.budget,
-            seed=args.seed,
-        )
+    ps, extra = _perturbed(ps, args)  # the pipeline is the general-position gate
+    try:
+        if args.simplices:
+            report = crossing_simplices(
+                ps,
+                measure=args.measure,
+                budget=args.budget,
+                seed=args.seed,
+                discard=args.discard,
+            )
+        else:
+            report = crossing_tverberg(
+                ps, args.r, measure=args.measure, budget=args.budget, seed=args.seed
+            )
+    except BudgetExceeded as exc:
+        payload = {
+            "command": "crossing",
+            "error": "budget_exceeded",
+            "trace": fileio.trace_payload(exc.trace),
+            "parts": [list(p) for p in exc.partition.parts] if exc.partition else None,
+        }
+        _emit(payload, args.out)
+        print(f"tvk: budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    r = len(report.partition.parts)
     payload = fileio.partition_payload(
         report.partition,
         ps.dim,
@@ -329,16 +345,6 @@ def main(argv=None) -> int:
     except SizeOutOfRange as exc:
         print(f"tvk: size gate: {exc}", file=sys.stderr)
         return EXIT_SIZE_GATE
-    except BudgetExceeded as exc:
-        payload = {
-            "command": "crossing",
-            "error": "budget_exceeded",
-            "trace": fileio.trace_payload(exc.trace),
-            "parts": [list(p) for p in exc.partition.parts] if exc.partition else None,
-        }
-        sys.stdout.write(fileio.dump_json(payload))
-        print(f"tvk: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except TvkError as exc:
         print(f"tvk: error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

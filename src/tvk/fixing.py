@@ -24,9 +24,9 @@ from .geometry import (
     Point,
     PointSet,
     angular_order,
-    in_general_position,
     mk_point,
     point_in_simplex,
+    require_general_position,
     simplex_volume,
     vsub,
 )
@@ -67,12 +67,7 @@ def _require_origin_setup(ps: PointSet, o: Point):
         raise SizeOutOfRange(
             f"need exactly 2(d+1)={2 * (d + 1)} points, got {len(ps)}"
         )
-    violations = in_general_position(ps, extra=o)
-    if violations:
-        raise GeneralPositionViolated(
-            "point set with the candidate point is not in general position",
-            violations,
-        )
+    require_general_position(ps, extra=o)
 
 
 def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
@@ -119,12 +114,7 @@ def cocycle_check(ps: PointSet, o: Point) -> CocycleResult:
     """For every (d+2)-subset M, the number of (d+1)-subsets of M whose hull
     contains o must be 0 or 2."""
     o = mk_point(o)
-    violations = in_general_position(ps, extra=o)
-    if violations:
-        raise GeneralPositionViolated(
-            "point set with the candidate point is not in general position",
-            violations,
-        )
+    require_general_position(ps, extra=o)
     d = ps.dim
     n = len(ps)
     member = {f: hull_contains(o, f, ps) for f in combinations(range(n), d + 1)}

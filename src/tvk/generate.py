@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import Optional
 
 from .errors import PerturbationFailed
-from .geometry import Point, PointSet, mk_point, orientation
+from .geometry import Point, PointSet, gp_violations_with_extra, mk_point
 
 # candidate draws allowed before point generation gives up
 MAX_TRIES = 10000
@@ -57,14 +56,7 @@ def _draw(rng, d, pool, k, bound) -> Optional[list]:
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
         if any(cand == p for p in pts):
             continue
-        if len(pts) >= d and _violates(cand, pts, d):
+        if gp_violations_with_extra(pts, cand):
             continue
         pts.append(cand)
     return pts
-
-
-def _violates(cand, pool, d) -> bool:
-    for idx in combinations(range(len(pool)), d):
-        if orientation([pool[i] for i in idx] + [cand]) == 0:
-            return True
-    return False

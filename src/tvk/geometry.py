@@ -7,7 +7,8 @@ orientation, volume and simplex containment are integer determinants
 (closed forms for d <= 3, Bareiss elimination beyond). Only sub-dimensional
 and degenerate simplices fall back to an exact rational solve. There are
 no tolerances anywhere in this module; degenerate inputs raise rather than
-silently picking a side.
+silently picking a side. `require_general_position` is the one gate that
+raises on an input not in general position.
 """
 from __future__ import annotations
 
@@ -23,12 +24,10 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
-    DegenerateIncidence,
     DegenerateSimplex,
     DimensionMismatch,
-    InternalError,
+    GeneralPositionViolated,
     PerturbationFailed,
-    TrianglesIntersect,
 )
 
 Rat = Fraction
@@ -93,14 +92,6 @@ def vsub(p: Point, q: Point) -> Point:
 
 def cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
-
-
-def cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _int_frame(points):
@@ -189,10 +180,21 @@ def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     return out
 
 
-def bounding_box(points: Sequence[Point]):
-    mins = [min(p[c] for p in points) for c in range(len(points[0]))]
-    maxs = [max(p[c] for p in points) for c in range(len(points[0]))]
-    return mins, maxs
+def require_general_position(ps: PointSet, extra: Optional[Point] = None) -> None:
+    """The general-position gate: raises GeneralPositionViolated carrying
+    `in_general_position`'s report unless that report is empty."""
+    violations = in_general_position(ps, extra)
+    if violations:
+        raise GeneralPositionViolated(
+            f"{len(violations)} affinely dependent (d+1)-subsets; "
+            "perturb the input or fix the data",
+            violations,
+        )
+
+
+def longest_side(points: Sequence[Point]) -> Fraction:
+    """Longest side of the points' bounding box, or 1 when that is 0."""
+    return max((max(c) - min(c) for c in zip(*points)), default=0) or Fraction(1)
 
 
 def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
@@ -207,10 +209,7 @@ def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
     rng = random.Random(seed)
     if len(ps) == 0:
         return PointSet(ps.dim, [])
-    mins, maxs = bounding_box(ps.points)
-    diam = max((hi - lo for lo, hi in zip(mins, maxs)), default=Fraction(0))
-    if diam == 0:
-        diam = Fraction(1)
+    diam = longest_side(ps.points)
     span = 2**k
     for j in range(k, k + 64):
         den = 2 ** (k + j)
@@ -304,154 +303,3 @@ def angular_order(vectors: Sequence[Point]) -> list:
         return -1 if i < j else (1 if i > j else 0)
 
     return sorted(range(len(vectors)), key=cmp_to_key(cmp))
-
-
-# --- 3D segment/triangle incidence -----------------------------------------
-
-
-def _require_r3(*pts):
-    for p in pts:
-        if len(p) != 3:
-            raise DimensionMismatch("operation is defined in R^3 only")
-
-
-def _collinear_overlap_1d(a, b, c, d) -> bool:
-    axis = next((i for i in range(3) if a[i] != b[i]), None)
-    if axis is None:
-        axis = next((i for i in range(3) if c[i] != d[i]), 0)
-    lo1, hi1 = sorted((a[axis], b[axis]))
-    lo2, hi2 = sorted((c[axis], d[axis]))
-    return max(lo1, lo2) <= min(hi1, hi2)
-
-
-def _point_on_segment_3d(p, c, d) -> bool:
-    if any(x != 0 for x in cross3(vsub(d, c), vsub(p, c))):
-        return False
-    return all(min(c[i], d[i]) <= p[i] <= max(c[i], d[i]) for i in range(3))
-
-
-def segments_intersect_3d(a, b, c, d) -> bool:
-    """Exact closed-segment intersection test in R^3."""
-    _require_r3(a, b, c, d)
-    u, v = vsub(b, a), vsub(d, c)
-    if all(x == 0 for x in u):
-        return _point_on_segment_3d(a, c, d)
-    if all(x == 0 for x in v):
-        return _point_on_segment_3d(c, a, b)
-    if orientation([a, b, c, d]) != 0:
-        return False  # skew segments cannot meet
-    n = cross3(u, v)
-    if all(x == 0 for x in n):
-        # parallel directions: either disjoint parallel lines or collinear
-        if any(x != 0 for x in cross3(u, vsub(c, a))):
-            return False
-        return _collinear_overlap_1d(a, b, c, d)
-    # coplanar with independent directions: exact 2D test after dropping the
-    # dominant normal axis
-    axis = max(range(3), key=lambda i: abs(n[i]))
-    keep = [i for i in range(3) if i != axis]
-    pa, pb, pc, pd = (tuple(p[i] for i in keep) for p in (a, b, c, d))
-    o1 = linalg.sign(cross2(vsub(pb, pa), vsub(pc, pa)))
-    o2 = linalg.sign(cross2(vsub(pb, pa), vsub(pd, pa)))
-    o3 = linalg.sign(cross2(vsub(pd, pc), vsub(pa, pc)))
-    o4 = linalg.sign(cross2(vsub(pd, pc), vsub(pb, pc)))
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-
-    def on_seg(p, q, r):
-        # r collinear with pq: is it within the closed box?
-        return all(min(p[i], q[i]) <= r[i] <= max(p[i], q[i]) for i in range(2))
-
-    if o1 == 0 and on_seg(pa, pb, pc):
-        return True
-    if o2 == 0 and on_seg(pa, pb, pd):
-        return True
-    if o3 == 0 and on_seg(pc, pd, pa):
-        return True
-    if o4 == 0 and on_seg(pc, pd, pb):
-        return True
-    return False
-
-
-def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> int:
-    """Mod-2 count of transversal passages of a triangle's boundary curve
-    through another triangle's spanned surface.
-
-    Assumes the two boundary curves are disjoint. Vertices lying exactly on
-    the surface's plane are handled by looking at the sign change across
-    them; a whole edge in the plane is rejected as degenerate.
-    """
-    sides = [orientation(list(surface) + [v]) for v in curve]
-    if all(s == 0 for s in sides):
-        return 0  # coplanar disjoint curves are never linked
-    parity = 0
-    n = len(curve)
-    for i in range(n):
-        si, sj = sides[i], sides[(i + 1) % n]
-        if si == 0 or sj == 0 or si == sj:
-            continue
-        a, b = curve[i], curve[(i + 1) % n]
-        s1 = orientation([a, b, surface[0], surface[1]])
-        s2 = orientation([a, b, surface[1], surface[2]])
-        s3 = orientation([a, b, surface[2], surface[0]])
-        if 0 in (s1, s2, s3):
-            raise DegenerateIncidence("edge crossing through the surface boundary")
-        if s1 == s2 == s3:
-            parity ^= 1
-    # maximal runs of vertices on the surface's plane: disjointness of the
-    # boundary curves forces each run to lie wholly inside the open triangle
-    # (a passage event when the flanking signs differ) or wholly outside the
-    # closed triangle (no event)
-    i = 0
-    while i < n:
-        if sides[i] != 0:
-            i += 1
-            continue
-        if i == 0 and sides[-1] == 0:
-            # rotate so the run does not wrap
-            k = next(j for j in range(n) if sides[j] != 0)
-            sides = sides[k:] + sides[:k]
-            curve = list(curve[k:]) + list(curve[:k])
-            i = 0
-            continue
-        j = i
-        while j < n and sides[j] == 0:
-            j += 1
-        run = range(i, j)
-        statuses = [point_in_simplex(curve[m], list(surface)) for m in run]
-        if any(s == Containment.ON_BOUNDARY for s in statuses):
-            raise DegenerateIncidence("curve vertex on the surface boundary")
-        kinds = set(statuses)
-        if len(kinds) > 1:
-            raise DegenerateIncidence(
-                "in-plane edge would cross the surface boundary"
-            )
-        if kinds == {Containment.INTERIOR}:
-            prev_s = sides[i - 1]
-            next_s = sides[j % n]
-            if prev_s != next_s:
-                parity ^= 1
-        i = j
-    return parity
-
-
-def triangles_linked(tri1: Sequence[Point], tri2: Sequence[Point]) -> bool:
-    """Whether two disjoint triangle boundary curves in R^3 are linked.
-
-    Computed as the mod-2 number of times one curve pierces the other's
-    spanned surface; both directions are computed and asserted equal.
-    Raises TrianglesIntersect when the boundary curves meet.
-    """
-    t1, t2 = [mk_point(p) for p in tri1], [mk_point(p) for p in tri2]
-    _require_r3(*t1, *t2)
-    edges1 = [(t1[i], t1[(i + 1) % 3]) for i in range(3)]
-    edges2 = [(t2[i], t2[(i + 1) % 3]) for i in range(3)]
-    for a, b in edges1:
-        for c, d in edges2:
-            if segments_intersect_3d(a, b, c, d):
-                raise TrianglesIntersect("triangle boundaries intersect")
-    p1 = _curve_pierce_parity(t1, t2)
-    p2 = _curve_pierce_parity(t2, t1)
-    if p1 != p2:
-        raise InternalError("linking parity differs between directions: predicate bug")
-    return p1 == 1

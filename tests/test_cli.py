@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tvk import apps
+from tvk import apps, geometry
 from tvk.cli import main
 from tvk.fileio import partition_from_payload, parse_points
 from tvk.lp import witness_violations
@@ -359,3 +359,111 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert res.returncode == 0
     assert len(res.stdout.strip().splitlines()) == 4
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DEGENERATE_MESSAGE = "affinely dependent (d+1)-subsets; perturb the input or fix the data"
+
+
+def degenerate_seven(tmp_path, capsys):
+    """Seven planar points; only the last, the midpoint of points 0 and 1,
+    breaks general position."""
+    path = gen_points(tmp_path, capsys, 6)
+    (x0, y0), (x1, y1) = parse_points(path.read_text()).points[:2]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{(x0 + x1) / 2} {(y0 + y1) / 2}\n")
+    return path
+
+
+def test_budget_exceeded_payload_goes_to_out(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code, out, err = run_cli(
+        capsys, "crossing", "--input", os.path.join(GOLDEN, "eight_one_fix.txt"),
+        "--r", "3", "--budget", "0", "--out", str(out_path),
+    )
+    assert code == 4
+    assert out == ""
+    assert json.loads(out_path.read_text())["error"] == "budget_exceeded"
+    assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--r", "3", "--budget", "-1"], "--budget"),
+        (["--r", "3", "--discard", "0"], "--discard requires --simplices"),
+        (["--r", "3", "--simplices"], "--r and --simplices"),
+    ],
+)
+def test_inconsistent_crossing_options_are_usage_errors(nine, capsys, options, message):
+    code, out, err = run_cli(capsys, "crossing", "--input", str(nine), *options)
+    assert code == 64
+    assert out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossing", "--input", os.path.join(GOLDEN, "d2_n12_s3.txt"), "--r", "4"],
+        ["crossing", "--input", os.path.join(GOLDEN, "d2_n12_s3.txt"), "--simplices"],
+        ["partition", "--input", os.path.join(GOLDEN, "d2_n7_s1.txt"), "--r", "3"],
+    ],
+)
+def test_general_position_is_scanned_once(capsys, monkeypatch, argv):
+    n = len(parse_points(open(argv[2], encoding="utf-8").read()))
+    full_scans = []
+    scan = geometry.in_general_position
+
+    def counted(ps, extra=None):
+        if len(ps) == n and extra is None:
+            full_scans.append(ps)
+        return scan(ps, extra)
+
+    for name, module in list(sys.modules.items()):  # every binding of the scan
+        if name.startswith("tvk") and getattr(module, "in_general_position", None) is scan:
+            monkeypatch.setattr(module, "in_general_position", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(full_scans) == 1
+
+
+def test_simplices_ignore_a_degenerate_discarded_point(tmp_path, capsys):
+    path = degenerate_seven(tmp_path, capsys)
+    ps = parse_points(path.read_text())
+    code, _, err = run_cli(capsys, "partition", "--input", str(path), "--r", "2")
+    assert code == 2  # the whole input is degenerate
+    for options in ([], ["--discard", "6"]):
+        code, out, err = run_cli(
+            capsys, "crossing", "--input", str(path), "--simplices", *options
+        )
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["discarded"] == [6]
+        assert apps.verify_crossing_partition(ps, partition_from_payload(data)).ok
+
+
+def test_degenerate_crossing_input_reports_the_shared_message(tmp_path, capsys):
+    path = degenerate_seven(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "crossing", "--input", str(path), "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == f"tvk: degenerate input: 1 {DEGENERATE_MESSAGE}\n"
+
+
+@pytest.mark.parametrize(
+    "options, exit_code",
+    [
+        (["--r", "0"], 64),
+        (["--r", "2", "--budget", "-3"], 64),
+        (["--r", "3"], 3),  # r=3 needs (d+1)(r-1)+1 = 7 points
+        (["--simplices", "--discard", "0,1,2"], 3),
+    ],
+)
+def test_degenerate_input_reports_usage_and_size_checks_first(
+    tmp_path, capsys, options, exit_code
+):
+    path = tmp_path / "five.txt"
+    write_points(path, [(0, 0), (1, 0), (2, 0), (0, 1), (5, 3)])
+    code, out, err = run_cli(capsys, "crossing", "--input", str(path), *options)
+    assert (code, out) == (exit_code, "")
+    assert len(err.strip().splitlines()) == 1

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk.errors import (
     DegenerateIncidence,
     DegenerateSimplex,
+    GeneralPositionViolated,
     TrianglesIntersect,
 )
 from tvk.geometry import (
@@ -17,10 +18,10 @@ from tvk.geometry import (
     orientation,
     perturb,
     point_in_simplex,
-    segments_intersect_3d,
+    require_general_position,
     simplex_volume,
-    triangles_linked,
 )
+from tvk.apps import segments_intersect_3d, triangles_linked
 
 coords = st.integers(min_value=-50, max_value=50)
 
@@ -72,6 +73,18 @@ def test_gp_with_extra_point():
     assert in_general_position(ps, extra=(F(1, 3), F(1, 3))) == []
     # extra collinear with two points is reported using index n
     assert (0, 1, 3) in in_general_position(ps, extra=(2, 0))
+
+
+def test_gate_raises_with_the_scan_report():
+    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+    require_general_position(ps)
+    require_general_position(ps, extra=(F(1, 3), F(1, 3)))
+    for extra in (None, (2, 0)):
+        degenerate = ps if extra else PointSet(2, ps.points + [(2, 0)])
+        with pytest.raises(GeneralPositionViolated) as info:
+            require_general_position(degenerate, extra)
+        assert info.value.violations == in_general_position(degenerate, extra)
+        assert str(info.value).startswith("1 affinely dependent (d+1)-subsets")
 
 
 # --- volume -------------------------------------------------------------------
@@ -201,3 +214,83 @@ def test_triangles_linked_symmetric(pts):
     except (TrianglesIntersect, DegenerateIncidence, DegenerateSimplex):
         return
     assert a == b
+
+
+# The closed-segment test as it stood before it delegated coplanar segments
+# to the common-point LP: special cases for zero-length, collinear and
+# crossing segments. Kept here as the reference.
+
+
+def _cross3(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _point_on_segment(p, c, d):
+    if any(_cross3(_sub(d, c), _sub(p, c))):
+        return False
+    return all(min(c[i], d[i]) <= p[i] <= max(c[i], d[i]) for i in range(3))
+
+
+def reference_segments_intersect(a, b, c, d):
+    u, v = _sub(b, a), _sub(d, c)
+    if not any(u):
+        return _point_on_segment(a, c, d)
+    if not any(v):
+        return _point_on_segment(c, a, b)
+    if orientation([a, b, c, d]) != 0:
+        return False
+    n = _cross3(u, v)
+    if not any(n):
+        if any(_cross3(u, _sub(c, a))):
+            return False
+        axis = next((i for i in range(3) if a[i] != b[i]), None)
+        if axis is None:
+            axis = next((i for i in range(3) if c[i] != d[i]), 0)
+        lo1, hi1 = sorted((a[axis], b[axis]))
+        lo2, hi2 = sorted((c[axis], d[axis]))
+        return max(lo1, lo2) <= min(hi1, hi2)
+    axis = max(range(3), key=lambda i: abs(n[i]))
+    keep = [i for i in range(3) if i != axis]
+    pa, pb, pc, pd = (tuple(p[i] for i in keep) for p in (a, b, c, d))
+
+    def turn(p, q, r):
+        (ux, uy), (vx, vy) = _sub(q, p), _sub(r, p)
+        return _sign(ux * vy - uy * vx)
+
+    o1, o2 = turn(pa, pb, pc), turn(pa, pb, pd)
+    o3, o4 = turn(pc, pd, pa), turn(pc, pd, pb)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+
+    def on_seg(p, q, r):
+        return all(min(p[i], q[i]) <= r[i] <= max(p[i], q[i]) for i in range(2))
+
+    return (
+        (o1 == 0 and on_seg(pa, pb, pc))
+        or (o2 == 0 and on_seg(pa, pb, pd))
+        or (o3 == 0 and on_seg(pc, pd, pa))
+        or (o4 == 0 and on_seg(pc, pd, pb))
+    )
+
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(small, small, small), min_size=4, max_size=4))
+def test_segments_intersect_3d_matches_reference(pts):
+    # coordinates in [-2, 2] make coplanar, collinear, shared-endpoint and
+    # zero-length segments common
+    assert segments_intersect_3d(*pts) == reference_segments_intersect(*pts)

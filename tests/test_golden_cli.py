@@ -1,7 +1,8 @@
 """CLI output pinned byte for byte against committed goldens.
 
 Each case runs `tvk` in-process on a point file in tests/golden/ and
-compares stdout with the committed JSON next to it. The goldens were
+compares stdout with the committed JSON next to it; each `tvk gen` case
+compares the generated point file with a committed one. The goldens were
 written by an earlier build of the CLI and are the reference: a mismatch
 means the partitions, witnesses, traces or serialisation changed.
 """
@@ -39,6 +40,18 @@ CASES = [
 ]
 
 
+# (golden point file, `tvk gen` arguments)
+GEN_CASES = [
+    ("gen_d1_n6_s0.txt", ["--d", "1", "--n", "6", "--seed", "0"]),
+    ("gen_d1_n8_s3.txt", ["--d", "1", "--n", "8", "--seed", "3"]),
+    ("gen_d2_n10_s1.txt", ["--d", "2", "--n", "10", "--seed", "1"]),
+    ("gen_d2_n14_s5.txt", ["--d", "2", "--n", "14", "--seed", "5"]),
+    ("gen_d2_n8_s2_b5.txt", ["--d", "2", "--n", "8", "--seed", "2", "--bound", "5"]),
+    ("gen_d3_n9_s2.txt", ["--d", "3", "--n", "9", "--seed", "2"]),
+    ("gen_d3_n12_s4.txt", ["--d", "3", "--n", "12", "--seed", "4"]),
+]
+
+
 def run_case(points, args, capsys):
     command, *rest = args
     code = main([command, "--input", str(GOLDEN / points), *rest])
@@ -52,5 +65,16 @@ def test_cli_matches_goldens(capsys):
         code, out, err = run_case(points, args, capsys)
         expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         if (code, out, err) != (0, expected, ""):
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_gen_matches_goldens(capsys):
+    mismatched = []
+    for name, args in GEN_CASES:
+        code = main(["gen", *args])
+        captured = capsys.readouterr()
+        expected = (GOLDEN / name).read_text(encoding="utf-8")
+        if (code, captured.out, captured.err) != (0, expected, ""):
             mismatched.append(name)
     assert mismatched == []
