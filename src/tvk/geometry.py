@@ -168,16 +168,16 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
 
 
 def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
-    """Affinely dependent (d+1)-subsets that include `extra` (faster re-check)."""
+    """The first affinely dependent (d+1)-subset that includes `extra`, in
+    `combinations` order, as a one-tuple list; empty when there is none."""
     d = len(extra)
     if len(points) < d:
         return []
     *pts, extra = _int_frame([*points, extra])[0]
-    out = []
     for idx in combinations(range(len(pts)), d):
         if orientation([pts[i] for i in idx] + [extra]) == 0:
-            out.append(idx + (len(pts),))
-    return out
+            return [idx + (len(pts),)]
+    return []
 
 
 def require_general_position(ps: PointSet, extra: Optional[Point] = None) -> None:
@@ -272,6 +272,28 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
     if any(c == 0 for c in coords):
         return Containment.ON_BOUNDARY
     return Containment.INTERIOR
+
+
+def _in_planar_hull(q, pts) -> bool:
+    """Exact test q in conv(pts) in the plane, for the homogeneous integer
+    point q = (x, y, w) with w > 0 and integer points pts.
+
+    With v_s = s - q, q is outside exactly when some v_s has every v_t
+    strictly to its left or on its own ray: then pts lies in an open
+    halfplane through q. A zero v_t (q is a point of pts) lies on no ray.
+    Duplicate, collinear and single points need no special case; an empty
+    pts contains nothing.
+    """
+    x, y, w = q
+    vs = [(a * w - x, b * w - y) for a, b in pts]
+    for ux, uy in vs:
+        for vx, vy in vs:
+            c = ux * vy - uy * vx
+            if c < 0 or (c == 0 and ux * vx + uy * vy <= 0):
+                break
+        else:
+            return False
+    return bool(vs)
 
 
 # --- planar angular order -------------------------------------------------

@@ -17,6 +17,8 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    _in_planar_hull,
+    _int_frame,
     barycentric_coordinates,
     mk_point,
     point_in_simplex,
@@ -286,9 +288,13 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
 
 def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate: `point_in_simplex` for at most d+1 affinely independent
-    points (integer signs for d+1 of them), the LP otherwise."""
+    predicate: an integer halfplane test in the plane for parts of any size;
+    beyond it `point_in_simplex` for at most d+1 affinely independent points
+    (integer signs for d+1 of them), the LP otherwise."""
     idx = tuple(indices)
+    if ps.dim == 2:
+        (x, y), *pts = _int_frame([mk_point(p)] + [ps.points[i] for i in idx])[0]
+        return _in_planar_hull((x, y, 1), pts)
     if len(idx) <= ps.dim + 1:
         try:
             return point_in_simplex(p, [ps.points[i] for i in idx]) != Containment.OUTSIDE

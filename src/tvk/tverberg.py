@@ -1,8 +1,10 @@
 """Size-bounded Tverberg partitions and extension to oversized inputs.
 
 The brute-force search enumerates canonical partitions and keeps the first
-one certified by the exact LP; the planar fast path builds a partition
-around an exactly computed centerpoint and verifies it post hoc. Results
+one certified by the exact LP (in the plane an exact integer predicate
+screens the candidates, so only the winner runs the LP); the planar fast
+path builds a partition around an exactly computed centerpoint and
+verifies it post hoc. Results
 are always independently checkable: every returned partition carries a
 witness whose certificates re-verify by exact arithmetic.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -21,7 +23,7 @@ from .errors import (
     SizeOutOfRange,
 )
 from .fixing import classify_pair
-from .geometry import Point, PointSet, _int_frame, angular_order, mk_point, vsub
+from .geometry import Point, PointSet, _in_planar_hull, _int_frame, angular_order, mk_point, vsub
 from .lp import Partition, Witness, barycentric_witness, common_point, hull_contains
 
 BRUTE_FORCE_MAX_POINTS = 14
@@ -89,19 +91,52 @@ def iter_bounded_partitions(n: int, r: int, max_size: int) -> Iterator[tuple]:
     yield from rec(tuple(range(n)), r)
 
 
-def _boxes_intersect(parts, ps: PointSet) -> bool:
-    d = ps.dim
-    for c in range(d):
-        lo = max(min(ps.points[i][c] for i in part) for part in parts)
-        hi = min(max(ps.points[i][c] for i in part) for part in parts)
+def _boxes_intersect(parts, pts) -> bool:
+    for c in range(len(pts[0])):
+        lo = max(min(pts[i][c] for i in part) for part in parts)
+        hi = min(max(pts[i][c] for i in part) for part in parts)
         if lo > hi:
             return False
     return True
 
 
+def _planar_hulls_meet(hulls) -> bool:
+    """Whether the convex hulls of planar integer point lists share a point.
+
+    By Helly's theorem r hulls meet iff every three do. Three or fewer
+    hulls that meet share a vertex of one of them or the crossing of two
+    non-parallel edges (point pairs) of two of them, so only those
+    candidates are tested.
+    """
+    if len(hulls) > 3:
+        return all(map(_planar_hulls_meet, combinations(hulls, 3)))
+
+    def common(q):
+        return all(_in_planar_hull(q, h) for h in hulls)
+
+    if any(common((x, y, 1)) for h in hulls for x, y in h):
+        return True
+    edges = [list(combinations(h, 2)) for h in hulls]
+    for es, fs in combinations(edges, 2):
+        for ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) in product(es, fs):
+            ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+            den = ux * vy - uy * vx
+            if den == 0:
+                continue
+            t = (cx - ax) * vy - (cy - ay) * vx
+            q = (ax * den + t * ux, ay * den + t * uy, den)
+            if common(q if den > 0 else tuple(-c for c in q)):
+                return True
+    return False
+
+
 def _first_valid(ps, candidates):
+    """First candidate partition whose hulls meet, with its LP witness."""
+    pts = _int_frame(ps.points)[0]
     for parts in candidates:
-        if not _boxes_intersect(parts, ps):
+        if not _boxes_intersect(parts, pts):
+            continue
+        if ps.dim == 2 and not _planar_hulls_meet([[pts[i] for i in p] for p in parts]):
             continue
         witness = common_point(parts, ps)
         if witness is not None:

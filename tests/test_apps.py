@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvk import apps, fixing, tverberg
+from tvk import apps, fixing, lp, tverberg
 from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import PointSet, in_general_position
@@ -342,6 +342,23 @@ def test_simplices_verify_each_result_once(monkeypatch):
     rep = crossing_simplices(ps)
     assert calls == {"verify": 1, "pair": 4 * 3 // 2}
     assert all(rep.verdicts[i][j] == "crossing" for i, j in combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("r, k", [(3, 2), (4, 3), (5, 6)])
+def test_planar_extension_runs_almost_no_lp(monkeypatch, r, k):
+    """In the plane only the witness refinement solves LPs: membership
+    tests for parts of any size are integer predicates."""
+    solves = []
+    solve = lp.solve_feasibility
+
+    def counting(prob):
+        solves.append(prob)
+        return solve(prob)
+
+    monkeypatch.setattr(lp, "solve_feasibility", counting)
+    rep = crossing_tverberg(random_point_set(2, 3 * r + k, seed=r + k), r)
+    assert max(map(len, rep.partition.parts)) > 3
+    assert len(solves) < 5
 
 
 def test_failed_verification_is_an_internal_error(monkeypatch):

@@ -14,6 +14,7 @@ from tvk.geometry import (
     Containment,
     PointSet,
     barycentric_coordinates,
+    gp_violations_with_extra,
     in_general_position,
     orientation,
     perturb,
@@ -73,6 +74,22 @@ def test_gp_with_extra_point():
     assert in_general_position(ps, extra=(F(1, 3), F(1, 3))) == []
     # extra collinear with two points is reported using index n
     assert (0, 1, 3) in in_general_position(ps, extra=(2, 0))
+
+
+@pytest.mark.parametrize(
+    "points, extra",
+    [
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], (F(1, 2), F(1, 2))),  # on both diagonals
+        ([(0, 0), (2, 0), (0, 2), (4, 0)], (1, 1)),  # on one line only
+        ([(0, 0), (1, 0), (0, 1)], (F(1, 3), F(1, 3))),  # general position
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], (2, 2, 0)),
+    ],
+)
+def test_gp_violations_with_extra_stops_at_the_first(points, extra):
+    ps = PointSet(len(extra), points)
+    n = len(points)
+    with_extra = [t for t in in_general_position(ps, extra) if n in t]
+    assert gp_violations_with_extra(ps.points, extra) == with_extra[:1]
 
 
 def test_gate_raises_with_the_scan_report():

@@ -1,9 +1,10 @@
 """Differential tests of the exact predicates against plain Fraction references.
 
-The references below share no code with `tvk`: a determinant by Fraction
-elimination, barycentric containment by solving the affine system in
-Fractions, and a centerpoint scan that asks `halfplane_depth` about every
-candidate in the documented order. Any change to how the predicates compute
+The references below share no code with `tvk`'s predicates: a determinant
+by Fraction elimination, barycentric containment by solving the affine
+system in Fractions, and a centerpoint scan that asks `halfplane_depth`
+about every candidate in the documented order. The planar hull tests use
+the phase-1 LP as their reference. Any change to how the predicates compute
 must leave every verdict, volume, raised error and returned point equal.
 """
 import math
@@ -19,11 +20,13 @@ from tvk.generate import random_point_set
 from tvk.geometry import (
     Containment,
     PointSet,
+    _int_frame,
     orientation,
     point_in_simplex,
     simplex_volume,
 )
-from tvk.tverberg import centerpoint_planar, halfplane_depth
+from tvk.lp import common_point, hull_contains, hull_membership
+from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
 
 
 def ref_det(rows):
@@ -224,3 +227,118 @@ def test_centerpoint_matches_reference_scan(exclude):
         assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
             ps, exclude
         )
+
+
+# --- planar hulls without LPs ---------------------------------------------------
+
+
+def ref_planar_hull_contains(p, points):
+    """Membership by the phase-1 LP: p = sum w_i s_i, sum w_i = 1, w >= 0."""
+    return hull_membership(p, range(len(points)), PointSet(2, points))
+
+
+@st.composite
+def planar_coordinate(draw):
+    den = draw(st.integers(min_value=1, max_value=3))
+    return F(draw(st.integers(min_value=-3 * den, max_value=3 * den)), den)
+
+
+planar_point = st.tuples(planar_coordinate(), planar_coordinate())
+
+
+def on_line(a, b, t):
+    return tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+@st.composite
+def planar_part(draw, max_size):
+    """1..max_size points, often collinear or with repeated points."""
+    k = draw(st.integers(min_value=1, max_value=max_size))
+    if draw(st.booleans()):
+        a, b = draw(planar_point), draw(planar_point)
+        ts = st.builds(F, st.integers(min_value=-2, max_value=2), st.sampled_from([1, 2]))
+        return [on_line(a, b, draw(ts)) for _ in range(k)]
+    pts = [draw(planar_point) for _ in range(k)]
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    return pts
+
+
+@settings(max_examples=600)
+@given(planar_part(7), st.data())
+def test_planar_hull_contains_matches_lp(points, data):
+    kind = data.draw(st.sampled_from(["vertex", "line", "anywhere"]))
+    if kind == "vertex":
+        p = data.draw(st.sampled_from(points))
+    elif kind == "line":
+        # on an edge or a diagonal for t in [0, 1], beyond its ends otherwise
+        a, b = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+        p = on_line(a, b, F(data.draw(st.integers(min_value=-1, max_value=4)), 3))
+    else:
+        p = data.draw(planar_point)
+    ps = PointSet(2, points)
+    assert hull_contains(p, range(len(points)), ps) == ref_planar_hull_contains(p, points)
+
+
+def test_planar_hull_contains_degenerate_cases():
+    seg = [(0, 0), (2, 2)]
+    assert hull_contains((1, 1), (0, 1), PointSet(2, seg))
+    assert not hull_contains((3, 3), (0, 1), PointSet(2, seg))
+    assert not hull_contains((-1, -1), (0, 1), PointSet(2, seg))
+    assert not hull_contains((1, 0), (0, 1), PointSet(2, seg))
+    collinear = PointSet(2, [(0, 0), (2, 2), (1, 1), (2, 2)])
+    assert hull_contains((F(1, 2), F(1, 2)), (0, 1, 2, 3), collinear)
+    assert not hull_contains((F(5, 2), F(5, 2)), (0, 1, 2, 3), collinear)
+    single = PointSet(2, [(F(1, 3), 1)])
+    assert hull_contains((F(1, 3), 1), (0,), single)
+    assert not hull_contains((0, 1), (0,), single)
+    square = PointSet(2, [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+    assert hull_contains((2, 1), (0, 1, 2, 3), square)
+    assert hull_contains((1, 1), (0, 1, 2, 3, 4), square)
+    assert not hull_contains((F(5, 2), 1), (0, 1, 2, 3), square)
+
+
+@st.composite
+def planar_parts_case(draw):
+    """r = 2..4 disjoint parts of 1..3 points; later parts often reuse an
+    earlier point or a point on an earlier segment, so hulls touch."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    points, parts = [], []
+    for _ in range(r):
+        part = draw(planar_part(3))[:3]
+        if points and draw(st.booleans()):
+            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            part[0] = on_line(a, b, F(draw(st.integers(min_value=0, max_value=2)), 2))
+        parts.append(tuple(range(len(points), len(points) + len(part))))
+        points.extend(part)
+    return PointSet(2, points), parts
+
+
+@settings(max_examples=500)
+@given(planar_parts_case())
+def test_planar_hulls_meet_matches_lp(case):
+    ps, parts = case
+    pts = _int_frame(ps.points)[0]
+    got = _planar_hulls_meet([[pts[i] for i in part] for part in parts])
+    assert got == (common_point(parts, ps) is not None)
+
+
+def test_planar_hulls_meet_degenerate_cases():
+    def meet(*hulls):
+        return _planar_hulls_meet(hulls)
+
+    tri = [(0, 0), (4, 0), (0, 4)]
+    assert meet(tri, [(2, 2), (5, 5)])  # touching at an edge point
+    assert meet(tri, [(4, 0)])  # a shared vertex
+    assert not meet(tri, [(3, 3), (5, 5)])
+    assert meet([(0, 0), (2, 2)], [(0, 2), (2, 0)])  # crossing segments
+    assert not meet([(0, 0), (2, 0)], [(0, 1), (2, 1)])  # parallel segments
+    assert meet([(0, 0), (2, 0)], [(1, 0), (3, 0)])  # overlapping collinear
+    # three segments that pairwise meet but share no point
+    a, b, c = [(0, 0), (6, 0)], [(0, -1), (3, 5)], [(6, -1), (3, 5)]
+    assert meet(a, b) and meet(a, c) and meet(b, c) and not meet(a, b, c)
+    # four hulls: every triple with the big triangle meets, the segments' does not
+    big = [(-10, -10), (30, -10), (-10, 30)]
+    assert not meet(a, b, c, big)
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert meet(square, [(1, 1)], [(0, 0), (2, 2)], [(0, 2), (2, 0)])

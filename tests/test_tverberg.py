@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvk import tverberg
 from tvk.errors import SizeOutOfRange
 from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
@@ -117,6 +118,39 @@ def test_bruteforce_gate():
     ps = random_point_set(2, 15, seed=0)
     with pytest.raises(SizeOutOfRange):
         tverberg_partition_bruteforce(ps, 5)
+
+
+def first_by_lp(ps, r):
+    """The brute force with an LP on every candidate that passes no filter."""
+    for parts in iter_bounded_partitions(len(ps), r, ps.dim + 1):
+        witness = common_point(parts, ps)
+        if witness is not None:
+            return Partition(list(parts), witness)
+
+
+PLANAR_BRUTEFORCE_CASES = [
+    *((random_point_set(2, n, seed=seed), r) for n, r, seed in [
+        (4, 2, 0), (6, 2, 1), (7, 3, 2), (7, 3, 5), (9, 3, 3), (10, 4, 4)
+    ]),
+    # degenerate inputs: a 3x3 grid, two rows of collinear points, a repeated point
+    (PointSet(2, [(x, y) for x in range(3) for y in range(3)]), 3),
+    (PointSet(2, [(x, y) for y in range(2) for x in range(4)][:7]), 3),
+    (PointSet(2, [(0, 0), (2, 0), (0, 2), (0, 0), (1, 1)]), 2),
+]
+
+
+@pytest.mark.parametrize("ps, r", PLANAR_BRUTEFORCE_CASES)
+def test_planar_bruteforce_runs_one_lp_on_the_same_winner(monkeypatch, ps, r):
+    expected = first_by_lp(ps, r)
+    checked = []
+
+    def counting(parts, ps):
+        checked.append(parts)
+        return common_point(parts, ps)
+
+    monkeypatch.setattr(tverberg, "common_point", counting)
+    assert tverberg_partition_bruteforce(ps, r) == expected
+    assert checked == [tuple(expected.parts)]
 
 
 # --- centerpoint ------------------------------------------------------------------
