@@ -393,14 +393,15 @@ class VerificationReport:
 def verify_crossing_partition(ps: PointSet, partition: Partition) -> VerificationReport:
     """Re-check a claimed crossing partition from primitives only.
 
-    Structural checks come first: indices in range, disjoint and not
-    repeated, the size bound when claimed, and a witness point of dimension
-    d. Only when they pass are the geometric checks run: the witness
-    certificates (nonnegative weights summing to 1 that reproduce the
-    point, which proves it lies in every part's hull) and a crossing verdict
-    for every pair of full-dimensional parts; a pair involving an affinely
-    dependent (d+1)-point part is "degenerate". Returns violations and
-    never raises; no state from any producing pipeline is used.
+    Structural checks come first: indices are ints (not booleans) in range,
+    disjoint and not repeated, the size bound when claimed, and a witness
+    point of dimension d. Only when they pass are the geometric checks run:
+    the witness certificates (nonnegative weights summing to 1 that
+    reproduce the point, which proves it lies in every part's hull) and a
+    crossing verdict for every pair of full-dimensional parts; a pair
+    involving an affinely dependent (d+1)-point part is "degenerate".
+    Returns violations and never raises; no state from any producing
+    pipeline is used.
     """
     d = ps.dim
     n = len(ps)
@@ -411,7 +412,7 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
         if not part:
             out.append("empty part")
             continue
-        if not all(isinstance(i, int) and 0 <= i < n for i in part):
+        if not all(type(i) is int and 0 <= i < n for i in part):
             out.append(f"part {part} has indices outside 0..{n - 1}")
             continue
         if len(set(part)) != len(part):

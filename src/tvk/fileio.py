@@ -101,10 +101,13 @@ def partition_payload(partition: Partition, dim: int, extra=None) -> dict:
 def partition_from_payload(data) -> Partition:
     """Partition read back from a report; ValueError when it is malformed."""
     try:
+        size_bounded = data.get("size_bounded", True)
+        if not isinstance(size_bounded, bool):
+            raise ValueError(f"malformed report: size_bounded is {size_bounded!r}")
         return Partition(
             [tuple(p) for p in data["parts"]],
             witness_from_payload(data.get("witness")),
-            size_bounded=bool(data.get("size_bounded", True)),
+            size_bounded=size_bounded,
         )
     except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from exc

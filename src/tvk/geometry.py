@@ -5,9 +5,9 @@ works in an integer frame: the points it compares are scaled by the least
 common multiple of their denominators, which keeps every sign, so
 orientation, volume and simplex containment are integer determinants
 (closed forms for d <= 3, Bareiss elimination beyond). Only sub-dimensional
-and degenerate simplices fall back to an exact rational solve. There are
-no tolerances anywhere in this module; degenerate inputs raise rather than
-silently picking a side. `require_general_position` is the one gate that
+and degenerate simplices fall back to a linear solve, which `linalg` runs
+fraction-free as well. There are no tolerances anywhere in this module;
+degenerate inputs raise rather than silently picking a side. `require_general_position` is the one gate that
 raises on an input not in general position.
 """
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Small exact linear algebra toolkit over int and Fraction matrices.
 
-`det` is fraction-free Bareiss elimination on the rows scaled to integers;
-the solvers are plain Gaussian elimination with exact rational pivots. No
-tolerances anywhere. Matrices are lists of row lists.
+One fraction-free Gauss-Jordan reduction serves `det`, `solve_unique` and
+`nullspace`: every working entry is an integer, and `Fraction`s are built
+only for the returned values. No tolerances anywhere. Matrices are lists of
+row lists.
 """
 from __future__ import annotations
 
@@ -21,65 +22,52 @@ def sign(x) -> int:
     return 0
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a square matrix (entries int or Fraction).
+def _reduce(rows, ncols):
+    """Fraction-free Gauss-Jordan reduction on the first `ncols` columns.
 
-    Bareiss elimination (Math. Comp. 1968): each row is scaled to integers,
-    and every step divides exactly by the previous pivot, so each entry
-    stays an integer minor of the scaled matrix.
+    Each row is scaled to integers. At every pivot p every other row becomes
+    (p*a - f*b) // prev, an exact division by the previous pivot (Bareiss,
+    Math. Comp. 1968), so each entry stays an integer minor of the scaled
+    matrix, and every pivot row ends with the last pivot in its pivot
+    column: row i is the reduced row echelon form's row i times that pivot.
+    Extra columns ride along as right-hand sides. Returns the integer rows,
+    the pivot columns, the sign of the row swaps and the product of the row
+    scales.
     """
-    scale = 1
-    m = []
+    m, scale = [], 1
     for row in rows:
         den = math.lcm(*[v.denominator for v in row])
         scale *= den
         m.append([v.numerator * (den // v.denominator) for v in row])
-    n = len(m)
-    flip, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            flip = -flip
-        p = m[k][k]
-        for i in range(k + 1, n):
-            mi, f = m[i], m[i][k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * p - f * m[k][j]) // prev
-        prev = p
-    return Fraction(flip * m[-1][-1], scale) if n else ONE
-
-
-def _eliminate(aug, ncols):
-    """Forward elimination with back-substitution to reduced form.
-
-    Returns (rows, pivot_cols); `aug` is modified in place and may have more
-    columns than `ncols` (the extra ones ride along as right-hand sides).
-    """
-    nrows = len(aug)
-    width = len(aug[0]) if aug else 0
-    pivots = []
-    row = 0
+    pivots, flip, prev = [], 1, 1
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((r for r in range(k, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            aug[row], aug[piv] = aug[piv], aug[row]
-        p = aug[row][col]
-        if p != 1:
-            aug[row] = [v / p for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            flip = -flip
+        b = m[k]
+        p = b[col]
+        for r, a in enumerate(m):
+            if r != k:
+                f = a[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(a, b)]
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return aug, pivots
+        prev = p
+    return m, pivots, flip, scale
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix (entries int or Fraction): the
+    last pivot of the reduction, times the swap sign, over the row scales."""
+    m, pivots, flip, scale = _reduce(rows, len(rows))
+    if len(pivots) < len(m):
+        return ZERO
+    return Fraction(flip * m[-1][-1], scale) if m else ONE
 
 
 def solve_unique(a_rows, b):
@@ -89,35 +77,24 @@ def solve_unique(a_rows, b):
     or ("underdetermined", None) when the solution is not unique.
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    aug = [[Fraction(v) for v in r] + [Fraction(b[i])] for i, r in enumerate(a_rows)]
-    aug, pivots = _eliminate(aug, ncols)
-    for r in range(len(pivots), len(aug)):
-        if aug[r][ncols] != 0:
-            return "inconsistent", None
+    m, pivots, _, _ = _reduce([[*r, v] for r, v in zip(a_rows, b)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return "inconsistent", None
     if len(pivots) < ncols:
         return "underdetermined", None
-    x = [ZERO] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return "unique", x
+    return "unique", [Fraction(row[ncols], row[col]) for row, col in zip(m, pivots)]
 
 
-def nullspace(a_rows, ncols=None):
+def nullspace(a_rows, ncols):
     """Basis of {x : A x = 0}, deterministic (free variables in ascending order)."""
-    if ncols is None:
-        ncols = len(a_rows[0]) if a_rows else 0
-    aug = [[Fraction(v) for v in r] for r in a_rows]
-    if not aug:
-        return [[ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)]
-    aug, pivots = _eliminate(aug, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    m, pivots, _, _ = _reduce(a_rows, ncols)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -aug[i][f]
+        for row, col in zip(m, pivots):
+            v[col] = Fraction(-row[f], row[col])
         basis.append(v)
     return basis
-

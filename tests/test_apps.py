@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tvk import apps, fixing, lp, tverberg
 from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
+from tvk.fileio import partition_from_payload, partition_payload
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import PointSet, in_general_position
 from tvk.lp import Witness, hull_membership
@@ -285,6 +286,8 @@ def _mutate(kind, parts, weights, point, n, draw):
         del parts[i][k]
     elif kind == "out of range":
         parts[i][k] = draw(st.sampled_from([n, n + 7, 99, -1, -n]))
+    elif kind == "boolean index":
+        parts[i][k] = draw(st.booleans())
     elif kind == "bump weight":
         weights[i][k] += draw(st.fractions(min_value=F(1, 1000), max_value=3))
     elif kind == "long weight row":
@@ -305,6 +308,7 @@ def _mutate(kind, parts, weights, point, n, draw):
             "duplicate within a part",
             "drop",
             "out of range",
+            "boolean index",
             "bump weight",
             "long weight row",
             "move witness",
@@ -323,6 +327,15 @@ def test_verifier_flags_every_mutation(which, kind, data):
     bad.parts = [tuple(p) for p in parts]  # as mutated, not re-canonicalised
     rep = verify_crossing_partition(ps, bad)
     assert rep.violations
+
+
+@given(st.integers(0, 3), st.sampled_from(["false", "true", 0, 1, None, [], {}]))
+def test_report_with_a_non_boolean_size_bound_is_malformed(which, value):
+    ps, good = valid_reports()[which]
+    payload = partition_payload(good, ps.dim)
+    assert verify_crossing_partition(ps, partition_from_payload(payload)).ok
+    with pytest.raises(ValueError, match="size_bounded"):
+        partition_from_payload({**payload, "size_bounded": value})
 
 
 def test_simplices_verify_each_result_once(monkeypatch):

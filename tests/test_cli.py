@@ -257,6 +257,8 @@ def test_verify_malformed_report_is_a_usage_error(nine, tmp_path, capsys):
         {**good, "witness": {"weights": good["witness"]["weights"]}},
         {**good, "witness": {**good["witness"], "point": [1, 2]}},
         {**good, "parts": [[0, "a"]]},
+        {**good, "size_bounded": "false"},
+        {**good, "size_bounded": 1},
         [1, 2, 3],
     ]
     for data in broken:
@@ -273,8 +275,14 @@ def test_verify_bad_indices_and_witness_are_violations(nine, tmp_path, capsys):
     good = json.loads(out_path.read_text())
     parts = [list(p) for p in good["parts"]]
     parts[0][0] = 99
+    booleans = [[True if i == 1 else i for i in p] for p in good["parts"]]
+    assert "true" in json.dumps(booleans)  # JSON true is not the index 1
     lifted = {**good["witness"], "point": good["witness"]["point"] + ["0/1"]}
-    for data in ({**good, "parts": parts}, {**good, "witness": lifted}):
+    for data in (
+        {**good, "parts": parts},
+        {**good, "parts": booleans},
+        {**good, "witness": lifted},
+    ):
         out_path.write_text(json.dumps(data))
         code, out, _ = run_cli(
             capsys, "verify", "--input", str(nine), "--report", str(out_path)
