@@ -173,9 +173,11 @@ def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     d = len(extra)
     if len(points) < d:
         return []
+    if d < 1 or any(len(p) != d for p in points):
+        raise DimensionMismatch(f"need points in R^d with d >= 1 for an extra point in R^{d}")
     *pts, extra = _int_frame([*points, extra])[0]
     for idx in combinations(range(len(pts)), d):
-        if orientation([pts[i] for i in idx] + [extra]) == 0:
+        if not _det([pts[i] for i in idx] + [extra]):
             return [idx + (len(pts),)]
     return []
 

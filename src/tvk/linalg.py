@@ -36,9 +36,9 @@ def _reduce(rows, ncols):
     """
     m, scale = [], 1
     for row in rows:
-        den = math.lcm(*[v.denominator for v in row])
+        row, den = _int_row(row)
         scale *= den
-        m.append([v.numerator * (den // v.denominator) for v in row])
+        m.append(row)
     pivots, flip, prev = [], 1, 1
     for col in range(ncols):
         k = len(pivots)
@@ -50,15 +50,35 @@ def _reduce(rows, ncols):
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             flip = -flip
-        b = m[k]
-        p = b[col]
-        for r, a in enumerate(m):
-            if r != k:
-                f = a[col]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(a, b)]
+        prev = _pivot(m, k, col, prev)
         pivots.append(col)
-        prev = p
     return m, pivots, flip, scale
+
+
+def _int_row(row):
+    """The row (ints or Fractions) times the lcm of its denominators, as
+    integers, and that lcm."""
+    den = math.lcm(*[v.denominator for v in row])
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
+def _pivot(m, k, col, prev):
+    """One fraction-free pivot on m[k][col], in place, returning the pivot p.
+
+    Row k stays; every other row a becomes (p*a - f*b) // prev with f its
+    entry in `col` and b row k, so that, with `prev` the previous pivot,
+    every row keeps one shared denominator: the new pivot.
+    """
+    b = m[k]
+    p = b[col]
+    for r, a in enumerate(m):
+        if r != k:
+            f = a[col]
+            if f:
+                m[r] = [(p * x - f * y) // prev for x, y in zip(a, b)]
+            else:
+                m[r] = [p * x // prev for x in a]
+    return p
 
 
 def det(rows) -> Fraction:

@@ -1,17 +1,19 @@
 """Exact rational feasibility LP and convex-hull intersection certificates.
 
-The solver is a phase-1 simplex over Fractions with Bland's rule, so it
-terminates on every input and is deterministic for a fixed variable order.
-A pivot touches only the nonzero columns of the pivot row, in place. The
-tableau stays in Fractions rather than a fraction-free integer form.
+The solver is a phase-1 simplex with Bland's rule, so it terminates on
+every input and is deterministic for a fixed variable order. Its tableau is
+fraction-free: each row is scaled to integers once, every pivot divides
+exactly by the previous pivot, and only the returned x are Fractions.
 Only feasibility is supported; nothing here optimizes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import linalg
 from .errors import DegenerateSimplex, DimensionMismatch, InternalError
 from .geometry import (
     Containment,
@@ -54,60 +56,52 @@ class LPResult:
 
 
 def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
-    """Phase-1 simplex with Bland's rule; exact, never cycles."""
+    """Phase-1 simplex with Bland's rule; exact, never cycles.
+
+    The tableau is integer (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp.
+    1968): its rows share one positive denominator, the last pivot, and a
+    pivot is `linalg._pivot`'s exact division by the one before. The rows
+    take the same pivots as the rational tableau, so x is the same.
+    """
     m = len(prob.a)
     n = len(prob.a[0]) if m else 0
     if m == 0:
         return LPResult(True, [])
+    rows, scales = zip(*(linalg._int_row([*a, v]) for a, v in zip(prob.a, prob.b)))
     # rows with b >= 0 and column n holding b; artificial i is basis label
     # n + i, and its column is never stored: artificials never re-enter
-    tab = []
-    for i in range(m):
-        row = list(prob.a[i]) + [prob.b[i]]
-        if prob.b[i] < 0:
-            row = [-v for v in row]
-        tab.append(row)
+    tab = [[-x for x in row] if row[n] < 0 else row for row in rows]
     basis = [n + i for i in range(m)]
-    # net reduced-cost row r_j = z_j - c_j for minimizing the artificial sum
-    rrow = [sum(tab[i][j] for i in range(m)) for j in range(n + 1)]
+    # reduced costs z_j - c_j for minimizing the artificial sum, as the last
+    # row: the sum of the rows as given, times the lcm of the row scales
+    lcm = math.lcm(*scales)
+    weights = [lcm // s for s in scales]
+    tab.append([sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n + 1)])
+    prev = 1
     while True:
-        entering = None
-        for j in range(n):  # Bland: smallest improving original column
-            if rrow[j] > 0:
-                entering = j
-                break
+        entering = next((j for j in range(n) if tab[m][j] > 0), None)
         if entering is None:
             break
+        # Bland's ratio test, cross-multiplied: every coefficient is positive
         leaving = None
-        best = None
         for i in range(m):
             coef = tab[i][entering]
             if coef > 0:
-                ratio = tab[i][n] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                if leaving is not None:
+                    lhs, rhs = tab[i][n] * den, num * coef
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving, num, den = i, tab[i][n], coef
         if leaving is None:
             raise InternalError("phase-1 objective unbounded: malformed tableau")
-        # only the nonzero columns of the pivot row change
-        prow = tab[leaving]
-        piv = prow[entering]
-        nonzero = [j for j in range(n + 1) if prow[j]]
-        for j in nonzero:
-            prow[j] /= piv
-        for row in tab + [rrow]:
-            f = row[entering]
-            if f and row is not prow:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
+        prev = linalg._pivot(tab, leaving, entering, prev)
         basis[leaving] = entering
-    remaining = sum(tab[i][n] for i in range(m) if basis[i] >= n)
-    if remaining != 0:
+    if any(tab[i][n] for i in range(m) if basis[i] >= n):
         return LPResult(False, None)
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][n]
+            x[var] = Fraction(tab[i][n], prev)
     return LPResult(True, x)
 
 

@@ -371,7 +371,29 @@ def test_planar_extension_runs_almost_no_lp(monkeypatch, r, k):
     monkeypatch.setattr(lp, "solve_feasibility", counting)
     rep = crossing_tverberg(random_point_set(2, 3 * r + k, seed=r + k), r)
     assert max(map(len, rep.partition.parts)) > 3
-    assert len(solves) < 5
+    assert 1 <= len(solves) < 5
+
+
+@pytest.mark.parametrize("n, seed", [(6, 1), (7, 2), (8, 3)])
+def test_bruteforce_d3_solves_every_common_point_through_the_solver(monkeypatch, n, seed):
+    solves, per_call = [], []
+    solve, common = lp.solve_feasibility, tverberg.common_point
+
+    def counting(prob):
+        solves.append(prob)
+        return solve(prob)
+
+    def common_counting(parts, ps):
+        before = len(solves)
+        witness = common(parts, ps)
+        per_call.append(len(solves) - before)
+        return witness
+
+    monkeypatch.setattr(lp, "solve_feasibility", counting)
+    monkeypatch.setattr(tverberg, "common_point", common_counting)
+    crossing_tverberg(random_point_set(3, n, seed=seed), 2)
+    assert per_call and per_call == [1] * len(per_call)
+    assert len(solves) > len(per_call)  # the witness refinement solves too
 
 
 def test_failed_verification_is_an_internal_error(monkeypatch):

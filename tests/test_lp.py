@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from itertools import combinations
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvk import linalg
+from tvk import linalg, lp
+from tvk.errors import InternalError
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import (
     FeasibilityProblem,
@@ -113,3 +115,210 @@ def test_feasibility_matches_bfs_enumeration(a, b):
         for i in range(m):
             assert sum(a[i][j] * got.x[j] for j in range(4)) == b[i]
         assert all(v >= 0 for v in got.x)
+
+
+# --- differential test against the Fraction tableau -------------------------
+#
+# The reference is the phase-1 simplex as it was written over Fractions: the
+# integer tableau must take the same pivots (Bland's rule on the same reduced
+# costs, the same ratio-test ties) and so return the same x.
+
+
+def fraction_solve(a, b):
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return True, []
+    tab = []
+    for i in range(m):
+        row = [F(v) for v in a[i]] + [F(b[i])]
+        if b[i] < 0:
+            row = [-v for v in row]
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+    rrow = [sum(tab[i][j] for i in range(m)) for j in range(n + 1)]
+    while True:
+        entering = next((j for j in range(n) if rrow[j] > 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for i in range(m):
+            coef = tab[i][entering]
+            if coef > 0:
+                ratio = tab[i][n] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        prow = tab[leaving]
+        piv = prow[entering]
+        nonzero = [j for j in range(n + 1) if prow[j]]
+        for j in nonzero:
+            prow[j] /= piv
+        for row in tab + [rrow]:
+            f = row[entering]
+            if f and row is not prow:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
+        basis[leaving] = entering
+    if sum(tab[i][n] for i in range(m) if basis[i] >= n) != 0:
+        return False, None
+    x = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][n]
+    return True, x
+
+
+def fraction_common_point_rows(parts, ps, shift=F(0)):
+    """The hull-intersection system as Fraction rows, built apart from
+    `lp._common_point_problem`: one convexity row per part, then d rows per
+    later part. The reference solver reads these rows as the intended ones."""
+    cols = sum(map(len, parts))
+    offsets = [sum(map(len, parts[:i])) for i in range(len(parts))]
+    a, b = [], []
+    for i, part in enumerate(parts):
+        row = [F(0)] * cols
+        for k in range(len(part)):
+            row[offsets[i] + k] = F(1)
+        a.append(row)
+        b.append(1 - shift * len(part))
+    for i in range(1, len(parts)):
+        for c in range(ps.dim):
+            row = [F(0)] * cols
+            for k, j in enumerate(parts[0]):
+                row[offsets[0] + k] = ps.points[j][c]
+            for k, j in enumerate(parts[i]):
+                row[offsets[i] + k] = -ps.points[j][c]
+            a.append(row)
+            b.append(shift * (sum(ps.points[j][c] for j in parts[i])
+                              - sum(ps.points[j][c] for j in parts[0])))
+    return a, b
+
+
+def fraction_witness(parts, ps, shift=F(0)):
+    feasible, x = fraction_solve(*fraction_common_point_rows(parts, ps, shift))
+    return lp._decode_witness(x, parts, ps, shift) if feasible else None
+
+
+def fraction_relative_interior_witness(parts, ps):
+    t = F(1, 2 * max(map(len, parts)))
+    for _ in range(lp.MAX_HALVINGS):
+        w = fraction_witness(parts, ps, t)
+        if w is not None:
+            return w
+        t /= 2
+    return None
+
+
+def same_witness(got, expect):
+    if expect is None:
+        return got is None
+    return got is not None and (got.point, got.weights) == (expect.point, expect.weights)
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-3, 3), st.sampled_from([2, 3, 4, 6])),
+)
+
+
+@st.composite
+def systems(draw):
+    """Small systems with mixed row denominators, negative right-hand sides,
+    zero rows and columns, repeated columns and proportional rows (which
+    tie in the ratio test); half of them feasible by construction."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        b = [sum(v * x for v, x in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    for i in range(m):  # rows over a common denominator weigh differently
+        d = draw(st.sampled_from([1, 1, 5, 7]))
+        a[i], b[i] = [F(v, d) for v in a[i]], F(b[i], d)
+    for kind in draw(st.lists(st.sampled_from("rcdt"), max_size=3)):
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        j, l = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "r":  # zero row
+            a[i] = [0] * n
+        elif kind == "c":  # zero column
+            for row in a:
+                row[j] = 0
+        elif kind == "d":  # repeated column
+            for row in a:
+                row[l] = row[j]
+        elif i != k:  # row k a multiple of row i: equal ratios
+            s = draw(st.sampled_from([F(1), F(2), F(1, 3), F(-1, 2)]))
+            a[k], b[k] = [s * v for v in a[i]], s * b[i]
+    return a, b
+
+
+# rows of different denominators: the intended rows' sum enters column 2
+# first and reaches x = (1, 0, 2), the integer rows' sum would enter column
+# 1 and reach (0, 1/4, 1/4)
+@example(([[-2, -1, 1], [F(-1, 3), 1, F(1, 3)]], [0, F(1, 3)]))
+@settings(max_examples=300)
+@given(systems())
+def test_solver_matches_fraction_tableau(system):
+    a, b = system
+    got = solve_feasibility(FeasibilityProblem(a, b))
+    feasible, x = fraction_solve(a, b)
+    assert got.feasible == feasible
+    assert got.x == x
+    assert all(type(v) is F for v in got.x or [])
+
+
+def test_ratio_test_ties_go_to_the_smallest_basis_label():
+    # column 0 enters with rows 0 and 2 tied at ratio 0; the tie goes to
+    # artificial 0, and x = (0, 1/4, 3/4, 1/2) if it went to artificial 2
+    a = [[2, 1, 1, -2], [0, 0, 2, 1], [0, 2, 0, -1]]
+    b = [0, 2, 0]
+    got = solve_feasibility(FeasibilityProblem(a, b))
+    assert (got.feasible, got.x) == fraction_solve(a, b)
+    assert got.x == [F(3, 2), 1, 0, 2]
+
+
+def test_malformed_tableau_is_an_internal_error(monkeypatch):
+    # a negative row scale turns the reduced costs against their column:
+    # column 0 looks improving, but no row can leave
+    monkeypatch.setattr(linalg, "_int_row", lambda row: ([int(v) for v in row], -1))
+    with pytest.raises(InternalError, match="unbounded"):
+        solve_feasibility(FeasibilityProblem([[-1]], [1]))
+
+
+coords = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-12, 12), st.sampled_from([2, 3, 5])))
+
+
+@st.composite
+def parts_in_space(draw, d):
+    r = draw(st.integers(2, 3))
+    sizes = [draw(st.integers(1, d + 2)) for _ in range(r)]
+    pts = [tuple(draw(coords) for _ in range(d)) for _ in range(sum(sizes))]
+    order = draw(st.permutations(range(len(pts))))
+    parts, pos = [], 0
+    for s in sizes:
+        parts.append(tuple(order[pos:pos + s]))
+        pos += s
+    return PointSet(d, pts), parts
+
+
+# halves in the coordinates: the integer coordinate rows are twice the
+# intended ones, and only their row scales keep the witness at (1/3, -1/3)
+@example((PointSet(2, [(1, F(1, 2)), (-1, -2), (F(1, 2), -1), (-1, -1), (1, 0)]), [(0, 1, 2), (3, 4)]))
+@settings(max_examples=100)
+@given(st.sampled_from([2, 3]).flatmap(parts_in_space))
+def test_common_point_matches_fraction_tableau(case):
+    ps, parts = case
+    assert same_witness(common_point(parts, ps), fraction_witness(parts, ps))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 3]).flatmap(parts_in_space))
+def test_relative_interior_witness_matches_fraction_tableau(case):
+    ps, parts = case
+    expect = fraction_relative_interior_witness(parts, ps)
+    assert same_witness(relative_interior_witness(parts, ps), expect)
