@@ -272,13 +272,18 @@ def fix_all(
     o = partition.witness.point
     parts = canonical_parts(partition.parts)
     trace = FixTrace(measure=measure)
+    # a step changes two parts, so verdicts are kept by part contents
+    verdicts = {}
     while True:
         full = [i for i, p in enumerate(parts) if len(p) == d + 1]
         nested_at = None
         for a in range(len(full)):
             for b in range(a + 1, len(full)):
                 i, j = full[a], full[b]
-                verdict = classify_pair(parts[i], parts[j], ps, o)
+                key = (parts[i], parts[j])
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = classify_pair(*key, ps, o)
                 if verdict.kind == "no_common_point":
                     raise ValueError("fix_all needs a witness inside every part")
                 if verdict.kind == "nested":

@@ -7,8 +7,11 @@ orientation, volume and simplex containment are integer determinants
 (closed forms for d <= 3, Bareiss elimination beyond). Only sub-dimensional
 and degenerate simplices fall back to a linear solve, which `linalg` runs
 fraction-free as well. There are no tolerances anywhere in this module;
-degenerate inputs raise rather than silently picking a side. `require_general_position` is the one gate that
-raises on an input not in general position.
+degenerate inputs raise rather than silently picking a side.
+`require_general_position` is the one gate that raises on an input not in
+general position; its scan, `in_general_position`, finds collinear
+triples in the plane by repeated primitive directions in O(n^2) and
+takes the determinant of every (d+1)-subset beyond it.
 """
 from __future__ import annotations
 
@@ -148,10 +151,15 @@ def simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
-    """All (d+1)-subsets of ps.points (plus `extra`) that are affinely dependent.
+    """All (d+1)-subsets of ps.points (plus `extra`) that are affinely
+    dependent, in `combinations` order.
 
     An empty report means general position. When `extra` is given it is
-    addressed as index len(ps) in the reported tuples.
+    addressed as index len(ps) in the reported tuples. In the plane this
+    is O(n^2) plus the report: (i, j, l) with i < j < l is collinear
+    exactly when j or l coincides with i or both have the same primitive
+    direction from i. Beyond the plane every subset's determinant is taken
+    on the scaled points.
     """
     pts = list(ps.points)
     if extra is not None:
@@ -159,12 +167,32 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     d = ps.dim
     if len(pts) <= d:
         return []
+    if any(len(p) != d for p in pts):
+        raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {d + 1}")
     pts = _int_frame(pts)[0]
-    return [
-        idx
-        for idx in combinations(range(len(pts)), d + 1)
-        if orientation([pts[i] for i in idx]) == 0
-    ]
+    if d != 2:
+        return [
+            idx
+            for idx in combinations(range(len(pts)), d + 1)
+            if not _det([pts[i] for i in idx])
+        ]
+    out = []
+    for i, (x0, y0) in enumerate(pts):
+        rays = {}  # primitive direction from i, sign fixed, (0, 0) if coincident
+        for j in range(i + 1, len(pts)):
+            dx, dy = pts[j][0] - x0, pts[j][1] - y0
+            g = math.gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            rays.setdefault((dx // g, dy // g) if g else (0, 0), []).append(j)
+        coincident = rays.pop((0, 0), [])
+        if not coincident and len(rays) == len(pts) - i - 1:
+            continue
+        pairs = {pair for js in rays.values() for pair in combinations(js, 2)}
+        for j in coincident:
+            pairs.update((min(j, l), max(j, l)) for l in range(i + 1, len(pts)) if l != j)
+        out.extend((i, j, l) for j, l in sorted(pairs))
+    return out
 
 
 def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:

@@ -2,9 +2,10 @@
 
 The solver is a phase-1 simplex with Bland's rule, so it terminates on
 every input and is deterministic for a fixed variable order. Its tableau is
-fraction-free: each row is scaled to integers once, every pivot divides
-exactly by the previous pivot, and only the returned x are Fractions.
-Only feasibility is supported; nothing here optimizes.
+fraction-free: each row is scaled to integers once and keeps a positive
+scale of its own, every pivot divides the rows it changes by their gcd,
+and only the returned x are Fractions. Only feasibility is supported;
+nothing here optimizes.
 """
 from __future__ import annotations
 
@@ -27,14 +28,18 @@ from .geometry import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 # relative_interior_witness halves its positivity threshold at most this often
 MAX_HALVINGS = 64
 
 
+def _exact(v):
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
 @dataclass
 class FeasibilityProblem:
-    """Equality system A x = b with x >= 0 on every variable."""
+    """Equality system A x = b with x >= 0 on every variable; int and
+    Fraction entries are kept as they are, anything else becomes a Fraction."""
 
     a: list
     b: list
@@ -45,8 +50,8 @@ class FeasibilityProblem:
             raise DimensionMismatch("ragged constraint matrix")
         if len(self.a) != len(self.b):
             raise DimensionMismatch("matrix/rhs row count mismatch")
-        self.a = [[Fraction(v) for v in row] for row in self.a]
-        self.b = [Fraction(v) for v in self.b]
+        self.a = [list(map(_exact, row)) for row in self.a]
+        self.b = list(map(_exact, self.b))
 
 
 @dataclass
@@ -55,13 +60,32 @@ class LPResult:
     x: Optional[list] = None
 
 
+def _pivot(tab, k, col):
+    """One row-normalised pivot on tab[k][col] > 0, in place.
+
+    Row k and every row with a zero in `col` stay; every other row a
+    becomes p*a - f*b over its gcd, with b row k, p its entry in `col` and
+    f a's, so that a's entry in `col` is zero and its scale stays positive.
+    """
+    b = tab[k]
+    p = b[col]
+    for r, a in enumerate(tab):
+        f = a[col]
+        if f and r != k:
+            row = [p * x - f * y for x, y in zip(a, b)]
+            g = math.gcd(*row)
+            tab[r] = [x // g for x in row] if g > 1 else row
+
+
 def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
     """Phase-1 simplex with Bland's rule; exact, never cycles.
 
-    The tableau is integer (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp.
-    1968): its rows share one positive denominator, the last pivot, and a
-    pivot is `linalg._pivot`'s exact division by the one before. The rows
-    take the same pivots as the rational tableau, so x is the same.
+    The tableau is integer, and each row carries its own positive scale
+    (Edmonds, J. Res. NBS 1967; Applegate, Cook, Dash and Espinoza, Oper.
+    Res. Lett. 2007), which `_pivot` keeps positive and free of common
+    factors. Bland's rule reads only signs and per-row ratios, which a
+    positive row scale keeps, so the pivots and x are those of the
+    rational tableau; x[var] is its row's right-hand side over its entry.
     """
     m = len(prob.a)
     n = len(prob.a[0]) if m else 0
@@ -77,7 +101,6 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
     lcm = math.lcm(*scales)
     weights = [lcm // s for s in scales]
     tab.append([sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n + 1)])
-    prev = 1
     while True:
         entering = next((j for j in range(n) if tab[m][j] > 0), None)
         if entering is None:
@@ -94,14 +117,17 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
                 leaving, num, den = i, tab[i][n], coef
         if leaving is None:
             raise InternalError("phase-1 objective unbounded: malformed tableau")
-        prev = linalg._pivot(tab, leaving, entering, prev)
+        _pivot(tab, leaving, entering)
+        if tab[m][entering]:
+            # Bland's rule terminates only if the entering column is cleared
+            raise InternalError("a pivot left its column in the reduced costs")
         basis[leaving] = entering
     if any(tab[i][n] for i in range(m) if basis[i] >= n):
         return LPResult(False, None)
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tab[i][n], prev)
+            x[var] = Fraction(tab[i][n], tab[i][var])
     return LPResult(True, x)
 
 
@@ -185,35 +211,28 @@ def witness_violations(witness: Witness, parts: Sequence[Sequence[int]], ps: Poi
 
 
 def _common_point_problem(parts, ps: PointSet, shift: Fraction = ZERO) -> FeasibilityProblem:
-    """Encode intersection of hulls; with shift t the solution is mu = lambda - t."""
-    d = ps.dim
+    """Encode intersection of hulls; with shift t the solution is mu = lambda - t.
+
+    One convexity row of integer 0/1 entries per part, then d rows per
+    later part equating its combination with the first part's.
+    """
     cols = sum(len(p) for p in parts)
-    offsets = []
-    pos = 0
-    for p in parts:
-        offsets.append(pos)
-        pos += len(p)
-    a = []
-    b = []
-    for i, part in enumerate(parts):
-        row = [ZERO] * cols
-        for k in range(len(part)):
-            row[offsets[i] + k] = ONE
+    offsets = [sum(len(p) for p in parts[:i]) for i in range(len(parts))]
+    a, b = [], []
+    for off, part in zip(offsets, parts):
+        row = [0] * cols
+        row[off:off + len(part)] = [1] * len(part)
         a.append(row)
-        b.append(ONE - shift * len(part))
-    for i in range(1, len(parts)):
-        for c in range(d):
-            row = [ZERO] * cols
-            for k, j in enumerate(parts[0]):
-                row[offsets[0] + k] = ps.points[j][c]
-            for k, j in enumerate(parts[i]):
-                row[offsets[i] + k] = -ps.points[j][c]
+        b.append(1 - shift * len(part))
+    first = [ps.points[j] for j in parts[0]]
+    for off, part in zip(offsets[1:], parts[1:]):
+        pts = [ps.points[j] for j in part]
+        for c in range(ps.dim):
+            row = [0] * cols
+            row[:len(first)] = [p[c] for p in first]
+            row[off:off + len(part)] = [-p[c] for p in pts]
             a.append(row)
-            rhs = shift * (
-                sum(ps.points[j][c] for j in parts[i])
-                - sum(ps.points[j][c] for j in parts[0])
-            )
-            b.append(rhs)
+            b.append(shift * (sum(p[c] for p in pts) - sum(p[c] for p in first)) if shift else 0)
     return FeasibilityProblem(a, b)
 
 
@@ -275,8 +294,8 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     p = mk_point(p)
     idx = tuple(indices)
     a = [[ps.points[j][c] for j in idx] for c in range(ps.dim)]
-    a.append([ONE] * len(idx))
-    b = list(p) + [ONE]
+    a.append([1] * len(idx))
+    b = list(p) + [1]
     return solve_feasibility(FeasibilityProblem(a, b)).feasible
 
 

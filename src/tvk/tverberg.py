@@ -11,6 +11,7 @@ witness whose certificates re-verify by exact arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -174,13 +175,13 @@ def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
 # --- planar centerpoint fast path -------------------------------------------
 
 
-def _depth(qx: int, qy: int, qd: int, pts, stop_below: int, first=None):
+def _depth(qx: int, qy: int, qd: int, pts, stop_below: int):
     """Exact halfplane depth of the homogeneous candidate (qx/qd, qy/qd)
     over integer points, with the direction of a closed halfplane through
     the candidate that holds that many points.
 
     Returns early, with the count of the first halfplane holding fewer than
-    stop_below points; the direction `first` is tried before the others.
+    stop_below points.
     """
     vs = [(x * qd - qx, y * qd - qy) for x, y in pts]
 
@@ -194,10 +195,6 @@ def _depth(qx: int, qy: int, qd: int, pts, stop_below: int, first=None):
                 total += 1
         return total
 
-    if first is not None:
-        c = count(*first)
-        if c < stop_below:
-            return c, first
     dirs = set()
     for vx, vy in vs:
         if vx or vy:
@@ -226,9 +223,13 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     """First candidate point of halfplane depth >= ceil(n/3).
 
     Candidates are the input points (in index order) followed by all
-    pairwise line intersections in lexicographic line-pair order. A closed
-    halfplane that held too few points for one candidate is tried first on
-    the next: any closed halfplane containing q bounds its depth.
+    pairwise line intersections in lexicographic line-pair order. Every
+    halfplane `_depth` finds with fewer than ceil(n/3) points is kept, as
+    its inner normal w and the sorted projections p.w, most recently used
+    first. Any closed halfplane containing q bounds q's depth, so a
+    candidate is rejected, by bisection, when the closed halfplane with
+    normal w and q on its boundary holds too few points; only a candidate
+    no kept halfplane rejects gets the full `_depth`.
     """
     if ps.dim != 2:
         raise DimensionMismatch("centerpoint_planar requires d=2")
@@ -238,16 +239,22 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     m = -(-n // 3)  # ceil
     pts, denom = _int_frame(ps.points)
     input_set = set(pts)
-    shallow = None  # direction of the last halfplane with fewer than m points
+    shallow = []  # (wx, wy, sorted p.w) of halfplanes with fewer than m points
 
     def ok(qx, qy, qd):
-        nonlocal shallow
         if exclude_input_points and qd == 1 and (qx, qy) in input_set:
             return None
-        depth, direction = _depth(qx, qy, qd, pts, m, shallow)
+        for k, (wx, wy, proj) in enumerate(shallow):
+            # points p with p.w >= q.w, i.e. p.w >= ceil(q.w / qd)
+            if n - bisect_left(proj, -((-qx * wx - qy * wy) // qd)) < m:
+                if k:
+                    shallow.insert(0, shallow.pop(k))
+                return None
+        depth, w = _depth(qx, qy, qd, pts, m)
         if depth >= m:
             return (Fraction(qx, qd * denom), Fraction(qy, qd * denom))
-        shallow = direction
+        wx, wy = w
+        shallow.insert(0, (wx, wy, sorted(x * wx + y * wy for x, y in pts)))
         return None
 
     seen = set()
@@ -259,23 +266,19 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
             hit = ok(x, y, 1)
             if hit:
                 return hit
-    lines = list(combinations(range(n), 2))
-    for li, lj in combinations(range(len(lines)), 2):
-        a, b = (pts[k] for k in lines[li])
-        c, d = (pts[k] for k in lines[lj])
-        ux, uy = b[0] - a[0], b[1] - a[1]
-        vx, vy = d[0] - c[0], d[1] - c[1]
+    # each line through two input points as (a point, its direction)
+    lines = [(a, (b[0] - a[0], b[1] - a[1])) for a, b in combinations(pts, 2)]
+    for ((ax, ay), (ux, uy)), ((cx, cy), (vx, vy)) in combinations(lines, 2):
         den = ux * vy - uy * vx
         if den == 0:
             continue
-        t_num = (c[0] - a[0]) * vy - (c[1] - a[1]) * vx
-        qx = a[0] * den + t_num * ux
-        qy = a[1] * den + t_num * uy
-        qd = den
-        if qd < 0:
-            qx, qy, qd = -qx, -qy, -qd
-        g = math.gcd(math.gcd(abs(qx), abs(qy)), qd)
-        key = (qx // g, qy // g, qd // g)
+        t_num = (cx - ax) * vy - (cy - ay) * vx
+        qx = ax * den + t_num * ux
+        qy = ay * den + t_num * uy
+        if den < 0:
+            qx, qy, den = -qx, -qy, -den
+        g = math.gcd(qx, qy, den)
+        key = (qx // g, qy // g, den // g)
         if key in seen:
             continue
         seen.add(key)

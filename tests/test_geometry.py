@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from tvk.errors import (
     DegenerateIncidence,
     DegenerateSimplex,
+    DimensionMismatch,
     GeneralPositionViolated,
     TrianglesIntersect,
 )
@@ -102,6 +104,71 @@ def test_gate_raises_with_the_scan_report():
             require_general_position(degenerate, extra)
         assert info.value.violations == in_general_position(degenerate, extra)
         assert str(info.value).startswith("1 affinely dependent (d+1)-subsets")
+
+
+def ref_in_general_position(ps, extra=None):
+    """The subset scan: `orientation` on every (d+1)-subset."""
+    pts = list(ps.points) + ([tuple(map(F, extra))] if extra is not None else [])
+    if len(pts) <= ps.dim:
+        return []
+    return [
+        idx
+        for idx in combinations(range(len(pts)), ps.dim + 1)
+        if orientation([pts[i] for i in idx]) == 0
+    ]
+
+
+def grid_coordinate(bound):
+    # small grids repeat points and lines; a denominator moves off the grid
+    return st.one_of(
+        st.integers(-bound, bound),
+        st.builds(F, st.integers(-2 * bound, 2 * bound), st.sampled_from([2, 3])),
+    )
+
+
+@st.composite
+def grid_sets(draw, d=2):
+    coord = grid_coordinate(draw(st.integers(1, 5)))
+    point = st.tuples(*[coord] * d)
+    ps = PointSet(d, draw(st.lists(point, max_size=9)))
+    return ps, draw(st.none() | point)
+
+
+@settings(max_examples=300)
+@given(grid_sets())
+def test_planar_gate_matches_the_subset_scan(case):
+    ps, extra = case
+    report = in_general_position(ps, extra)
+    assert report == ref_in_general_position(ps, extra)
+    if report:
+        with pytest.raises(GeneralPositionViolated) as info:
+            require_general_position(ps, extra)
+        assert info.value.violations == report
+        assert str(info.value).startswith(f"{len(report)} affinely dependent")
+
+
+@settings(max_examples=60)
+@given(grid_sets(d=3))
+def test_gate_in_space_matches_the_subset_scan(case):
+    ps, extra = case
+    assert in_general_position(ps, extra) == ref_in_general_position(ps, extra)
+
+
+def test_planar_gate_on_a_lattice_and_coincident_points():
+    lattice = PointSet(2, [(x, y) for x in range(6) for y in range(5)])
+    report = in_general_position(lattice)
+    assert len(report) == 240
+    assert report == ref_in_general_position(lattice)
+    # a point coinciding with another makes every triple through both dependent
+    ps = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 0)])
+    assert in_general_position(ps) == [(0, 1, 3), (1, 2, 3)]
+    assert in_general_position(ps, extra=(0, 0)) == ref_in_general_position(ps, (0, 0))
+
+
+def test_gate_rejects_an_extra_point_of_another_dimension():
+    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(DimensionMismatch, match="got 3"):
+        in_general_position(ps, extra=(1, 2, 3))
 
 
 # --- volume -------------------------------------------------------------------

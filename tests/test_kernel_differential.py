@@ -229,6 +229,31 @@ def test_centerpoint_matches_reference_scan(exclude):
         )
 
 
+@pytest.mark.parametrize("n", [33, 34, 35])
+def test_centerpoint_matches_reference_scan_at_benchmark_sizes(n):
+    ps = random_point_set(2, n, seed=n)
+    for exclude in (False, True):
+        assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
+            ps, exclude
+        )
+
+
+@pytest.mark.parametrize(
+    "points, exclude",
+    [
+        ([(-1, -1), (-1, -3), (-1, -2), (3, 1), (3, 2), (0, -2)], False),
+        ([(-1, 0), (1, 1), (1, 1), (0, 1), (-1, -1), (1, -1), (-1, -1)], True),
+    ],
+)
+def test_centerpoint_with_points_on_a_kept_halfplane_boundary(points, exclude):
+    # a kept halfplane's boundary through a candidate passes through input
+    # points: counting only the open side would reject the centerpoint
+    ps = PointSet(2, points)
+    assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
+        ps, exclude
+    )
+
+
 # --- planar hulls without LPs ---------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tvk import linalg, lp
 from tvk.errors import InternalError
+from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import (
     FeasibilityProblem,
@@ -16,6 +17,7 @@ from tvk.lp import (
     solve_feasibility,
     witness_violations,
 )
+from tvk.tverberg import birch_partition_planar
 
 from conftest import HEXAGON
 
@@ -320,5 +322,24 @@ def test_common_point_matches_fraction_tableau(case):
 @given(st.sampled_from([2, 3]).flatmap(parts_in_space))
 def test_relative_interior_witness_matches_fraction_tableau(case):
     ps, parts = case
+    expect = fraction_relative_interior_witness(parts, ps)
+    assert same_witness(relative_interior_witness(parts, ps), expect)
+
+
+def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau():
+    # the witness LPs of planar crossing_simplices at n=120: 40 triangles,
+    # 40 + 2*39 = 118 rows; the first shift is too large and is infeasible
+    ps = random_point_set(2, 120, seed=1)
+    parts = birch_partition_planar(ps, 40).parts
+    shifts = [F(1, 6), F(1, 12), F(1, 24)]
+    verdicts = []
+    for t in shifts:
+        a, b = fraction_common_point_rows(parts, ps, t)
+        assert len(a) == 118
+        got = solve_feasibility(FeasibilityProblem(a, b))
+        feasible, x = fraction_solve(a, b)
+        assert (got.feasible, got.x) == (feasible, x)
+        verdicts.append(feasible)
+    assert verdicts == [False, True, True]
     expect = fraction_relative_interior_witness(parts, ps)
     assert same_witness(relative_interior_witness(parts, ps), expect)
