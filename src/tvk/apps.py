@@ -401,7 +401,9 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     crossing verdict for every pair of full-dimensional parts; a pair
     involving an affinely dependent (d+1)-point part is "degenerate".
     Returns violations and never raises; no state from any producing
-    pipeline is used.
+    pipeline is used. The membership tests read `ps.frame`, which is a
+    pure function of `ps.points`, computed on first use and never written
+    by a pipeline.
     """
     d = ps.dim
     n = len(ps)

@@ -30,7 +30,13 @@ from .geometry import (
     simplex_volume,
     vsub,
 )
-from .lp import Partition, barycentric_witness, canonical_parts, hull_contains
+from .lp import (
+    Partition,
+    _contains_input_point,
+    barycentric_witness,
+    canonical_parts,
+    hull_contains,
+)
 
 
 @dataclass
@@ -48,15 +54,15 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     NoCommonPoint when o misses either hull; Nested when one part's points
     all lie in the other's closed hull; Crossing otherwise (for hulls
     sharing a point this exhausts the possibilities). Every membership test
-    is `hull_contains`.
+    is `hull_contains`; the parts' own points enter it by index.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
     o = mk_point(o)
     if not (hull_contains(o, a, ps) and hull_contains(o, b, ps)):
         return PairClass("no_common_point")
-    if all(hull_contains(ps.points[i], b, ps) for i in a):
+    if all(_contains_input_point(i, b, ps) for i in a):
         return PairClass("nested", inner=a, outer=b)
-    if all(hull_contains(ps.points[i], a, ps) for i in b):
+    if all(_contains_input_point(i, a, ps) for i in b):
         return PairClass("nested", inner=b, outer=a)
     return PairClass("crossing")
 

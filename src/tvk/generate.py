@@ -45,7 +45,11 @@ def random_extension(ps: PointSet, k: int, seed: int, bound: int = 10000) -> Poi
 
 def _draw(rng, d, pool, k, bound) -> Optional[list]:
     """pool plus k candidates drawn from [-bound, bound]^d and kept when they
-    leave the pool in general position; None once MAX_TRIES draws are spent."""
+    leave the pool in general position; None once MAX_TRIES draws are spent,
+    and at once when k exceeds d * (2 * bound + 1): in general position
+    each grid slice x_1 = c holds at most d points."""
+    if k > d * (2 * bound + 1):
+        return None
     pts = list(pool)
     target = len(pts) + k
     tries = 0

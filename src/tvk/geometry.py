@@ -3,11 +3,15 @@
 Points hold `fractions.Fraction` (or int) coordinates. Every sign predicate
 works in an integer frame: the points it compares are scaled by the least
 common multiple of their denominators, which keeps every sign, so
-orientation, volume and simplex containment are integer determinants
-(closed forms for d <= 3, Bareiss elimination beyond). Only sub-dimensional
-and degenerate simplices fall back to a linear solve, which `linalg` runs
-fraction-free as well. There are no tolerances anywhere in this module;
-degenerate inputs raise rather than silently picking a side.
+orientation, volume, simplex containment and barycentric weights (Cramer's
+rule) are integer determinants (closed forms for d <= 3, Bareiss
+elimination beyond). A `PointSet` computes its frame once, on first use,
+and the planar predicates on its points read that frame by index; a point
+from outside the set enters it as one homogeneous integer point. Only
+sub-dimensional and degenerate simplices fall back to a linear solve,
+which `linalg` runs fraction-free as well. There are no tolerances
+anywhere in this module; degenerate inputs raise rather than silently
+picking a side.
 `require_general_position` is the one gate that raises on an input not in
 general position; its scan, `in_general_position`, finds collinear
 triples in the plane by repeated primitive directions in O(n^2) and
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -66,6 +70,9 @@ class PointSet:
     """Dimension-tagged, index-addressed list of points.
 
     Indices 0..n-1 are the canonical handles used by every other module.
+    `frame` is `_int_frame(points)`, computed on first use and kept; it is
+    a pure function of the points, which are not changed after
+    construction.
     """
 
     dim: int
@@ -87,6 +94,11 @@ class PointSet:
     def take(self, indices) -> "PointSet":
         """New PointSet of the selected points, reindexed 0..k-1."""
         return PointSet(self.dim, [self.points[i] for i in indices])
+
+    @cached_property
+    def frame(self):
+        """(integer points, lcm of the denominators), as `_int_frame`."""
+        return _int_frame(self.points)
 
 
 def vsub(p: Point, q: Point) -> Point:
@@ -111,6 +123,13 @@ def _int_frame(points):
     if den == 1:
         return [tuple(map(_numerator, p)) for p in points], 1
     return [tuple([c.numerator * (den // c.denominator) for c in p]) for p in points], den
+
+
+def _homogeneous(p, den):
+    """The rational point p in a frame of scale den, as the homogeneous
+    integer point (x_1, ..., x_d, w) with w > 0: p * den == x / w."""
+    w = math.lcm(*[c.denominator for c in p])
+    return (*[c.numerator * (w // c.denominator) * den for c in p], w)
 
 
 def _det(simplex) -> int:
@@ -161,15 +180,16 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     direction from i. Beyond the plane every subset's determinant is taken
     on the scaled points.
     """
-    pts = list(ps.points)
-    if extra is not None:
-        pts.append(mk_point(extra))
     d = ps.dim
-    if len(pts) <= d:
+    if len(ps) + (extra is not None) <= d:
         return []
-    if any(len(p) != d for p in pts):
-        raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {d + 1}")
-    pts = _int_frame(pts)[0]
+    if extra is None:
+        pts = ps.frame[0]
+    else:
+        extra = mk_point(extra)
+        if len(extra) != d:
+            raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {d + 1}")
+        pts = _int_frame([*ps.points, extra])[0]
     if d != 2:
         return [
             idx
@@ -253,16 +273,35 @@ def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
     raise PerturbationFailed(f"no general-position perturbation after 64 rounds (seed={seed})")
 
 
+def _simplex_frame(p: Point, vertices: Sequence[Point]):
+    """(q, verts, full) for d+1 affinely independent vertices in R^d: p and
+    the vertices in one integer frame and full = _det(verts) != 0. None for
+    any other vertex set. By Cramer's rule p's barycentric coordinate i is
+    _det(verts with vertex i replaced by q) / full."""
+    d = len(p)
+    if d < 1 or len(vertices) != d + 1 or any(len(v) != d for v in vertices):
+        return None
+    q, *verts = _int_frame([p, *vertices])[0]
+    full = _det(verts)
+    return (q, verts, full) if full else None
+
+
 def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
     """Exact barycentric coordinates of p w.r.t. affinely independent vertices.
 
     Returns the coordinate list, or None when p is off the vertices' affine
     hull. Raises DegenerateSimplex when the vertices are affinely dependent.
+    For d+1 affinely independent vertices the weights are ratios of integer
+    determinants (Cramer's rule); other vertex sets take a linear solve.
     """
     d = len(p)
     for v in vertices:
         if len(v) != d:
             raise DimensionMismatch("point/simplex dimension mismatch")
+    frame = _simplex_frame(p, vertices)
+    if frame is not None:
+        q, verts, full = frame
+        return [Fraction(_det(verts[:i] + [q] + verts[i + 1:]), full) for i in range(d + 1)]
     rows = [[v[c] for v in vertices] for c in range(d)]
     rows.append([Fraction(1)] * len(vertices))
     status, x = linalg.solve_unique(rows, list(p) + [Fraction(1)])
@@ -281,19 +320,17 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
     independent vertices the barycentric signs are read off d+2 integer
     orientation determinants (Cramer's rule) instead of a linear solve.
     """
-    d = len(p)
-    if d >= 1 and len(vertices) == d + 1 and all(len(v) == d for v in vertices):
-        q, *verts = _int_frame([p, *vertices])[0]
-        full = _det(verts)
-        if full:
-            on_face = False
-            for i in range(d + 1):
-                part = _det(verts[:i] + [q] + verts[i + 1:])
-                if not part:
-                    on_face = True
-                elif (part > 0) != (full > 0):
-                    return Containment.OUTSIDE
-            return Containment.ON_BOUNDARY if on_face else Containment.INTERIOR
+    frame = _simplex_frame(p, vertices)
+    if frame is not None:
+        q, verts, full = frame
+        on_face = False
+        for i in range(len(verts)):
+            part = _det(verts[:i] + [q] + verts[i + 1:])
+            if not part:
+                on_face = True
+            elif (part > 0) != (full > 0):
+                return Containment.OUTSIDE
+        return Containment.ON_BOUNDARY if on_face else Containment.INTERIOR
     coords = barycentric_coordinates(p, vertices)
     if coords is None:
         return Containment.OUTSIDE

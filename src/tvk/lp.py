@@ -20,8 +20,8 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    _homogeneous,
     _in_planar_hull,
-    _int_frame,
     barycentric_coordinates,
     mk_point,
     point_in_simplex,
@@ -301,16 +301,26 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
 
 def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate: an integer halfplane test in the plane for parts of any size;
-    beyond it `point_in_simplex` for at most d+1 affinely independent points
-    (integer signs for d+1 of them), the LP otherwise."""
+    predicate: an integer halfplane test on `ps.frame` in the plane, for
+    parts of any size, with p as one homogeneous point of that frame;
+    beyond it `point_in_simplex` for at most d+1 affinely independent
+    points (integer signs for d+1 of them), the LP otherwise."""
     idx = tuple(indices)
     if ps.dim == 2:
-        (x, y), *pts = _int_frame([mk_point(p)] + [ps.points[i] for i in idx])[0]
-        return _in_planar_hull((x, y, 1), pts)
+        pts, den = ps.frame
+        return _in_planar_hull(_homogeneous(mk_point(p), den), [pts[i] for i in idx])
     if len(idx) <= ps.dim + 1:
         try:
             return point_in_simplex(p, [ps.points[i] for i in idx]) != Containment.OUTSIDE
         except DegenerateSimplex:
             return hull_membership(p, idx, ps)
     return hull_membership(p, idx, ps)
+
+
+def _contains_input_point(i: int, indices: Sequence[int], ps: PointSet) -> bool:
+    """hull_contains(ps.points[i], indices, ps) for a point of ps, read
+    straight off `ps.frame` in the plane."""
+    if ps.dim == 2:
+        pts = ps.frame[0]
+        return _in_planar_hull((*pts[i], 1), [pts[j] for j in indices])
+    return hull_contains(ps.points[i], indices, ps)

@@ -24,8 +24,15 @@ from .errors import (
     SizeOutOfRange,
 )
 from .fixing import classify_pair
-from .geometry import Point, PointSet, _in_planar_hull, _int_frame, angular_order, mk_point, vsub
-from .lp import Partition, Witness, barycentric_witness, common_point, hull_contains
+from .geometry import Point, PointSet, _homogeneous, _in_planar_hull, angular_order, mk_point
+from .lp import (
+    Partition,
+    Witness,
+    _contains_input_point,
+    barycentric_witness,
+    common_point,
+    hull_contains,
+)
 
 BRUTE_FORCE_MAX_POINTS = 14
 
@@ -133,7 +140,7 @@ def _planar_hulls_meet(hulls) -> bool:
 
 def _first_valid(ps, candidates):
     """First candidate partition whose hulls meet, with its LP witness."""
-    pts = _int_frame(ps.points)[0]
+    pts = ps.frame[0]
     for parts in candidates:
         if not _boxes_intersect(parts, pts):
             continue
@@ -215,8 +222,8 @@ def halfplane_depth(q: Point, ps: PointSet) -> int:
     """Exact halfplane depth of q: min points in a closed halfplane containing q."""
     if ps.dim != 2:
         raise DimensionMismatch("halfplane_depth is planar only")
-    *pts, (qx, qy) = _int_frame([*ps.points, mk_point(q)])[0]
-    return _depth(qx, qy, 1, pts, 0)[0]
+    pts, den = ps.frame
+    return _depth(*_homogeneous(mk_point(q), den), pts, 0)[0]
 
 
 def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Point:
@@ -237,7 +244,7 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     if n == 0:
         raise SizeOutOfRange("empty point set has no centerpoint")
     m = -(-n // 3)  # ceil
-    pts, denom = _int_frame(ps.points)
+    pts, denom = ps.frame
     input_set = set(pts)
     shallow = []  # (wx, wy, sorted p.w) of halfplanes with fewer than m points
 
@@ -293,9 +300,11 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
 def birch_partition_planar(ps: PointSet, r: int) -> Partition:
     """Partition 3r planar points into r triples around an exact centerpoint.
 
-    Points are sorted by angle around the centerpoint o and grouped as
-    {i, i+r, i+2r}; containment of o in every triple is verified exactly,
-    with a brute-force fallback on failure.
+    Points are sorted by angle around the centerpoint o, as the integer
+    vectors p - o of `ps.frame` scaled by o's homogeneous weight (a positive
+    scale keeps every angle and tie), and grouped as {i, i+r, i+2r};
+    containment of o in every triple is verified exactly, with a
+    brute-force fallback on failure.
     """
     if ps.dim != 2:
         raise DimensionMismatch("birch_partition_planar requires d=2")
@@ -304,8 +313,9 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         raise SizeOutOfRange(f"need exactly 3r points, got n={n}, r={r}")
     try:
         o = centerpoint_planar(ps, exclude_input_points=True)
-        vectors = [vsub(p, o) for p in ps.points]
-        order = angular_order(vectors)
+        pts, den = ps.frame
+        qx, qy, qd = _homogeneous(o, den)
+        order = angular_order([(x * qd - qx, y * qd - qy) for x, y in pts])
         parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
         if not all(hull_contains(o, part, ps) for part in parts):
             raise GeneralPositionViolated("centerpoint fell outside a triple")
@@ -327,7 +337,9 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
 
     A point inside some hull joins the first such part; otherwise it joins
     a part whose grown hull is inclusion-minimal (smallest index on ties).
-    Crossings are re-verified exactly after every insertion.
+    After every insertion the crossings of the grown part with every other
+    full-dimensional part are re-verified exactly; no other pair changed,
+    so a partition whose full pairs all cross keeps them crossing.
     """
     if partition.witness is None:
         raise ValueError("extend_partition needs a witness")
@@ -336,10 +348,9 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     parts = [tuple(p) for p in partition.parts]
     weights = [list(w) for w in partition.witness.weights]
     for idx in sorted(leftover):
-        p = ps.points[idx]
         target = None
         for i, part in enumerate(parts):
-            if hull_contains(p, part, ps):
+            if _contains_input_point(idx, part, ps):
                 target = i
                 break
         if target is None:
@@ -347,7 +358,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
             contains = [
                 [
                     i != j
-                    and all(hull_contains(ps.points[v], grown[i], ps) for v in grown[j])
+                    and all(_contains_input_point(v, grown[i], ps) for v in grown[j])
                     for j in range(len(parts))
                 ]
                 for i in range(len(parts))
@@ -365,13 +376,17 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
             target = minimal[0]
         parts[target] += (idx,)
         weights[target].append(Fraction(0))
-        full = [i for i, part in enumerate(parts) if len(part) >= d + 1]
-        for a in range(len(full)):
-            for b in range(a + 1, len(full)):
-                verdict = classify_pair(parts[full[a]], parts[full[b]], ps, o)
-                if verdict.kind != "crossing":
-                    raise InternalError(
-                        f"inserting point {idx} broke crossing of parts "
-                        f"{parts[full[a]]} / {parts[full[b]]} ({verdict.kind})"
-                    )
+        if len(parts[target]) < d + 1:
+            continue
+        # only pairs with the grown part can have changed
+        for j, part in enumerate(parts):
+            if j == target or len(part) < d + 1:
+                continue
+            a, b = sorted((target, j))
+            verdict = classify_pair(parts[a], parts[b], ps, o)
+            if verdict.kind != "crossing":
+                raise InternalError(
+                    f"inserting point {idx} broke crossing of parts "
+                    f"{parts[a]} / {parts[b]} ({verdict.kind})"
+                )
     return Partition(parts, Witness(o, weights), size_bounded=False)

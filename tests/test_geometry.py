@@ -10,6 +10,7 @@ from tvk.errors import (
     DegenerateSimplex,
     DimensionMismatch,
     GeneralPositionViolated,
+    PerturbationFailed,
     TrianglesIntersect,
 )
 from tvk.geometry import (
@@ -24,6 +25,7 @@ from tvk.geometry import (
     require_general_position,
     simplex_volume,
 )
+from tvk import generate
 from tvk.apps import segments_intersect_3d, triangles_linked
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -256,6 +258,23 @@ def test_perturb_fixes_collinear():
     ps = PointSet(2, [(0, 0), (1, 0), (2, 0), (3, 0)])
     out = perturb(ps, seed=1, k=10)
     assert in_general_position(out) == []
+
+
+def test_generation_refuses_more_points_than_the_grid_slices_hold(monkeypatch):
+    # each slice x_1 = c of [-1, 1]^2 holds at most 2 general-position points
+    calls = []
+    monkeypatch.setattr(generate, "gp_violations_with_extra", lambda *a: calls.append(a))
+    refused = r"could not place 7 general-position points \(seed=0\)"
+    with pytest.raises(PerturbationFailed, match=refused):
+        generate.random_point_set(2, 7, seed=0, bound=1)
+    with pytest.raises(PerturbationFailed, match=r"could not extend by 4 general-position points"):
+        generate.random_extension(PointSet(1, [(F(1, 2),)]), 4, seed=0, bound=1)
+    assert calls == []
+
+
+def test_generation_fills_a_grid_at_its_slice_bound():
+    ps = generate.random_point_set(1, 3, seed=0, bound=1)
+    assert sorted(ps.points) == [(-1,), (0,), (1,)]
 
 
 # --- 3D incidence ------------------------------------------------------------------

@@ -4,7 +4,8 @@ The references below share no code with `tvk`'s predicates: a determinant
 by Fraction elimination, barycentric containment by solving the affine
 system in Fractions, and a centerpoint scan that asks `halfplane_depth`
 about every candidate in the documented order. The planar hull tests use
-the phase-1 LP as their reference. Any change to how the predicates compute
+the phase-1 LP as their reference, and barycentric weights are checked
+against the linear solve they replaced. Any change to how the predicates compute
 must leave every verdict, volume, raised error and returned point equal.
 """
 import math
@@ -15,17 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvk import linalg
 from tvk.errors import DegenerateSimplex
 from tvk.generate import random_point_set
 from tvk.geometry import (
     Containment,
     PointSet,
     _int_frame,
+    barycentric_coordinates,
     orientation,
     point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import common_point, hull_contains, hull_membership
+from tvk.lp import _contains_input_point, common_point, hull_contains, hull_membership
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
 
 
@@ -367,3 +370,102 @@ def test_planar_hulls_meet_degenerate_cases():
     assert not meet(a, b, c, big)
     square = [(0, 0), (2, 0), (2, 2), (0, 2)]
     assert meet(square, [(1, 1)], [(0, 0), (2, 2)], [(0, 2), (2, 0)])
+
+
+# --- one integer frame per PointSet ---------------------------------------------
+
+
+fractional = st.builds(
+    F, st.integers(min_value=-12, max_value=12), st.sampled_from([2, 3, 5, 7])
+)
+fractional_point = st.tuples(fractional, fractional)
+
+
+@settings(max_examples=400)
+@given(st.lists(fractional_point, min_size=1, max_size=9), st.data())
+def test_frame_hull_contains_matches_lp_on_subsets(points, data):
+    """Point and part both with denominators > 1; the part is a subset of a
+    larger set, tested in place and as `PointSet.take`."""
+    ps = PointSet(2, points)
+    idx = sorted(data.draw(st.sets(st.sampled_from(range(len(points))), min_size=1)))
+    kind = data.draw(st.sampled_from(["vertex", "edge", "anywhere"]))
+    if kind == "vertex":
+        p = points[data.draw(st.sampled_from(idx))]
+    elif kind == "edge":
+        a, b = points[data.draw(st.sampled_from(idx))], points[data.draw(st.sampled_from(idx))]
+        p = on_line(a, b, F(data.draw(st.integers(min_value=-1, max_value=5)), 4))
+    else:
+        p = data.draw(fractional_point)
+    expected = hull_membership(p, idx, ps)
+    assert hull_contains(p, idx, ps) == expected
+    sub = ps.take(idx)
+    assert hull_contains(p, range(len(idx)), sub) == expected
+    for i in range(len(points)):
+        assert _contains_input_point(i, idx, ps) == hull_membership(points[i], idx, ps)
+
+
+def test_frame_is_the_int_frame_of_the_points():
+    sets = [
+        PointSet(2, [(F(1, 2), F(-2, 3)), (5, F(7, 5)), (0, 0)]),
+        PointSet(3, [(F(1, 6), 2, F(3, 4)), (1, 1, 1)]),
+        PointSet(2, []),
+        random_point_set(2, 12, seed=3),
+    ]
+    sets.append(sets[0].take([1, 2]))  # a subset may have a smaller lcm
+    for ps in sets:
+        assert ps.frame == _int_frame(ps.points)
+        assert ps.frame is ps.frame
+    assert sets[-1].frame == ([(25, 7), (0, 0)], 5)
+
+
+def ref_barycentric(p, verts):
+    """The affine system sum w_i v_i = p, sum w_i = 1 by `linalg.solve_unique`."""
+    rows = [[v[c] for v in verts] for c in range(len(p))]
+    rows.append([1] * len(verts))
+    status, x = linalg.solve_unique(rows, [*p, 1])
+    if status == "underdetermined":
+        raise DegenerateSimplex("reference: dependent vertices")
+    return None if status == "inconsistent" else x
+
+
+@st.composite
+def barycentric_case(draw):
+    """d = 2..4 with 1..d+1 vertices, the last one often an affine
+    combination of the others (dependent vertices)."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=d + 1))
+    verts = [tuple(draw(st.lists(coordinate, min_size=d, max_size=d))) for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        ws = [F(draw(st.integers(min_value=-2, max_value=2))) for _ in range(k - 2)]
+        ws.append(1 - sum(ws))
+        verts[-1] = tuple(sum(w * F(v[c]) for w, v in zip(ws, verts)) for c in range(d))
+    if draw(st.booleans()):
+        ws = [F(draw(st.integers(min_value=-1, max_value=3))) for _ in range(k)]
+        ws[0] += 1 - sum(ws)
+        p = tuple(sum(w * F(v[c]) for w, v in zip(ws, verts)) for c in range(d))
+    else:
+        p = tuple(draw(st.lists(coordinate, min_size=d, max_size=d)))
+    return p, verts
+
+
+@settings(max_examples=500)
+@given(barycentric_case())
+def test_barycentric_coordinates_match_the_linear_solve(case):
+    p, verts = case
+    got = outcome(barycentric_coordinates, p, verts)
+    assert got == outcome(ref_barycentric, p, verts)
+    if isinstance(got, list):
+        assert all(type(w) is F for w in got)
+
+
+def test_barycentric_coordinates_on_dependent_and_subdimensional_vertices():
+    tri = [(0, 0), (4, 0), (0, 4)]
+    assert barycentric_coordinates((1, 1), tri) == [F(1, 2), F(1, 4), F(1, 4)]
+    assert barycentric_coordinates((-1, 1), tri) == [F(1), F(-1, 4), F(1, 4)]
+    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    with pytest.raises(DegenerateSimplex):
+        barycentric_coordinates((F(1, 3), F(1, 3), 0), flat)
+    assert barycentric_coordinates((0, 0, 1), flat) is None
+    edge = [(0, 0, 0, 0), (2, 2, 2, 2)]
+    assert barycentric_coordinates((1, 1, 1, 1), edge) == [F(1, 2), F(1, 2)]
+    assert barycentric_coordinates((1, 1, 1, 0), edge) is None

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import tverberg
-from tvk.errors import SizeOutOfRange
-from tvk.generate import random_point_set
+from tvk.errors import InternalError, SizeOutOfRange
+from tvk.fixing import PairClass
+from tvk.generate import random_extension, random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import common_point, hull_membership, witness_violations
 from tvk.tverberg import (
@@ -260,3 +261,40 @@ def test_extend_outside_point_keeps_crossing():
     ps2 = PointSet(2, list(ps.points) + [(61, 59)])
     out = extend_partition(fixed, [6], ps2)
     assert verify_crossing_partition(ps2, out).ok
+
+
+def _three_part_extension():
+    from tvk.apps import crossing_tverberg
+
+    ps = random_point_set(2, 9, seed=9)
+    return crossing_tverberg(ps, 3, seed=0).partition, random_extension(ps, 3, seed=10)
+
+
+def test_extend_classifies_only_pairs_with_the_grown_part(monkeypatch):
+    partition, grown = _three_part_extension()
+    real, calls = tverberg.classify_pair, []
+
+    def recording(a, b, ps, o):
+        calls.append(a + b)
+        return real(a, b, ps, o)
+
+    monkeypatch.setattr(tverberg, "classify_pair", recording)
+    extend_partition(partition, [9, 10, 11], grown)
+    # k insertions times r - 1 partners, each pair holding the new point
+    assert len(calls) == 3 * 2
+    assert all(idx in pair for idx, pair in zip([9, 9, 10, 10, 11, 11], calls))
+
+
+def test_extend_raises_when_a_pair_with_the_grown_part_breaks(monkeypatch):
+    partition, grown = _three_part_extension()
+    real = tverberg.classify_pair
+
+    def broken_at_10(a, b, ps, o):
+        if 10 in a + b:
+            return PairClass("nested", inner=a, outer=b)
+        return real(a, b, ps, o)
+
+    monkeypatch.setattr(tverberg, "classify_pair", broken_at_10)
+    broke = r"inserting point 10 broke crossing of parts .* \(nested\)"
+    with pytest.raises(InternalError, match=broke):
+        extend_partition(partition, [9, 10, 11], grown)
