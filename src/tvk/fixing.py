@@ -140,7 +140,9 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
     Already-crossing inputs are returned unchanged. For a nested input, the
     parity of origin pairs guarantees a second pair over the same 2(d+1)
     points, and only one pair can realize the unique outer hull, so a
-    crossing pair exists; the canonically first one is returned.
+    crossing pair exists. It returns the first split (F, G) of the union,
+    F holding its smallest index and taken in lexicographic order, that is
+    not the input and that `classify_pair` calls crossing.
     """
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
     o = mk_point(o)
@@ -150,17 +152,12 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
     if verdict.kind == "crossing":
         return t1, t2
     union = sorted(t1 + t2)
-    sub = ps.take(union)
-    local = {j: union[j] for j in range(len(union))}
-    input_pair = frozenset((frozenset(t1), frozenset(t2)))
-    for f, g in enumerate_origin_pairs(sub, o):
-        fa = tuple(local[j] for j in f)
-        ga = tuple(local[j] for j in g)
-        if frozenset((frozenset(fa), frozenset(ga))) == input_pair:
-            continue
-        if classify_pair(fa, ga, ps, o).kind == "crossing":
-            first = min(fa[0], ga[0])
-            return (fa, ga) if fa[0] == first else (ga, fa)
+    _require_origin_setup(ps.take(union), o)
+    for rest in combinations(union[1:], ps.dim):
+        f = (union[0],) + rest
+        g = tuple(i for i in union if i not in f)
+        if f not in (t1, t2) and classify_pair(f, g, ps, o).kind == "crossing":
+            return f, g
     raise InternalError(
         "no crossing repartition exists: contradicts the parity argument"
     )

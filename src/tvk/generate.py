@@ -45,19 +45,22 @@ def random_extension(ps: PointSet, k: int, seed: int, bound: int = 10000) -> Poi
 
 def _draw(rng, d, pool, k, bound) -> Optional[list]:
     """pool plus k candidates drawn from [-bound, bound]^d and kept when they
-    leave the pool in general position; None once MAX_TRIES draws are spent,
-    and at once when k exceeds d * (2 * bound + 1): in general position
-    each grid slice x_1 = c holds at most d points."""
+    leave the pool in general position; None once MAX_TRIES draws are spent
+    or every grid point was drawn (a rejected candidate stays rejected as the
+    pool grows), and at once when k exceeds d * (2 * bound + 1): in general
+    position each grid slice x_1 = c holds at most d points."""
     if k > d * (2 * bound + 1):
         return None
     pts = list(pool)
     target = len(pts) + k
+    drawn = set()
     tries = 0
     while len(pts) < target:
         tries += 1
-        if tries > MAX_TRIES:
+        if tries > MAX_TRIES or len(drawn) == (2 * bound + 1) ** d:
             return None
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
+        drawn.add(cand)
         if any(cand == p for p in pts):
             continue
         if gp_violations_with_extra(pts, cand):

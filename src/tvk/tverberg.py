@@ -336,7 +336,8 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     """Insert leftover points one at a time, preserving pairwise crossings.
 
     A point inside some hull joins the first such part; otherwise it joins
-    a part whose grown hull is inclusion-minimal (smallest index on ties).
+    the first part, by index, whose grown hull is inclusion-minimal (no
+    other grown hull is a proper subset of it), and the search stops there.
     After every insertion the crossings of the grown part with every other
     full-dimensional part are re-verified exactly; no other pair changed,
     so a partition whose full pairs all cross keeps them crossing.
@@ -355,25 +356,21 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
                 break
         if target is None:
             grown = [part + (idx,) for part in parts]
-            contains = [
-                [
-                    i != j
-                    and all(_contains_input_point(v, grown[i], ps) for v in grown[j])
-                    for j in range(len(parts))
-                ]
-                for i in range(len(parts))
-            ]
+
+            def inside(i, j):
+                """Whether grown part j's hull lies in grown part i's."""
+                return all(_contains_input_point(v, grown[i], ps) for v in grown[j])
+
             # i is inclusion-minimal iff no grown hull is a proper subset of it
-            minimal = [
+            target = next(
                 i
                 for i in range(len(parts))
                 if not any(
-                    contains[i][j] and not contains[j][i]
+                    inside(i, j) and not inside(j, i)
                     for j in range(len(parts))
                     if j != i
                 )
-            ]
-            target = minimal[0]
+            )
         parts[target] += (idx,)
         weights[target].append(Fraction(0))
         if len(parts[target]) < d + 1:

@@ -10,7 +10,7 @@ from tvk import apps, fixing, lp, tverberg
 from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.fileio import partition_from_payload, partition_payload
 from tvk.generate import random_extension, random_point_set
-from tvk.geometry import PointSet, in_general_position
+from tvk.geometry import PointSet, gp_violations_with_extra, in_general_position
 from tvk.lp import Witness, hull_membership
 from tvk.fixing import enumerate_origin_pairs
 from tvk.tverberg import Partition
@@ -54,6 +54,26 @@ def test_crossing_pipeline_six_points():
     rep = crossing_tverberg(ps, 2, seed=0)
     assert verify_crossing_partition(ps, rep.partition).ok
     assert rep.verdicts[0][1] == "crossing"
+
+
+def test_refine_witness_nudges_a_witness_off_a_spanned_line(monkeypatch):
+    # the relative-interior witness of these two triangles lies on a line
+    # through two of the six points, so one seeded nudge moves it off
+    ps = PointSet(2, [(3, -1), (1, 3), (-3, 1), (1, 2), (2, 0), (-3, -1)])
+    calls = []
+    real = apps._nudge_directions
+
+    def spying(small_parts, ps):
+        calls.append(small_parts)
+        return real(small_parts, ps)
+
+    monkeypatch.setattr(apps, "_nudge_directions", spying)
+    rep = crossing_tverberg(ps, 2)
+    assert calls == [[]]
+    assert rep.partition.parts == [(0, 2, 3), (1, 4, 5)]
+    assert rep.partition.witness.point == (F(4123, 6144), F(2057, 1536))
+    assert gp_violations_with_extra(list(ps.points), rep.partition.witness.point) == []
+    assert verify_crossing_partition(ps, rep.partition).ok
 
 
 def test_crossing_d3_counterexample_points():

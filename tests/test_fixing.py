@@ -9,9 +9,16 @@ from hypothesis import strategies as st
 from tvk import fixing
 from tvk.errors import BudgetExceeded, GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.generate import random_point_set
-from tvk.geometry import Containment, PointSet, point_in_simplex, simplex_volume
+from tvk.geometry import (
+    Containment,
+    PointSet,
+    point_in_simplex,
+    require_general_position,
+    simplex_volume,
+)
 from tvk.lp import Witness, hull_membership
 from tvk.fixing import (
+    PairClass,
     classify_pair,
     cocycle_check,
     count_interior_points,
@@ -287,9 +294,64 @@ def test_fix_all_rejects_a_witness_outside_a_part():
         fix_all(far, ps)
 
 
+def ref_unnest_pair(t1, t2, ps, o):
+    """The earlier rule: walk the origin pairs of a sub-PointSet of the union,
+    map them back to ps's indices and take the first crossing one other than
+    the input, with the part holding the smallest index first."""
+    t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
+    union = sorted(t1 + t2)
+    input_pair = {frozenset(t1), frozenset(t2)}
+    for f, g in enumerate_origin_pairs(ps.take(union), o):
+        fa = tuple(union[j] for j in f)
+        ga = tuple(union[j] for j in g)
+        if {frozenset(fa), frozenset(ga)} == input_pair:
+            continue
+        if classify_pair(fa, ga, ps, o).kind == "crossing":
+            return (fa, ga) if fa[0] < ga[0] else (ga, fa)
+    return None
+
+
+def nested_case(d, seed):
+    """A nested pair of (d+1)-sets around the origin, in general position with
+    it, scattered at random indices among up to three other points."""
+    rng = random.Random(seed)
+    o = (0,) * d
+
+    def simplex(scale, jitter):
+        corners = [tuple(scale * (c == k) for c in range(d)) for k in range(d)]
+        corners.append((-scale,) * d)
+        return [tuple(x + rng.randint(-jitter, jitter) for x in p) for p in corners]
+
+    while True:
+        pts = simplex(rng.randint(60, 120), 30) + simplex(rng.randint(4, 20), 12)
+        pts += [tuple(rng.randint(-500, 500) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+        order = rng.sample(range(len(pts)), len(pts))
+        points = [None] * len(pts)
+        for slot, p in zip(order, pts):
+            points[slot] = p
+        ps = PointSet(d, points)
+        t1, t2 = tuple(order[: d + 1]), tuple(order[d + 1 : 2 * d + 2])
+        try:
+            require_general_position(ps.take(t1 + t2), extra=o)
+        except GeneralPositionViolated:
+            continue
+        if classify_pair(t1, t2, ps, o).kind == "nested":
+            return ps, t1, t2, o
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=10**6))
+def test_unnest_matches_the_origin_pair_search(d, seed):
+    ps, t1, t2, o = nested_case(d, seed)
+    expected = ref_unnest_pair(t1, t2, ps, o)
+    assert expected is not None
+    assert unnest_pair(t1, t2, ps, o) == expected
+    assert unnest_pair(t2, t1, ps, o) == expected
+
+
 def test_unnest_without_a_repartition_is_an_internal_error(monkeypatch):
-    # parity guarantees a second origin pair; finding none is a bug
-    monkeypatch.setattr(fixing, "enumerate_origin_pairs", lambda ps, o: [])
+    # parity guarantees a crossing repartition; finding none is a bug
+    monkeypatch.setattr(fixing, "classify_pair", lambda a, b, ps, o: PairClass("nested"))
     with pytest.raises(InternalError):
         unnest_pair((0, 1, 2), (3, 4, 5), nested_six_ps(), ORIGIN2)
 

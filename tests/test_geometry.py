@@ -272,6 +272,18 @@ def test_generation_refuses_more_points_than_the_grid_slices_hold(monkeypatch):
     assert calls == []
 
 
+def test_generation_stops_once_every_grid_point_was_drawn(monkeypatch):
+    # [-1, 1]^2 holds 6 general-position points, but this greedy draw gets
+    # stuck earlier; a rejected point stays rejected, so once all 9 grid
+    # points were seen no later draw can succeed
+    drawn = []
+    real = generate.mk_point
+    monkeypatch.setattr(generate, "mk_point", lambda p: drawn.append(p) or real(p))
+    with pytest.raises(PerturbationFailed, match=r"could not place 6"):
+        generate.random_point_set(2, 6, seed=0, bound=1)
+    assert len(set(drawn)) == 9 and len(drawn) < generate.MAX_TRIES
+
+
 def test_generation_fills_a_grid_at_its_slice_bound():
     ps = generate.random_point_set(1, 3, seed=0, bound=1)
     assert sorted(ps.points) == [(-1,), (0,), (1,)]

@@ -1,16 +1,16 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import tverberg
-from tvk.errors import InternalError, SizeOutOfRange
+from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
 from tvk.fixing import PairClass
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
-from tvk.lp import common_point, hull_membership, witness_violations
+from tvk.lp import common_point, hull_contains, hull_membership, witness_violations
 from tvk.tverberg import (
     Partition,
     birch_partition_planar,
@@ -227,6 +227,26 @@ def test_birch_output_is_bruteforce_acceptable():
     assert w is not None
 
 
+def _far_centerpoint(ps, exclude_input_points=False):
+    return (F(10**6), F(10**6))  # outside every triple
+
+
+def _no_centerpoint(ps, exclude_input_points=False):
+    raise GeneralPositionViolated("no candidate centerpoint found")
+
+
+@pytest.mark.parametrize("fake", [_far_centerpoint, _no_centerpoint])
+def test_birch_falls_back_to_bruteforce(monkeypatch, fake):
+    ps = random_point_set(2, 9, seed=0)
+    birch = birch_partition_planar(ps, 3)
+    expected = tverberg_partition_bruteforce(ps, 3)
+    assert birch.parts != expected.parts  # the result shows which path ran
+    monkeypatch.setattr(tverberg, "centerpoint_planar", fake)
+    p = birch_partition_planar(ps, 3)
+    assert (p.parts, p.witness) == (expected.parts, expected.witness)
+    assert witness_violations(p.witness, p.parts, ps) == []
+
+
 # --- extension ---------------------------------------------------------------------
 
 
@@ -261,6 +281,55 @@ def test_extend_outside_point_keeps_crossing():
     ps2 = PointSet(2, list(ps.points) + [(61, 59)])
     out = extend_partition(fixed, [6], ps2)
     assert verify_crossing_partition(ps2, out).ok
+
+
+def ref_extension_parts(parts, leftover, ps):
+    """The parts extend_partition builds when each target comes from the full
+    r x r containment matrix of the grown hulls (the earlier rule), and the
+    targets that matrix chose."""
+    parts = [tuple(p) for p in parts]
+    r = len(parts)
+    by_matrix = []
+    for idx in sorted(leftover):
+        holding = [i for i, part in enumerate(parts) if hull_contains(ps.points[idx], part, ps)]
+        if holding:
+            target = holding[0]
+        else:
+            grown = [part + (idx,) for part in parts]
+            contains = [
+                [
+                    i != j and all(hull_contains(ps.points[v], grown[i], ps) for v in grown[j])
+                    for j in range(r)
+                ]
+                for i in range(r)
+            ]
+            minimal = [
+                i
+                for i in range(r)
+                if not any(contains[i][j] and not contains[j][i] for j in range(r) if j != i)
+            ]
+            target = minimal[0]
+            by_matrix.append(target)
+        parts[target] += (idx,)
+    return parts, by_matrix
+
+
+def test_extend_targets_match_the_containment_matrix_rule():
+    from tvk.apps import crossing_tverberg, verify_crossing_partition
+
+    by_matrix = []
+    for (d, r, k), seed in product([(2, 3, 4), (2, 4, 6), (3, 2, 4)], range(8)):
+        ps = random_point_set(d, (d + 1) * r, seed=seed)
+        partition = crossing_tverberg(ps, r, seed=0).partition
+        grown = random_extension(ps, k, seed=seed + 100)
+        leftover = list(range(len(ps), len(grown)))
+        out = extend_partition(partition, leftover, grown)
+        expected, targets = ref_extension_parts(partition.parts, leftover, grown)
+        assert out.parts == expected
+        assert verify_crossing_partition(grown, out).ok
+        by_matrix += targets
+    # the matrix rule ran, and sometimes passed over a non-minimal first part
+    assert by_matrix and max(by_matrix) > 0
 
 
 def _three_part_extension():
