@@ -225,8 +225,13 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
     them; a whole edge in the plane is rejected as degenerate.
     """
     sides = [orientation(list(surface) + [v]) for v in curve]
-    if all(s == 0 for s in sides):
+    k = next((i for i, s in enumerate(sides) if s), None)
+    if k is None:
         return 0  # coplanar disjoint curves are never linked
+    # start at a vertex off the plane, so that no run of in-plane vertices
+    # wraps around the end; the edge events are XORed, so order is free
+    sides = sides[k:] + sides[:k]
+    curve = list(curve[k:]) + list(curve[:k])
     parity = 0
     n = len(curve)
     for i in range(n):
@@ -249,13 +254,6 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
     while i < n:
         if sides[i] != 0:
             i += 1
-            continue
-        if i == 0 and sides[-1] == 0:
-            # rotate so the run does not wrap
-            k = next(j for j in range(n) if sides[j] != 0)
-            sides = sides[k:] + sides[:k]
-            curve = list(curve[k:]) + list(curve[:k])
-            i = 0
             continue
         j = i
         while j < n and sides[j] == 0:

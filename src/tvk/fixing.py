@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .lp import (
     Partition,
-    _contains_input_point,
     barycentric_witness,
     canonical_parts,
     hull_contains,
@@ -60,9 +59,9 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     o = mk_point(o)
     if not (hull_contains(o, a, ps) and hull_contains(o, b, ps)):
         return PairClass("no_common_point")
-    if all(_contains_input_point(i, b, ps) for i in a):
+    if all(hull_contains(i, b, ps) for i in a):
         return PairClass("nested", inner=a, outer=b)
-    if all(_contains_input_point(i, a, ps) for i in b):
+    if all(hull_contains(i, a, ps) for i in b):
         return PairClass("nested", inner=b, outer=a)
     return PairClass("crossing")
 
@@ -303,7 +302,8 @@ def fix_all(
                 trace=trace,
             )
         i, j, verdict = nested_at
-        before = _measure_vector(parts, ps, measure)
+        # a step's parts are the next step's, so its measure is the last after
+        before = trace.steps[-1].after if trace.steps else _measure_vector(parts, ps, measure)
         s1, s2 = unnest_pair(parts[i], parts[j], ps, o)
         if measure == "volume":
             outer = simplex_volume([ps.points[k] for k in verdict.outer])

@@ -3,15 +3,16 @@
 Points hold `fractions.Fraction` (or int) coordinates. Every sign predicate
 works in an integer frame: the points it compares are scaled by the least
 common multiple of their denominators, which keeps every sign, so
-orientation, volume, simplex containment and barycentric weights (Cramer's
-rule) are integer determinants (closed forms for d <= 3, Bareiss
-elimination beyond). A `PointSet` computes its frame once, on first use,
-and the planar predicates on its points read that frame by index; a point
-from outside the set enters it as one homogeneous integer point. Only
-sub-dimensional and degenerate simplices fall back to a linear solve,
-which `linalg` runs fraction-free as well. There are no tolerances
-anywhere in this module; degenerate inputs raise rather than silently
-picking a side.
+orientation and volume are integer determinants (closed forms for d <= 3,
+Bareiss elimination beyond), and simplex containment and barycentric
+weights both read one Cramer routine, `_cramer`. `angular_order` sorts by
+one exact key, the diamond angle. A `PointSet` computes its frame once,
+on first use, and the planar predicates on its points read that frame by
+index; a point from outside the set enters it as one homogeneous integer
+point. Only sub-dimensional and degenerate simplices fall back to a
+linear solve, which `linalg` runs fraction-free as well. There are no
+tolerances anywhere in this module; degenerate inputs raise rather than
+silently picking a side.
 `require_general_position` is the one gate that raises on an input not in
 general position; its scan, `in_general_position`, finds collinear
 triples in the plane by repeated primitive directions in O(n^2) and
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -103,10 +104,6 @@ class PointSet:
 
 def vsub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
-
-
-def cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def _int_frame(points):
@@ -273,17 +270,20 @@ def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
     raise PerturbationFailed(f"no general-position perturbation after 64 rounds (seed={seed})")
 
 
-def _simplex_frame(p: Point, vertices: Sequence[Point]):
-    """(q, verts, full) for d+1 affinely independent vertices in R^d: p and
-    the vertices in one integer frame and full = _det(verts) != 0. None for
-    any other vertex set. By Cramer's rule p's barycentric coordinate i is
-    _det(verts with vertex i replaced by q) / full."""
+def _cramer(p: Point, vertices: Sequence[Point]):
+    """(nums, full) for d+1 affinely independent vertices in R^d, with p and
+    the vertices in one integer frame as q and verts: full = _det(verts) != 0
+    and nums[i] = _det(verts with vertex i replaced by q), so that p's
+    barycentric coordinate i is nums[i] / full (Cramer's rule). None for
+    any other vertex set."""
     d = len(p)
     if d < 1 or len(vertices) != d + 1 or any(len(v) != d for v in vertices):
         return None
     q, *verts = _int_frame([p, *vertices])[0]
     full = _det(verts)
-    return (q, verts, full) if full else None
+    if not full:
+        return None
+    return [_det(verts[:i] + [q] + verts[i + 1:]) for i in range(d + 1)], full
 
 
 def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
@@ -292,16 +292,16 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
     Returns the coordinate list, or None when p is off the vertices' affine
     hull. Raises DegenerateSimplex when the vertices are affinely dependent.
     For d+1 affinely independent vertices the weights are ratios of integer
-    determinants (Cramer's rule); other vertex sets take a linear solve.
+    determinants (`_cramer`); other vertex sets take a linear solve.
     """
     d = len(p)
     for v in vertices:
         if len(v) != d:
             raise DimensionMismatch("point/simplex dimension mismatch")
-    frame = _simplex_frame(p, vertices)
-    if frame is not None:
-        q, verts, full = frame
-        return [Fraction(_det(verts[:i] + [q] + verts[i + 1:]), full) for i in range(d + 1)]
+    cramer = _cramer(p, vertices)
+    if cramer is not None:
+        nums, full = cramer
+        return [Fraction(x, full) for x in nums]
     rows = [[v[c] for v in vertices] for c in range(d)]
     rows.append([Fraction(1)] * len(vertices))
     status, x = linalg.solve_unique(rows, list(p) + [Fraction(1)])
@@ -317,20 +317,15 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
 
     Sub-dimensional simplices are tested in their affine hull: INTERIOR means
     relative interior, and points off the hull are OUTSIDE. For d+1 affinely
-    independent vertices the barycentric signs are read off d+2 integer
-    orientation determinants (Cramer's rule) instead of a linear solve.
+    independent vertices the barycentric signs are read off the integer
+    determinants of `_cramer` instead of a linear solve.
     """
-    frame = _simplex_frame(p, vertices)
-    if frame is not None:
-        q, verts, full = frame
-        on_face = False
-        for i in range(len(verts)):
-            part = _det(verts[:i] + [q] + verts[i + 1:])
-            if not part:
-                on_face = True
-            elif (part > 0) != (full > 0):
-                return Containment.OUTSIDE
-        return Containment.ON_BOUNDARY if on_face else Containment.INTERIOR
+    cramer = _cramer(p, vertices)
+    if cramer is not None:
+        nums, full = cramer
+        if any(x and (x > 0) != (full > 0) for x in nums):
+            return Containment.OUTSIDE
+        return Containment.ON_BOUNDARY if 0 in nums else Containment.INTERIOR
     coords = barycentric_coordinates(p, vertices)
     if coords is None:
         return Containment.OUTSIDE
@@ -369,26 +364,18 @@ def _in_planar_hull(q, pts) -> bool:
 def angular_order(vectors: Sequence[Point]) -> list:
     """Indices of nonzero 2D vectors sorted CCW by exact angle from the +x axis.
 
-    Vectors on a common ray are tied and kept in index order.
+    The key is the diamond angle: with p = y / (|x| + |y|) it is p for
+    x >= 0 <= y, 2 - p for x < 0 and 4 + p otherwise, exact and strictly
+    increasing with the angle on [0, 2pi). Vectors on a common ray share a
+    key, so the stable sort keeps them in index order.
     """
+    keys = []
     for v in vectors:
         if len(v) != 2:
             raise DimensionMismatch("angular_order is planar only")
-        if v[0] == 0 and v[1] == 0:
+        x, y = v
+        if x == 0 and y == 0:
             raise ValueError("zero vector has no direction")
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(i, j):
-        hi, hj = half(vectors[i]), half(vectors[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = cross2(vectors[i], vectors[j])
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return -1 if i < j else (1 if i > j else 0)
-
-    return sorted(range(len(vectors)), key=cmp_to_key(cmp))
+        p = Fraction(y) / (abs(x) + abs(y))
+        keys.append(2 - p if x < 0 else p if y >= 0 else 4 + p)
+    return sorted(range(len(vectors)), key=keys.__getitem__)

@@ -5,7 +5,8 @@ every input and is deterministic for a fixed variable order. Its tableau is
 fraction-free: each row is scaled to integers once and keeps a positive
 scale of its own, every pivot divides the rows it changes by their gcd,
 and only the returned x are Fractions. Only feasibility is supported;
-nothing here optimizes.
+nothing here optimizes. `hull_contains` is the one membership predicate,
+for a point or the index of a point of the set.
 """
 from __future__ import annotations
 
@@ -210,8 +211,8 @@ def witness_violations(witness: Witness, parts: Sequence[Sequence[int]], ps: Poi
     return out
 
 
-def _common_point_problem(parts, ps: PointSet, shift: Fraction = ZERO) -> FeasibilityProblem:
-    """Encode intersection of hulls; with shift t the solution is mu = lambda - t.
+def _common_point_problem(parts, ps: PointSet) -> FeasibilityProblem:
+    """Encode intersection of hulls: A lambda = b with lambda >= 0.
 
     One convexity row of integer 0/1 entries per part, then d rows per
     later part equating its combination with the first part's.
@@ -223,7 +224,7 @@ def _common_point_problem(parts, ps: PointSet, shift: Fraction = ZERO) -> Feasib
         row = [0] * cols
         row[off:off + len(part)] = [1] * len(part)
         a.append(row)
-        b.append(1 - shift * len(part))
+        b.append(1)
     first = [ps.points[j] for j in parts[0]]
     for off, part in zip(offsets[1:], parts[1:]):
         pts = [ps.points[j] for j in part]
@@ -232,12 +233,13 @@ def _common_point_problem(parts, ps: PointSet, shift: Fraction = ZERO) -> Feasib
             row[:len(first)] = [p[c] for p in first]
             row[off:off + len(part)] = [-p[c] for p in pts]
             a.append(row)
-            b.append(shift * (sum(p[c] for p in pts) - sum(p[c] for p in first)) if shift else 0)
+            b.append(0)
     return FeasibilityProblem(a, b)
 
 
 def _decode_witness(x, parts, ps: PointSet, shift: Fraction = ZERO) -> Witness:
-    """Witness from a solution of _common_point_problem with the same shift."""
+    """Witness from a solution mu of _common_point_problem, or of its
+    shifted form, with weights lambda = mu + shift."""
     weights = []
     pos = 0
     for part in parts:
@@ -280,8 +282,14 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     parts = [tuple(p) for p in parts]
     biggest = max(len(p) for p in parts)
     t = Fraction(1, 2 * biggest)
+    # lambda = mu + t solves A lambda = b exactly when A mu = b - t A 1,
+    # so only the right-hand side changes with t
+    prob = _common_point_problem(parts, ps)
+    b = prob.b
+    sums = [sum(filter(None, row)) for row in prob.a]
     for _ in range(MAX_HALVINGS):
-        res = solve_feasibility(_common_point_problem(parts, ps, shift=t))
+        prob.b = [v - t * s for v, s in zip(b, sums)]
+        res = solve_feasibility(prob)
         if res.feasible:
             return _decode_witness(res.x, parts, ps, shift=t)
         t /= 2
@@ -299,28 +307,23 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     return solve_feasibility(FeasibilityProblem(a, b)).feasible
 
 
-def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
+def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate: an integer halfplane test on `ps.frame` in the plane, for
+    predicate. p is a point, or the index of a point of ps (`type(p) is
+    int`). In the plane it is an integer halfplane test on `ps.frame`, for
     parts of any size, with p as one homogeneous point of that frame;
     beyond it `point_in_simplex` for at most d+1 affinely independent
     points (integer signs for d+1 of them), the LP otherwise."""
     idx = tuple(indices)
     if ps.dim == 2:
         pts, den = ps.frame
-        return _in_planar_hull(_homogeneous(mk_point(p), den), [pts[i] for i in idx])
+        q = (*pts[p], 1) if type(p) is int else _homogeneous(mk_point(p), den)
+        return _in_planar_hull(q, [pts[i] for i in idx])
+    if type(p) is int:
+        p = ps.points[p]
     if len(idx) <= ps.dim + 1:
         try:
             return point_in_simplex(p, [ps.points[i] for i in idx]) != Containment.OUTSIDE
         except DegenerateSimplex:
             return hull_membership(p, idx, ps)
     return hull_membership(p, idx, ps)
-
-
-def _contains_input_point(i: int, indices: Sequence[int], ps: PointSet) -> bool:
-    """hull_contains(ps.points[i], indices, ps) for a point of ps, read
-    straight off `ps.frame` in the plane."""
-    if ps.dim == 2:
-        pts = ps.frame[0]
-        return _in_planar_hull((*pts[i], 1), [pts[j] for j in indices])
-    return hull_contains(ps.points[i], indices, ps)

@@ -28,7 +28,6 @@ from .geometry import Point, PointSet, _homogeneous, _in_planar_hull, angular_or
 from .lp import (
     Partition,
     Witness,
-    _contains_input_point,
     barycentric_witness,
     common_point,
     hull_contains,
@@ -351,7 +350,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     for idx in sorted(leftover):
         target = None
         for i, part in enumerate(parts):
-            if _contains_input_point(idx, part, ps):
+            if hull_contains(idx, part, ps):
                 target = i
                 break
         if target is None:
@@ -359,7 +358,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
 
             def inside(i, j):
                 """Whether grown part j's hull lies in grown part i's."""
-                return all(_contains_input_point(v, grown[i], ps) for v in grown[j])
+                return all(hull_contains(v, grown[i], ps) for v in grown[j])
 
             # i is inclusion-minimal iff no grown hull is a proper subset of it
             target = next(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -7,10 +8,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvk import apps, fixing, lp, tverberg
-from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
+from tvk.errors import (
+    DegenerateIncidence,
+    GeneralPositionViolated,
+    InternalError,
+    SizeOutOfRange,
+)
 from tvk.fileio import partition_from_payload, partition_payload
 from tvk.generate import random_extension, random_point_set
-from tvk.geometry import PointSet, gp_violations_with_extra, in_general_position
+from tvk.geometry import (
+    Containment,
+    PointSet,
+    gp_violations_with_extra,
+    in_general_position,
+    orientation,
+    point_in_simplex,
+)
 from tvk.lp import Witness, hull_membership
 from tvk.fixing import enumerate_origin_pairs
 from tvk.tverberg import Partition
@@ -312,6 +325,10 @@ def _mutate(kind, parts, weights, point, n, draw):
         weights[i][k] += draw(st.fractions(min_value=F(1, 1000), max_value=3))
     elif kind == "long weight row":
         weights[i].append(F(0))
+    elif kind == "negative weight":
+        weights[i][k] = -weights[i][k]
+    elif kind == "missing weight row":
+        del weights[i]
     elif kind == "move witness":
         c = draw(st.integers(0, len(point) - 1))
         point[c] += draw(st.fractions(min_value=F(1, 1000), max_value=3))
@@ -331,6 +348,8 @@ def _mutate(kind, parts, weights, point, n, draw):
             "boolean index",
             "bump weight",
             "long weight row",
+            "negative weight",
+            "missing weight row",
             "move witness",
             "lift witness",
         ]
@@ -347,6 +366,9 @@ def test_verifier_flags_every_mutation(which, kind, data):
     bad.parts = [tuple(p) for p in parts]  # as mutated, not re-canonicalised
     rep = verify_crossing_partition(ps, bad)
     assert rep.violations
+    message = {"negative weight": "negative weight", "missing weight row": "weight rows for"}
+    if kind in message:
+        assert any(message[kind] in v for v in rep.violations)
 
 
 @given(st.integers(0, 3), st.sampled_from(["false", "true", 0, 1, None, [], {}]))
@@ -460,3 +482,71 @@ def test_extension_random_insertions_keep_crossing():
 
     out = extend_partition(rep.partition, [9, 10, 11], grown)
     assert verify_crossing_partition(grown, out).ok
+
+
+def wrapping_pierce_parity(curve, surface):
+    """`apps._curve_pierce_parity` as it was before it rotated the curve up
+    front: it rotated inside the run loop when a run of in-plane vertices
+    wrapped around the end."""
+    sides = [orientation(list(surface) + [v]) for v in curve]
+    if all(s == 0 for s in sides):
+        return 0
+    parity = 0
+    n = len(curve)
+    for i in range(n):
+        si, sj = sides[i], sides[(i + 1) % n]
+        if si == 0 or sj == 0 or si == sj:
+            continue
+        a, b = curve[i], curve[(i + 1) % n]
+        s1 = orientation([a, b, surface[0], surface[1]])
+        s2 = orientation([a, b, surface[1], surface[2]])
+        s3 = orientation([a, b, surface[2], surface[0]])
+        if 0 in (s1, s2, s3):
+            raise DegenerateIncidence("edge crossing through the surface boundary")
+        if s1 == s2 == s3:
+            parity ^= 1
+    i = 0
+    while i < n:
+        if sides[i] != 0:
+            i += 1
+            continue
+        if i == 0 and sides[-1] == 0:
+            k = next(j for j in range(n) if sides[j] != 0)
+            sides = sides[k:] + sides[:k]
+            curve = list(curve[k:]) + list(curve[:k])
+            i = 0
+            continue
+        j = i
+        while j < n and sides[j] == 0:
+            j += 1
+        statuses = [point_in_simplex(curve[m], list(surface)) for m in range(i, j)]
+        if any(s == Containment.ON_BOUNDARY for s in statuses):
+            raise DegenerateIncidence("curve vertex on the surface boundary")
+        kinds = set(statuses)
+        if len(kinds) > 1:
+            raise DegenerateIncidence("in-plane edge would cross the surface boundary")
+        if kinds == {Containment.INTERIOR} and sides[i - 1] != sides[j % n]:
+            parity ^= 1
+        i = j
+    return parity
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateIncidence as exc:
+        return type(exc), str(exc)
+
+
+def test_pierce_parity_matches_the_wrapping_version():
+    rng = random.Random(11)
+    wrapped = 0
+    for _ in range(4000):
+        tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        t1, t2 = tri(), tri()
+        for curve, surface in ((t1, t2), (t2, t1)):
+            expect = _outcome(wrapping_pierce_parity, curve, surface)
+            assert _outcome(apps._curve_pierce_parity, curve, surface) == expect
+            sides = [orientation(list(surface) + [v]) for v in curve]
+            wrapped += sides[0] == sides[-1] == 0 and any(sides)
+    assert wrapped > 50  # the old in-loop rotation ran this often

@@ -291,6 +291,24 @@ def test_verify_bad_indices_and_witness_are_violations(nine, tmp_path, capsys):
         assert json.loads(out)["violations"]
 
 
+def test_verify_negative_and_missing_weights_are_violations(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    good = json.loads(out_path.read_text())
+    weights = good["witness"]["weights"]
+    negative = [["-" + weights[0][0], *weights[0][1:]], *weights[1:]]
+    for rows, message in (
+        (negative, "part 0: negative weight"),
+        (weights[:-1], "witness has 2 weight rows for 3 parts"),
+    ):
+        out_path.write_text(json.dumps({**good, "witness": {**good["witness"], "weights": rows}}))
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(nine), "--report", str(out_path)
+        )
+        assert code == 5
+        assert message in json.loads(out)["violations"]
+
+
 def test_parity_wrong_point_count_is_a_size_gate(tmp_path, capsys):
     path = tmp_path / "nine.txt"
     write_points(path, NESTED_SIX + [(3, 7), (-8, 5), (6, 11)])

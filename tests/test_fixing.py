@@ -29,7 +29,8 @@ from tvk.fixing import (
     unnest_pair,
 )
 from tvk.tverberg import Partition
-from tvk.apps import refine_witness
+from tvk.apps import crossing_simplices, refine_witness
+from tvk.fileio import trace_payload
 
 from cocycles import (
     cocycle_generator_masks,
@@ -437,6 +438,33 @@ def test_fix_all_point_count_measure():
     o = fixed.witness.point
     for a, b in combinations(fixed.parts, 2):
         assert classify_pair(a, b, ps, o).kind == "crossing"
+
+
+def test_fix_all_measures_once_per_step_and_once_up_front(monkeypatch):
+    calls = []
+    measure = fixing._measure_vector
+    monkeypatch.setattr(
+        fixing, "_measure_vector", lambda *args: calls.append(args) or measure(*args)
+    )
+    rep = crossing_simplices(random_point_set(2, 24, 22))
+    assert rep.trace.iterations == 2
+    assert len(calls) == 3
+    assert trace_payload(rep.trace) == [
+        {
+            "fixed": [2, 4],
+            "volumes_before": ["273832373/2", "220168789/2", "84881685/1", "54828594/1",
+                               "78416859/2", "22872270/1", "29173761/2", "8750543/1"],
+            "volumes_after": ["273832373/2", "84881685/1", "139305993/2", "54828594/1",
+                              "78416859/2", "23694835/1", "22872270/1", "8750543/1"],
+        },
+        {
+            "fixed": [3, 7],
+            "volumes_before": ["273832373/2", "84881685/1", "139305993/2", "54828594/1",
+                               "78416859/2", "23694835/1", "22872270/1", "8750543/1"],
+            "volumes_after": ["273832373/2", "139305993/2", "54828594/1", "40956365/1",
+                              "78416859/2", "25813263/1", "23694835/1", "22872270/1"],
+        },
+    ]
 
 
 def test_fix_all_budget_exceeded():

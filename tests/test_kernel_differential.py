@@ -5,11 +5,13 @@ by Fraction elimination, barycentric containment by solving the affine
 system in Fractions, and a centerpoint scan that asks `halfplane_depth`
 about every candidate in the documented order. The planar hull tests use
 the phase-1 LP as their reference, and barycentric weights are checked
-against the linear solve they replaced. Any change to how the predicates compute
+against the linear solve they replaced, and the angular order against the
+comparator it replaced. Any change to how the predicates compute
 must leave every verdict, volume, raised error and returned point equal.
 """
 import math
 from fractions import Fraction as F
+from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
@@ -17,18 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import linalg
-from tvk.errors import DegenerateSimplex
+from tvk.errors import DegenerateSimplex, DimensionMismatch
 from tvk.generate import random_point_set
 from tvk.geometry import (
     Containment,
     PointSet,
     _int_frame,
+    angular_order,
     barycentric_coordinates,
     orientation,
     point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import _contains_input_point, common_point, hull_contains, hull_membership
+from tvk.lp import common_point, hull_contains, hull_membership
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
 
 
@@ -401,7 +404,7 @@ def test_frame_hull_contains_matches_lp_on_subsets(points, data):
     sub = ps.take(idx)
     assert hull_contains(p, range(len(idx)), sub) == expected
     for i in range(len(points)):
-        assert _contains_input_point(i, idx, ps) == hull_membership(points[i], idx, ps)
+        assert hull_contains(i, idx, ps) == hull_membership(points[i], idx, ps)
 
 
 def test_frame_is_the_int_frame_of_the_points():
@@ -469,3 +472,69 @@ def test_barycentric_coordinates_on_dependent_and_subdimensional_vertices():
     edge = [(0, 0, 0, 0), (2, 2, 2, 2)]
     assert barycentric_coordinates((1, 1, 1, 1), edge) == [F(1, 2), F(1, 2)]
     assert barycentric_coordinates((1, 1, 1, 0), edge) is None
+
+
+def ref_angular_order(vectors):
+    """`angular_order` as a comparator: the open upper half-plane and the
+    +x ray first, then cross products, ties on a ray in index order."""
+    for v in vectors:
+        if len(v) != 2:
+            raise DimensionMismatch("angular_order is planar only")
+        if v[0] == 0 and v[1] == 0:
+            raise ValueError("zero vector has no direction")
+
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def cmp(i, j):
+        u, v = vectors[i], vectors[j]
+        if half(u) != half(v):
+            return -1 if half(u) < half(v) else 1
+        c = u[0] * v[1] - u[1] * v[0]
+        return -1 if c > 0 else 1 if c < 0 else (i > j) - (i < j)
+
+    return sorted(range(len(vectors)), key=cmp_to_key(cmp))
+
+
+def angle_outcome(fn, vectors):
+    try:
+        return fn(vectors)
+    except (DimensionMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def angle_vectors(draw):
+    """Rational vectors, many on the axes or on a common ray, sometimes a
+    zero vector or one of the wrong dimension."""
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["any", "axis", "ray", "ray", "zero", "3d"]))
+        if kind == "axis":
+            c = draw(coordinate.filter(bool))
+            v = draw(st.sampled_from([(c, 0), (0, c)]))
+        elif kind == "ray" and out and len(out[-1]) == 2:
+            v = tuple(draw(st.builds(F, st.integers(1, 5), st.integers(1, 4))) * c for c in out[-1])
+        elif kind == "zero" and draw(st.integers(0, 4)) == 0:
+            v = (0, F(0))
+        elif kind == "3d" and draw(st.integers(0, 4)) == 0:
+            v = (1, 2, 3)
+        else:
+            v = tuple(draw(st.lists(coordinate, min_size=2, max_size=2)))
+        out.append(v)
+    return out
+
+
+@settings(max_examples=200)
+@given(angle_vectors())
+def test_angular_order_matches_the_comparator(vectors):
+    assert angle_outcome(angular_order, vectors) == angle_outcome(ref_angular_order, vectors)
+
+
+def test_angular_order_on_axes_and_rays():
+    vectors = [(0, -1), (2, 0), (-1, 0), (0, 3), (1, 0), (F(1, 2), F(-1, 2)), (-1, -1), (1, 1)]
+    assert angular_order(vectors) == [1, 4, 7, 3, 2, 6, 0, 5]
+    with pytest.raises(ValueError, match="zero vector"):
+        angular_order([(1, 1), (0, 0), (1, 2, 3)])
+    with pytest.raises(DimensionMismatch, match="planar only"):
+        angular_order([(1, 2, 3), (0, 0)])

@@ -56,6 +56,14 @@ def test_hexagon_triples_common_point():
         assert status != Containment.OUTSIDE
 
 
+def test_common_point_rejects_empty_and_overlapping_parts():
+    ps = PointSet(2, HEXAGON)
+    with pytest.raises(ValueError, match="empty part"):
+        common_point([(0, 1, 2), ()], ps)
+    with pytest.raises(ValueError, match="parts are not disjoint"):
+        common_point([(0, 1, 2), (2, 3, 4)], ps)
+
+
 def test_solver_deterministic():
     prob = FeasibilityProblem(
         [[1, 2, 0, 1], [0, 1, 1, 3]],
