@@ -41,6 +41,7 @@ from .geometry import (
 from .lp import (
     Partition,
     Witness,
+    _query,
     barycentric_witness,
     common_point,
     hull_contains,
@@ -431,7 +432,7 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     if out:
         return VerificationReport(out)
     out.extend(witness_violations(witness, parts, ps))
-    o = witness.point
+    o = _query(witness.point, ps)
     r = len(parts)
     degenerate = {
         i

@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .lp import (
     Partition,
+    _query,
     barycentric_witness,
     canonical_parts,
     hull_contains,
@@ -53,10 +54,12 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     NoCommonPoint when o misses either hull; Nested when one part's points
     all lie in the other's closed hull; Crossing otherwise (for hulls
     sharing a point this exhausts the possibilities). Every membership test
-    is `hull_contains`; the parts' own points enter it by index.
+    is `hull_contains`; the parts' own points enter it by index and o as
+    `lp._query(o, ps)`, which callers that classify many pairs at one o
+    build once and pass in.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
-    o = mk_point(o)
+    o = _query(o, ps)
     if not (hull_contains(o, a, ps) and hull_contains(o, b, ps)):
         return PairClass("no_common_point")
     if all(hull_contains(i, b, ps) for i in a):
@@ -152,10 +155,11 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
         return t1, t2
     union = sorted(t1 + t2)
     _require_origin_setup(ps.take(union), o)
+    q = _query(o, ps)
     for rest in combinations(union[1:], ps.dim):
         f = (union[0],) + rest
         g = tuple(i for i in union if i not in f)
-        if f not in (t1, t2) and classify_pair(f, g, ps, o).kind == "crossing":
+        if f not in (t1, t2) and classify_pair(f, g, ps, q).kind == "crossing":
             return f, g
     raise InternalError(
         "no crossing repartition exists: contradicts the parity argument"
@@ -272,6 +276,7 @@ def fix_all(
         raise ValueError("fix_all needs a witness")
     d = ps.dim
     o = partition.witness.point
+    q = _query(o, ps)
     parts = canonical_parts(partition.parts)
     trace = FixTrace(measure=measure)
     # a step changes two parts, so verdicts are kept by part contents
@@ -285,7 +290,7 @@ def fix_all(
                 key = (parts[i], parts[j])
                 verdict = verdicts.get(key)
                 if verdict is None:
-                    verdict = verdicts[key] = classify_pair(*key, ps, o)
+                    verdict = verdicts[key] = classify_pair(*key, ps, q)
                 if verdict.kind == "no_common_point":
                     raise ValueError("fix_all needs a witness inside every part")
                 if verdict.kind == "nested":

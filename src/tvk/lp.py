@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import linalg
@@ -272,12 +273,53 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     return _decode_witness(res.x, parts, ps)
 
 
+def _planar_shift_screen(parts, ps: PointSet):
+    """Projections that rule out shifts t = 1/q of planar parts without an LP.
+
+    For a direction w, a part of k points shrinks, scaled by q, to the
+    integer interval [S + (q-k) min, S + (q-k) max] of p.w over `ps.frame`,
+    S the sum of its p.w: the points sum_j lambda_j p_j with lambda >= 1/q.
+    The directions are the coordinate axes and the normal of every segment
+    within a part (a triangle's edge normals). Returns one (k, S, min, max)
+    row per part for each direction.
+    """
+    pts = ps.frame[0]
+    dirs = [(1, 0), (0, 1)]
+    for part in parts:
+        for i, j in combinations(part, 2):
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            dirs.append((ay - by, bx - ax))
+    table = []
+    for wx, wy in dirs:
+        rows = []
+        for part in parts:
+            proj = [pts[i][0] * wx + pts[i][1] * wy for i in part]
+            rows.append((len(part), sum(proj), min(proj), max(proj)))
+        table.append(rows)
+    return table
+
+
+def _separated(table, q: int) -> bool:
+    """Whether, along some direction of `_planar_shift_screen`, the parts
+    shrunk to lambda >= 1/q have intervals without a common point."""
+    return any(
+        max(s + (q - k) * lo for k, s, lo, _ in rows)
+        > min(s + (q - k) * hi for k, s, _, hi in rows)
+        for rows in table
+    )
+
+
 def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     """Witness with every barycentric weight strictly positive.
 
     Feasibility of {lambda >= t} is monotone in t, so a shrinking-t loop
     finds a strictly positive certificate whenever one exists (down to
-    2^-MAX_HALVINGS of the starting threshold).
+    2^-MAX_HALVINGS of the starting threshold). Every t is 1/q for an
+    integer q. In the plane a shift whose shrunk parts are separated along
+    an axis or a part's edge normal (`_planar_shift_screen`) is infeasible
+    and is halved without an LP, so the LP runs first at the same shift as
+    without the screen and returns the same vertex; beyond the plane every
+    shift is solved.
     """
     parts = [tuple(p) for p in parts]
     biggest = max(len(p) for p in parts)
@@ -287,11 +329,13 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     prob = _common_point_problem(parts, ps)
     b = prob.b
     sums = [sum(filter(None, row)) for row in prob.a]
+    screen = _planar_shift_screen(parts, ps) if ps.dim == 2 else None
     for _ in range(MAX_HALVINGS):
-        prob.b = [v - t * s for v, s in zip(b, sums)]
-        res = solve_feasibility(prob)
-        if res.feasible:
-            return _decode_witness(res.x, parts, ps, shift=t)
+        if screen is None or not _separated(screen, t.denominator):
+            prob.b = [v - t * s for v, s in zip(b, sums)]
+            res = solve_feasibility(prob)
+            if res.feasible:
+                return _decode_witness(res.x, parts, ps, shift=t)
         t /= 2
     return None
 
@@ -307,17 +351,32 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     return solve_feasibility(FeasibilityProblem(a, b)).feasible
 
 
+class _Query(tuple):
+    """A point as `hull_contains` reads it over one PointSet, converted once
+    by `_query` for callers that test it against many parts."""
+
+
+def _query(p: Point, ps: PointSet) -> _Query:
+    """p validated once and, in the plane, made the homogeneous integer
+    point of `ps.frame`; a _Query is returned as it is."""
+    if type(p) is _Query:
+        return p
+    p = mk_point(p)
+    return _Query(_homogeneous(p, ps.frame[1]) if ps.dim == 2 else p)
+
+
 def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate. p is a point, or the index of a point of ps (`type(p) is
-    int`). In the plane it is an integer halfplane test on `ps.frame`, for
-    parts of any size, with p as one homogeneous point of that frame;
-    beyond it `point_in_simplex` for at most d+1 affinely independent
-    points (integer signs for d+1 of them), the LP otherwise."""
+    predicate. p is a point, the index of a point of ps (`type(p) is
+    int`), or `_query(point, ps)`. In the plane it is an integer halfplane
+    test on `ps.frame`, for parts of any size, with p as one homogeneous
+    point of that frame; beyond it `point_in_simplex` for at most d+1
+    affinely independent points (integer signs for d+1 of them), the LP
+    otherwise."""
     idx = tuple(indices)
     if ps.dim == 2:
-        pts, den = ps.frame
-        q = (*pts[p], 1) if type(p) is int else _homogeneous(mk_point(p), den)
+        pts = ps.frame[0]
+        q = (*pts[p], 1) if type(p) is int else _query(p, ps)
         return _in_planar_hull(q, [pts[i] for i in idx])
     if type(p) is int:
         p = ps.points[p]

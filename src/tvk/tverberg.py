@@ -11,7 +11,6 @@ witness whose certificates re-verify by exact arithmetic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -28,6 +27,7 @@ from .geometry import Point, PointSet, _homogeneous, _in_planar_hull, angular_or
 from .lp import (
     Partition,
     Witness,
+    _query,
     barycentric_witness,
     common_point,
     hull_contains,
@@ -155,7 +155,8 @@ def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
     """First canonical size-bounded partition whose hulls share a point.
 
     Existence is guaranteed for (d+1)(r-1)+1 <= n <= (d+1)r points. Gated at
-    desk scale (n <= 14); larger planar inputs should take the fast path.
+    desk scale (n <= 14); only the planar fast path (d=2, n=3r) takes
+    larger inputs.
     """
     d = ps.dim
     n = len(ps)
@@ -167,8 +168,9 @@ def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
         )
     if n > BRUTE_FORCE_MAX_POINTS:
         raise SizeOutOfRange(
-            f"brute force is gated at {BRUTE_FORCE_MAX_POINTS} points (got {n}); "
-            "use the planar fast path for larger inputs"
+            f"brute force is gated at {BRUTE_FORCE_MAX_POINTS} points (got n={n}, "
+            f"d={d}, r={r}); larger inputs need the planar fast path, which "
+            "takes only d=2 and n=3r"
         )
     found = _first_valid(ps, iter_bounded_partitions(n, r, d + 1))
     if found is None:
@@ -230,12 +232,15 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
 
     Candidates are the input points (in index order) followed by all
     pairwise line intersections in lexicographic line-pair order. Every
-    halfplane `_depth` finds with fewer than ceil(n/3) points is kept, as
-    its inner normal w and the sorted projections p.w, most recently used
-    first. Any closed halfplane containing q bounds q's depth, so a
-    candidate is rejected, by bisection, when the closed halfplane with
-    normal w and q on its boundary holds too few points; only a candidate
-    no kept halfplane rejects gets the full `_depth`.
+    halfplane `_depth` finds with fewer than ceil(n/3) = m points is kept,
+    as its inner normal w and thr, the m-th largest projection p.w:
+    any closed halfplane containing q bounds q's depth, so the kept
+    halfplane rejects exactly the candidates q with q.w > thr. Along the
+    line a + t u the kept halfplanes leave one window lo <= t <= hi, empty
+    when a halfplane parallel to the line holds it whole; it is computed
+    again only when a halfplane is kept, and a line-pair candidate outside
+    it is rejected by cross-multiplying its t. Only a candidate no kept
+    halfplane rejects gets the full `_depth`.
     """
     if ps.dim != 2:
         raise DimensionMismatch("centerpoint_planar requires d=2")
@@ -245,52 +250,78 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     m = -(-n // 3)  # ceil
     pts, denom = ps.frame
     input_set = set(pts)
-    shallow = []  # (wx, wy, sorted p.w) of halfplanes with fewer than m points
+    shallow = []  # (wx, wy, thr) of halfplanes with fewer than m points
+    seen = set()
 
-    def ok(qx, qy, qd):
+    def deep(qx, qy, qd):
+        """q as a point if it is new, allowed and deep enough; a shallow
+        halfplane found on the way is kept."""
+        if (qx, qy, qd) in seen:
+            return None
+        seen.add((qx, qy, qd))
         if exclude_input_points and qd == 1 and (qx, qy) in input_set:
             return None
-        for k, (wx, wy, proj) in enumerate(shallow):
-            # points p with p.w >= q.w, i.e. p.w >= ceil(q.w / qd)
-            if n - bisect_left(proj, -((-qx * wx - qy * wy) // qd)) < m:
-                if k:
-                    shallow.insert(0, shallow.pop(k))
-                return None
         depth, w = _depth(qx, qy, qd, pts, m)
         if depth >= m:
             return (Fraction(qx, qd * denom), Fraction(qy, qd * denom))
         wx, wy = w
-        shallow.insert(0, (wx, wy, sorted(x * wx + y * wy for x, y in pts)))
+        shallow.append((wx, wy, sorted(x * wx + y * wy for x, y in pts)[n - m]))
         return None
 
-    seen = set()
     if not exclude_input_points:
         for x, y in pts:
-            if (x, y, 1) in seen:
-                continue
-            seen.add((x, y, 1))
-            hit = ok(x, y, 1)
-            if hit:
-                return hit
+            if not any(x * wx + y * wy > thr for wx, wy, thr in shallow):
+                hit = deep(x, y, 1)
+                if hit:
+                    return hit
+
+    def window(ax, ay, ux, uy):
+        """(lo, hi) bounds on t, each (num, den) with den > 0 or None when
+        unbounded, outside which a kept halfplane rejects a + t u; None
+        when the window is empty."""
+        lo = hi = None
+        for wx, wy, thr in shallow:
+            # rejected exactly when t * s > r
+            s = ux * wx + uy * wy
+            r = thr - ax * wx - ay * wy
+            if s > 0:
+                if hi is None or r * hi[1] < hi[0] * s:
+                    hi = (r, s)
+            elif s < 0:
+                if lo is None or r * lo[1] < lo[0] * s:
+                    lo = (-r, -s)
+            elif r < 0:
+                return None
+        if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
+            return None
+        return lo, hi
+
     # each line through two input points as (a point, its direction)
     lines = [(a, (b[0] - a[0], b[1] - a[1])) for a, b in combinations(pts, 2)]
-    for ((ax, ay), (ux, uy)), ((cx, cy), (vx, vy)) in combinations(lines, 2):
-        den = ux * vy - uy * vx
-        if den == 0:
-            continue
-        t_num = (cx - ax) * vy - (cy - ay) * vx
-        qx = ax * den + t_num * ux
-        qy = ay * den + t_num * uy
-        if den < 0:
-            qx, qy, den = -qx, -qy, -den
-        g = math.gcd(qx, qy, den)
-        key = (qx // g, qy // g, den // g)
-        if key in seen:
-            continue
-        seen.add(key)
-        hit = ok(*key)
-        if hit:
-            return hit
+    for i, ((ax, ay), (ux, uy)) in enumerate(lines):
+        kept = len(shallow)
+        bounds = window(ax, ay, ux, uy)
+        for (cx, cy), (vx, vy) in lines[i + 1:]:
+            if bounds is None:
+                break
+            den = ux * vy - uy * vx
+            if den == 0:
+                continue
+            t_num = (cx - ax) * vy - (cy - ay) * vx
+            if den < 0:
+                t_num, den = -t_num, -den
+            lo, hi = bounds
+            if lo and t_num * lo[1] < lo[0] * den or hi and t_num * hi[1] > hi[0] * den:
+                continue
+            qx = ax * den + t_num * ux
+            qy = ay * den + t_num * uy
+            g = math.gcd(qx, qy, den)
+            hit = deep(qx // g, qy // g, den // g)
+            if hit:
+                return hit
+            if len(shallow) > kept:
+                kept = len(shallow)
+                bounds = window(ax, ay, ux, uy)
     raise GeneralPositionViolated(
         "no candidate centerpoint found (degenerate configuration)"
     )
@@ -345,6 +376,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
         raise ValueError("extend_partition needs a witness")
     d = ps.dim
     o = partition.witness.point
+    q = _query(o, ps)
     parts = [tuple(p) for p in partition.parts]
     weights = [list(w) for w in partition.witness.weights]
     for idx in sorted(leftover):
@@ -379,7 +411,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
             if j == target or len(part) < d + 1:
                 continue
             a, b = sorted((target, j))
-            verdict = classify_pair(parts[a], parts[b], ps, o)
+            verdict = classify_pair(parts[a], parts[b], ps, q)
             if verdict.kind != "crossing":
                 raise InternalError(
                     f"inserting point {idx} broke crossing of parts "

@@ -197,6 +197,22 @@ def test_size_gate_exit(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("d, n, r", [(3, 15, 4), (2, 16, 6)])
+def test_brute_force_gate_names_what_the_fast_path_takes(tmp_path, capsys, d, n, r):
+    # both sizes admit a partition but exceed the brute-force gate, and
+    # neither is planar with n = 3r, so no fast path exists for them
+    path = tmp_path / "points.txt"
+    code, out, _ = run_cli(capsys, "gen", "--d", str(d), "--n", str(n), "--seed", "3")
+    assert code == 0
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "crossing", "--input", str(path), "--r", str(r))
+    assert code == 3
+    assert out == ""
+    assert "gated at 14 points" in err
+    assert "takes only d=2 and n=3r" in err
+    assert "use the planar fast path" not in err
+
+
 def test_parity_and_cocycle_commands(tmp_path, capsys):
     path = tmp_path / "six.txt"
     write_points(path, NESTED_SIX)

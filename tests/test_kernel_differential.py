@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvk import linalg
+from tvk import linalg, tverberg
 from tvk.errors import DegenerateSimplex, DimensionMismatch
 from tvk.generate import random_point_set
 from tvk.geometry import (
@@ -235,7 +235,7 @@ def test_centerpoint_matches_reference_scan(exclude):
         )
 
 
-@pytest.mark.parametrize("n", [33, 34, 35])
+@pytest.mark.parametrize("n", [33, 34, 35, 60])
 def test_centerpoint_matches_reference_scan_at_benchmark_sizes(n):
     ps = random_point_set(2, n, seed=n)
     for exclude in (False, True):
@@ -538,3 +538,37 @@ def test_angular_order_on_axes_and_rays():
         angular_order([(1, 1), (0, 0), (1, 2, 3)])
     with pytest.raises(DimensionMismatch, match="planar only"):
         angular_order([(1, 2, 3), (0, 0)])
+
+
+@pytest.mark.parametrize(
+    "points, exclude, depth_calls",
+    [
+        # the centerpoint lies on a line with a kept parallel halfplane that
+        # leaves it whole; rejecting such lines moves the first to
+        # (-5/7, -4/7) and skips two candidates of the second
+        ([(1, 0), (0, -2), (-1, 0), (-1, -2), (-2, -1)], False, 6),
+        ([(2, -1), (0, 3), (3, -2), (-2, -1), (-2, 2)], True, 7),
+        # a kept halfplane parallel to a line rejects all of it; without
+        # that rejection the scan runs _depth 13 times
+        ([(2, 0), (-1, 3), (1, -2), (-2, 0), (1, -1), (-3, -2), (-2, -1)], True, 9),
+        ([(2, 0), (-1, 3), (1, -2), (-2, 0), (1, -1), (-3, -2), (-2, -1)], False, 12),
+    ],
+)
+def test_centerpoint_window_with_a_kept_halfplane_parallel_to_the_line(
+    monkeypatch, points, exclude, depth_calls
+):
+    # depth_calls counts the candidates that no kept halfplane rejects, as
+    # a scan that tests each candidate against every kept halfplane finds
+    # them: the window must reject exactly the others
+    ps = PointSet(2, points)
+    expect = ref_centerpoint(ps, exclude)
+    calls = []
+    depth = tverberg._depth
+
+    def counted(*args):
+        calls.append(args)
+        return depth(*args)
+
+    monkeypatch.setattr(tverberg, "_depth", counted)
+    assert centerpoint_planar(ps, exclude_input_points=exclude) == expect
+    assert len(calls) == depth_calls

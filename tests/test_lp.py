@@ -334,7 +334,37 @@ def test_relative_interior_witness_matches_fraction_tableau(case):
     assert same_witness(relative_interior_witness(parts, ps), expect)
 
 
-def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau():
+@st.composite
+def planar_parts(draw):
+    """Two to four planar parts of one to four points with Fraction
+    coordinates."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    pts = [(draw(coords), draw(coords)) for _ in range(sum(sizes))]
+    parts, pos = [], 0
+    for s in sizes:
+        parts.append(tuple(range(pos, pos + s)))
+        pos += s
+    return PointSet(2, pts), parts
+
+
+# two triangles apart along the x axis: every shift is separated
+@example((PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), [(0, 1, 2), (3, 4, 5)]))
+# a triangle around a point of another part: small shifts pass the screen
+@example((PointSet(2, [(0, 0), (4, 0), (0, 4), (1, 1), (9, 9)]), [(0, 1, 2), (3, 4)]))
+@settings(max_examples=150)
+@given(planar_parts())
+def test_planar_shift_screen_rejects_only_infeasible_shifts(case):
+    ps, parts = case
+    table = lp._planar_shift_screen(parts, ps)
+    biggest = max(map(len, parts))
+    # every q up to 4x the largest part, and the witness search's shifts
+    qs = {*range(1, 4 * biggest + 1), *(2 * biggest << h for h in range(6))}
+    for q in sorted(qs):
+        if lp._separated(table, q):
+            assert fraction_witness(parts, ps, F(1, q)) is None, q
+
+
+def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau(monkeypatch):
     # the witness LPs of planar crossing_simplices at n=120: 40 triangles,
     # 40 + 2*39 = 118 rows; the first shift is too large and is infeasible
     ps = random_point_set(2, 120, seed=1)
@@ -349,5 +379,14 @@ def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau():
         assert (got.feasible, got.x) == (feasible, x)
         verdicts.append(feasible)
     assert verdicts == [False, True, True]
+    # the shift screen rules out t = 1/6 without an LP: one solve, at 1/12
+    solves = []
+
+    def counted(prob):
+        solves.append(prob)
+        return solve_feasibility(prob)
+
+    monkeypatch.setattr(lp, "solve_feasibility", counted)
     expect = fraction_relative_interior_witness(parts, ps)
     assert same_witness(relative_interior_witness(parts, ps), expect)
+    assert len(solves) == 1
