@@ -26,7 +26,9 @@ def run_batch(d, r, instances, seed, measure):
         t0 = time.perf_counter()
         rep = crossing_tverberg(ps, r, measure=measure, seed=seed + i)
         elapsed += time.perf_counter() - t0
-        assert verify_crossing_partition(ps, rep.partition).ok
+        report = verify_crossing_partition(ps, rep.partition)
+        if not report.ok:
+            sys.exit(f"verification failed (seed {seed + i}, {measure}): {report.violations}")
         counts[rep.trace.iterations] += 1
     return counts, elapsed
 

@@ -53,7 +53,6 @@ from .fixing import (
     enumerate_origin_pairs,
     fix_all,
     parity_check,
-    swap_witness_planar,
     unnest_pair,
 )
 from .apps import (

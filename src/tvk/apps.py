@@ -348,14 +348,11 @@ class LinkingCounterexampleReport:
     falsified: bool
 
 
-def verify_linking_counterexample(
-    points=None, o: Point = (0, 0, 0)
-) -> LinkingCounterexampleReport:
+def verify_linking_counterexample() -> LinkingCounterexampleReport:
     """Check the built-in 8-point set: origin-containing complementary
     tetrahedra pairs exist in even number, and none of them is face-linked."""
-    ps = PointSet(3, points if points is not None else LINKING_COUNTEREXAMPLE_POINTS)
-    o = mk_point(o)
-    pairs = enumerate_origin_pairs(ps, o)
+    ps = PointSet(3, LINKING_COUNTEREXAMPLE_POINTS)
+    pairs = enumerate_origin_pairs(ps, (0, 0, 0))
     linked = 0
     intersecting = 0
     for f, g in pairs:

@@ -14,7 +14,6 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DimensionMismatch
 from .fixing import FixTrace
 from .geometry import PointSet, rat
 from .lp import Partition, Witness
@@ -41,13 +40,7 @@ def parse_points(text: str) -> PointSet:
             raise ValueError(f"line {lineno}: cannot parse point: {exc}") from exc
     if not rows:
         raise ValueError("no points in input")
-    dim = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise DimensionMismatch(
-                f"point {i} has {len(row)} coordinates, expected {dim}"
-            )
-    return PointSet(dim, rows)
+    return PointSet(len(rows[0]), rows)
 
 
 def format_points(ps: PointSet) -> str:

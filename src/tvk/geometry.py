@@ -15,8 +15,9 @@ tolerances anywhere in this module; degenerate inputs raise rather than
 silently picking a side.
 `require_general_position` is the one gate that raises on an input not in
 general position; its scan, `in_general_position`, finds collinear
-triples in the plane by repeated primitive directions in O(n^2) and
-takes the determinant of every (d+1)-subset beyond it.
+triples in the plane by repeated primitive directions in O(n^2), takes
+the determinant of every (d+1)-subset beyond it, and reports n <= d
+points whole when their difference vectors have a nontrivial nullspace.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .errors import (
     PerturbationFailed,
 )
 
-Rat = Fraction
 Point = tuple
 _numerator = attrgetter("numerator")
 
@@ -168,7 +168,8 @@ def simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     """All (d+1)-subsets of ps.points (plus `extra`) that are affinely
-    dependent, in `combinations` order.
+    dependent, in `combinations` order; k <= d points are reported as
+    `tuple(range(k))` when they are affinely dependent.
 
     An empty report means general position. When `extra` is given it is
     addressed as index len(ps) in the reported tuples. In the plane this
@@ -178,15 +179,16 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     on the scaled points.
     """
     d = ps.dim
-    if len(ps) + (extra is not None) <= d:
-        return []
     if extra is None:
-        pts = ps.frame[0]
+        points = ps.points
     else:
         extra = mk_point(extra)
         if len(extra) != d:
             raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {d + 1}")
-        pts = _int_frame([*ps.points, extra])[0]
+        points = [*ps.points, extra]
+    if len(points) <= d:
+        return _few_points_report(points)
+    pts = ps.frame[0] if extra is None else _int_frame(points)[0]
     if d != 2:
         return [
             idx
@@ -212,14 +214,26 @@ def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
     return out
 
 
+def _few_points_report(points) -> list:
+    """The gate's report on k <= d points: [tuple(range(k))] when they are
+    affinely dependent, that is when the difference vectors to the first
+    point have a nontrivial nullspace, and [] otherwise."""
+    if len(points) < 2:
+        return []
+    base = points[0]
+    rows = [[p[c] - base[c] for p in points[1:]] for c in range(len(base))]
+    return [tuple(range(len(points)))] if linalg.nullspace(rows, len(points) - 1) else []
+
+
 def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     """The first affinely dependent (d+1)-subset that includes `extra`, in
-    `combinations` order, as a one-tuple list; empty when there is none."""
+    `combinations` order, as a one-tuple list; empty when there is none.
+    With fewer than d points the subset is all of them and `extra`."""
     d = len(extra)
-    if len(points) < d:
-        return []
     if d < 1 or any(len(p) != d for p in points):
         raise DimensionMismatch(f"need points in R^d with d >= 1 for an extra point in R^{d}")
+    if len(points) < d:
+        return _few_points_report([*points, extra])
     *pts, extra = _int_frame([*points, extra])[0]
     for idx in combinations(range(len(pts)), d):
         if not _det([pts[i] for i in idx] + [extra]):
@@ -244,22 +258,20 @@ def longest_side(points: Sequence[Point]) -> Fraction:
     return max((max(c) - min(c) for c in zip(*points)), default=0) or Fraction(1)
 
 
-def perturb(ps: PointSet, seed: int, k: int = 16) -> PointSet:
+def perturb(ps: PointSet, seed: int) -> PointSet:
     """Deterministic rational jitter until the set is in general position.
 
-    Each coordinate moves by (m / 2^(k+j)) * diam with m drawn uniformly from
-    {-2^k..2^k}; j starts at k (so every move is at most diam / 2^k) and grows
-    each round until `in_general_position` passes.
+    Each coordinate moves by (m / 2^(16+j)) * diam with m drawn uniformly
+    from {-2^16..2^16}; j starts at 16 (so every move is at most
+    diam / 2^16) and grows each round until `in_general_position` passes.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     rng = random.Random(seed)
     if len(ps) == 0:
         return PointSet(ps.dim, [])
     diam = longest_side(ps.points)
-    span = 2**k
-    for j in range(k, k + 64):
-        den = 2 ** (k + j)
+    span = 2**16
+    for j in range(16, 16 + 64):
+        den = 2 ** (16 + j)
         moved = [
             tuple(c + Fraction(rng.randint(-span, span), den) * diam for c in p)
             for p in ps.points

@@ -17,16 +17,16 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import DegenerateSimplex, DimensionMismatch, InternalError
+from .errors import DimensionMismatch, InternalError
 from .geometry import (
-    Containment,
     Point,
     PointSet,
+    _cramer,
     _homogeneous,
     _in_planar_hull,
     barycentric_coordinates,
     mk_point,
-    point_in_simplex,
+    rat,
 )
 
 ZERO = Fraction(0)
@@ -35,13 +35,14 @@ MAX_HALVINGS = 64
 
 
 def _exact(v):
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+    return v if type(v) is int or type(v) is Fraction else rat(v)
 
 
 @dataclass
 class FeasibilityProblem:
     """Equality system A x = b with x >= 0 on every variable; int and
-    Fraction entries are kept as they are, anything else becomes a Fraction."""
+    Fraction entries are kept as they are, anything else goes through
+    `geometry.rat`, so floats raise TypeError."""
 
     a: list
     b: list
@@ -135,14 +136,15 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
 
 @dataclass
 class Witness:
-    """Common point of several hulls with per-part barycentric certificates."""
+    """Common point of several hulls with per-part barycentric certificates;
+    the point and the weights go through `geometry.rat`."""
 
     point: Point
     weights: list  # one weight list per part, aligned with the part's indices
 
     def __post_init__(self):
         self.point = mk_point(self.point)
-        self.weights = [[Fraction(w) for w in ws] for ws in self.weights]
+        self.weights = [[rat(w) for w in ws] for ws in self.weights]
 
 
 @dataclass
@@ -357,11 +359,14 @@ class _Query(tuple):
 
 
 def _query(p: Point, ps: PointSet) -> _Query:
-    """p validated once and, in the plane, made the homogeneous integer
-    point of `ps.frame`; a _Query is returned as it is."""
+    """p validated once (`geometry.rat` on every coordinate, d of them)
+    and, in the plane, made the homogeneous integer point of `ps.frame`; a
+    _Query is returned as it is."""
     if type(p) is _Query:
         return p
     p = mk_point(p)
+    if len(p) != ps.dim:
+        raise DimensionMismatch(f"point has {len(p)} coordinates, expected {ps.dim}")
     return _Query(_homogeneous(p, ps.frame[1]) if ps.dim == 2 else p)
 
 
@@ -370,19 +375,17 @@ def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     predicate. p is a point, the index of a point of ps (`type(p) is
     int`), or `_query(point, ps)`. In the plane it is an integer halfplane
     test on `ps.frame`, for parts of any size, with p as one homogeneous
-    point of that frame; beyond it `point_in_simplex` for at most d+1
-    affinely independent points (integer signs for d+1 of them), the LP
-    otherwise."""
+    point of that frame. Beyond it, d+1 affinely independent points decide
+    by the signs of `geometry._cramer`'s integer determinants, and every
+    other part by `hull_membership`'s LP."""
     idx = tuple(indices)
     if ps.dim == 2:
         pts = ps.frame[0]
         q = (*pts[p], 1) if type(p) is int else _query(p, ps)
         return _in_planar_hull(q, [pts[i] for i in idx])
-    if type(p) is int:
-        p = ps.points[p]
-    if len(idx) <= ps.dim + 1:
-        try:
-            return point_in_simplex(p, [ps.points[i] for i in idx]) != Containment.OUTSIDE
-        except DegenerateSimplex:
-            return hull_membership(p, idx, ps)
-    return hull_membership(p, idx, ps)
+    p = ps.points[p] if type(p) is int else _query(p, ps)
+    cramer = _cramer(p, [ps.points[i] for i in idx])
+    if cramer is None:
+        return hull_membership(p, idx, ps)
+    nums, full = cramer
+    return not any(x and (x > 0) != (full > 0) for x in nums)

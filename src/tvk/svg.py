@@ -60,11 +60,10 @@ def render_partition(ps: PointSet, partition: Partition, discarded=None) -> str:
         f'viewBox="0 0 {VIEW} {VIEW}">',
         f'<rect width="{VIEW}" height="{VIEW}" fill="#ffffff"/>',
     ]
-    hull_order = _ccw_hull_order
     for k, part in enumerate(partition.parts):
         color = PALETTE[k % len(PALETTE)]
         pts = [ps.points[i] for i in part]
-        ordered = hull_order(pts)
+        ordered = _ccw_hull_order(pts)
         coords = " ".join(
             f"{x:.3f},{y:.3f}" for x, y in (to_screen(p) for p in ordered)
         )

@@ -227,20 +227,20 @@ def halfplane_depth(q: Point, ps: PointSet) -> int:
     return _depth(*_homogeneous(mk_point(q), den), pts, 0)[0]
 
 
-def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Point:
-    """First candidate point of halfplane depth >= ceil(n/3).
+def centerpoint_planar(ps: PointSet) -> Point:
+    """First candidate point of halfplane depth >= ceil(n/3) that is not an
+    input point.
 
-    Candidates are the input points (in index order) followed by all
-    pairwise line intersections in lexicographic line-pair order. Every
-    halfplane `_depth` finds with fewer than ceil(n/3) = m points is kept,
-    as its inner normal w and thr, the m-th largest projection p.w:
-    any closed halfplane containing q bounds q's depth, so the kept
-    halfplane rejects exactly the candidates q with q.w > thr. Along the
-    line a + t u the kept halfplanes leave one window lo <= t <= hi, empty
-    when a halfplane parallel to the line holds it whole; it is computed
-    again only when a halfplane is kept, and a line-pair candidate outside
-    it is rejected by cross-multiplying its t. Only a candidate no kept
-    halfplane rejects gets the full `_depth`.
+    Candidates are all pairwise line intersections in lexicographic
+    line-pair order. Every halfplane `_depth` finds with fewer than
+    ceil(n/3) = m points is kept, as its inner normal w and thr, the m-th
+    largest projection p.w: any closed halfplane containing q bounds q's
+    depth, so the kept halfplane rejects exactly the candidates q with
+    q.w > thr. Along the line a + t u the kept halfplanes leave one window
+    lo <= t <= hi, empty when a halfplane parallel to the line holds it
+    whole; it is computed again only when a halfplane is kept, and a
+    candidate outside it is rejected by cross-multiplying its t. Only a
+    candidate no kept halfplane rejects gets the full `_depth`.
     """
     if ps.dim != 2:
         raise DimensionMismatch("centerpoint_planar requires d=2")
@@ -254,12 +254,12 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
     seen = set()
 
     def deep(qx, qy, qd):
-        """q as a point if it is new, allowed and deep enough; a shallow
-        halfplane found on the way is kept."""
+        """q as a point if it is new, not an input point and deep enough;
+        a shallow halfplane found on the way is kept."""
         if (qx, qy, qd) in seen:
             return None
         seen.add((qx, qy, qd))
-        if exclude_input_points and qd == 1 and (qx, qy) in input_set:
+        if qd == 1 and (qx, qy) in input_set:
             return None
         depth, w = _depth(qx, qy, qd, pts, m)
         if depth >= m:
@@ -267,13 +267,6 @@ def centerpoint_planar(ps: PointSet, exclude_input_points: bool = False) -> Poin
         wx, wy = w
         shallow.append((wx, wy, sorted(x * wx + y * wy for x, y in pts)[n - m]))
         return None
-
-    if not exclude_input_points:
-        for x, y in pts:
-            if not any(x * wx + y * wy > thr for wx, wy, thr in shallow):
-                hit = deep(x, y, 1)
-                if hit:
-                    return hit
 
     def window(ax, ay, ux, uy):
         """(lo, hi) bounds on t, each (num, den) with den > 0 or None when
@@ -342,7 +335,7 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
     if n != 3 * r:
         raise SizeOutOfRange(f"need exactly 3r points, got n={n}, r={r}")
     try:
-        o = centerpoint_planar(ps, exclude_input_points=True)
+        o = centerpoint_planar(ps)
         pts, den = ps.frame
         qx, qy, qd = _homogeneous(o, den)
         order = angular_order([(x * qd - qx, y * qd - qy) for x, y in pts])

@@ -205,10 +205,11 @@ def test_counterexample_report():
     assert rep.origin_pairs == oracle_origin_pairs_lp(ps, (F(0), F(0), F(0)))
 
 
-def test_counterexample_negated_is_identical():
-    negated = [tuple(-c for c in p) for p in LINKING_COUNTEREXAMPLE_POINTS]
-    rep = verify_linking_counterexample(points=negated)
+def test_counterexample_negated_is_identical(monkeypatch):
     base = verify_linking_counterexample()
+    negated = [tuple(-c for c in p) for p in LINKING_COUNTEREXAMPLE_POINTS]
+    monkeypatch.setattr(apps, "LINKING_COUNTEREXAMPLE_POINTS", negated)
+    rep = verify_linking_counterexample()
     assert rep.origin_pair_count == base.origin_pair_count
     assert rep.linked_pairs == base.linked_pairs == 0
 

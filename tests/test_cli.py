@@ -160,6 +160,26 @@ def test_degenerate_exit_and_perturb(tmp_path, capsys):
     assert json.loads(out)["perturbed"] is True
 
 
+@pytest.mark.parametrize("command", ["crossing", "partition"])
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        ([(0, 0), (0, 0)], 2),  # coincident points in the plane
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 2),  # collinear points in space
+        ([(0, 0), (1, 0)], 0),
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 3)], 0),
+    ],
+)
+def test_general_position_gate_covers_at_most_d_points(tmp_path, capsys, command, rows, code):
+    # n <= d points have no (d+1)-subset, but they can still be dependent
+    path = tmp_path / "few.txt"
+    write_points(path, rows)
+    got, out, err = run_cli(capsys, command, "--input", str(path), "--r", "1")
+    assert got == code
+    assert ("degenerate input" in err) == (code == 2)
+    assert (out == "") == (code == 2)
+
+
 def test_failed_point_generation_is_degenerate_input(capsys):
     # three integer values in [-1, 1] cannot hold five distinct points
     code, out, err = run_cli(capsys, "gen", "--d", "1", "--n", "5", "--bound", "1")

@@ -25,7 +25,6 @@ from tvk.fixing import (
     enumerate_origin_pairs,
     fix_all,
     parity_check,
-    swap_witness_planar,
     unnest_pair,
 )
 from tvk.tverberg import Partition
@@ -42,6 +41,7 @@ from cocycles import (
     mask_to_family,
 )
 from conftest import HEXAGON, NESTED_SIX, NINE_ONE_FIX
+from swap_witness import swap_witness_planar
 
 ORIGIN2 = (F(0), F(0))
 

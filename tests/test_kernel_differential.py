@@ -3,11 +3,12 @@
 The references below share no code with `tvk`'s predicates: a determinant
 by Fraction elimination, barycentric containment by solving the affine
 system in Fractions, and a centerpoint scan that asks `halfplane_depth`
-about every candidate in the documented order. The planar hull tests use
-the phase-1 LP as their reference, and barycentric weights are checked
-against the linear solve they replaced, and the angular order against the
-comparator it replaced. Any change to how the predicates compute
-must leave every verdict, volume, raised error and returned point equal.
+about every candidate in the documented order. The hull tests, in the
+plane and beyond it, use the phase-1 LP as their reference, barycentric
+weights are checked against the linear solve they replaced, and the
+angular order against the comparator it replaced. Any change to how the
+predicates compute must leave every verdict, volume, raised error and
+returned point equal.
 """
 import math
 from fractions import Fraction as F
@@ -31,7 +32,7 @@ from tvk.geometry import (
     point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import common_point, hull_contains, hull_membership
+from tvk.lp import _query, common_point, hull_contains, hull_membership
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
 
 
@@ -184,15 +185,13 @@ def test_int_and_fraction_inputs_agree():
 # --- centerpoint scan ----------------------------------------------------------
 
 
-def ref_centerpoint(ps, exclude_input_points):
+def ref_centerpoint(ps):
     """First candidate, in the documented order, with depth >= ceil(n/3)."""
     pts = ps.points
     m = -(-len(pts) // 3)
     inputs = set(pts)
 
     def candidates():
-        if not exclude_input_points:
-            yield from pts
         lines = list(combinations(range(len(pts)), 2))
         for (i, j), (k, l) in combinations(lines, 2):
             a, b, c, d = pts[i], pts[j], pts[k], pts[l]
@@ -209,7 +208,7 @@ def ref_centerpoint(ps, exclude_input_points):
         if q in seen:
             continue
         seen.add(q)
-        if exclude_input_points and q in inputs:
+        if q in inputs:
             continue
         if halfplane_depth(q, ps) >= m:
             return q
@@ -227,37 +226,29 @@ def centerpoint_inputs():
         yield ps
 
 
-@pytest.mark.parametrize("exclude", [False, True])
-def test_centerpoint_matches_reference_scan(exclude):
+def test_centerpoint_matches_reference_scan():
     for ps in centerpoint_inputs():
-        assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
-            ps, exclude
-        )
+        assert centerpoint_planar(ps) == ref_centerpoint(ps)
 
 
 @pytest.mark.parametrize("n", [33, 34, 35, 60])
 def test_centerpoint_matches_reference_scan_at_benchmark_sizes(n):
     ps = random_point_set(2, n, seed=n)
-    for exclude in (False, True):
-        assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
-            ps, exclude
-        )
+    assert centerpoint_planar(ps) == ref_centerpoint(ps)
 
 
 @pytest.mark.parametrize(
-    "points, exclude",
+    "points",
     [
-        ([(-1, -1), (-1, -3), (-1, -2), (3, 1), (3, 2), (0, -2)], False),
-        ([(-1, 0), (1, 1), (1, 1), (0, 1), (-1, -1), (1, -1), (-1, -1)], True),
+        [(1, 3), (3, 3), (-3, -1), (-3, 0), (3, 0)],
+        [(-1, 0), (1, 1), (1, 1), (0, 1), (-1, -1), (1, -1), (-1, -1)],
     ],
 )
-def test_centerpoint_with_points_on_a_kept_halfplane_boundary(points, exclude):
+def test_centerpoint_with_points_on_a_kept_halfplane_boundary(points):
     # a kept halfplane's boundary through a candidate passes through input
     # points: counting only the open side would reject the centerpoint
     ps = PointSet(2, points)
-    assert centerpoint_planar(ps, exclude_input_points=exclude) == ref_centerpoint(
-        ps, exclude
-    )
+    assert centerpoint_planar(ps) == ref_centerpoint(ps)
 
 
 # --- planar hulls without LPs ---------------------------------------------------
@@ -407,6 +398,75 @@ def test_frame_hull_contains_matches_lp_on_subsets(points, data):
         assert hull_contains(i, idx, ps) == hull_membership(points[i], idx, ps)
 
 
+# --- membership beyond the plane ------------------------------------------------
+
+
+@st.composite
+def spatial_part_case(draw):
+    """A PointSet in R^3 or R^4 with fractional coordinates, a part of 1..d+2
+    of its points (a (d+1)-point part often on a hyperplane, any part often
+    with a repeated point) and a point at a vertex, at an affine combination
+    of the part's points (in, on or beyond its hull, in its affine hull) or
+    anywhere."""
+    d = draw(st.sampled_from([3, 4]))
+    point = st.tuples(*[fractional] * d)
+    k = draw(st.integers(min_value=1, max_value=d + 2))
+    part = [draw(point) for _ in range(k)]
+    if k == d + 1 and draw(st.booleans()):
+        ws = [F(draw(st.integers(min_value=-2, max_value=3)), 2) for _ in range(d - 1)]
+        part[-1] = tuple(
+            sum(w * p[c] for w, p in zip([1 - sum(ws), *ws], part)) for c in range(d)
+        )
+    elif k > 1 and draw(st.booleans()):
+        part[-1] = draw(st.sampled_from(part[:-1]))
+    others = draw(st.lists(point, max_size=3))
+    pts = others + part
+    idx = list(range(len(others), len(pts)))
+    kind = draw(st.sampled_from(["vertex", "combination", "anywhere"]))
+    if kind == "vertex":
+        p = draw(st.sampled_from(part))
+    elif kind == "combination":
+        ws = [F(draw(st.integers(min_value=-1, max_value=3)), 3) for _ in range(k - 1)]
+        p = tuple(
+            sum(w * q[c] for w, q in zip([1 - sum(ws), *ws], part)) for c in range(d)
+        )
+    else:
+        p = draw(point)
+    return PointSet(d, pts), idx, p
+
+
+@settings(max_examples=400)
+@given(spatial_part_case())
+def test_spatial_hull_contains_matches_lp(case):
+    """Cramer signs for d+1 independent points, the LP for every other part:
+    either way the verdict is `hull_membership`'s, for p given as a point,
+    as `_query` and as the index of every point of the set."""
+    ps, idx, p = case
+    expected = hull_membership(p, idx, ps)
+    assert hull_contains(p, idx, ps) == expected
+    assert hull_contains(_query(p, ps), idx, ps) == expected
+    for i, q in enumerate(ps.points):
+        assert hull_contains(i, idx, ps) == hull_membership(q, idx, ps)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hull_contains_input_contract(d):
+    """Rational strings are read as `geometry.rat` reads them; floats and a
+    wrong coordinate count raise, in the plane and beyond it."""
+    ps = PointSet(d, [[0] * d] + [[4 * (c == i) for c in range(d)] for i in range(d)])
+    part = range(d + 1)
+    assert hull_contains(("1",) * d, part, ps)
+    assert hull_contains(("1/2",) * d, part, ps) == hull_contains((F(1, 2),) * d, part, ps)
+    assert not hull_contains(("-1/2",) * d, part, ps)
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        hull_contains((1.0,) * d, part, ps)
+    for count in (d - 1, d + 1):
+        with pytest.raises(DimensionMismatch, match=f"point has {count} coordinates"):
+            hull_contains((1,) * count, part, ps)
+    with pytest.raises(DimensionMismatch):
+        _query((1,) * (d + 1), ps)
+
+
 def test_frame_is_the_int_frame_of_the_points():
     sets = [
         PointSet(2, [(F(1, 2), F(-2, 3)), (5, F(7, 5)), (0, 0)]),
@@ -541,27 +601,24 @@ def test_angular_order_on_axes_and_rays():
 
 
 @pytest.mark.parametrize(
-    "points, exclude, depth_calls",
+    "points, depth_calls",
     [
         # the centerpoint lies on a line with a kept parallel halfplane that
-        # leaves it whole; rejecting such lines moves the first to
-        # (-5/7, -4/7) and skips two candidates of the second
-        ([(1, 0), (0, -2), (-1, 0), (-1, -2), (-2, -1)], False, 6),
-        ([(2, -1), (0, 3), (3, -2), (-2, -1), (-2, 2)], True, 7),
+        # leaves it whole; rejecting such lines skips two of its candidates
+        ([(2, -1), (0, 3), (3, -2), (-2, -1), (-2, 2)], 7),
         # a kept halfplane parallel to a line rejects all of it; without
         # that rejection the scan runs _depth 13 times
-        ([(2, 0), (-1, 3), (1, -2), (-2, 0), (1, -1), (-3, -2), (-2, -1)], True, 9),
-        ([(2, 0), (-1, 3), (1, -2), (-2, 0), (1, -1), (-3, -2), (-2, -1)], False, 12),
+        ([(2, 0), (-1, 3), (1, -2), (-2, 0), (1, -1), (-3, -2), (-2, -1)], 9),
     ],
 )
 def test_centerpoint_window_with_a_kept_halfplane_parallel_to_the_line(
-    monkeypatch, points, exclude, depth_calls
+    monkeypatch, points, depth_calls
 ):
     # depth_calls counts the candidates that no kept halfplane rejects, as
     # a scan that tests each candidate against every kept halfplane finds
     # them: the window must reject exactly the others
     ps = PointSet(2, points)
-    expect = ref_centerpoint(ps, exclude)
+    expect = ref_centerpoint(ps)
     calls = []
     depth = tverberg._depth
 
@@ -570,5 +627,5 @@ def test_centerpoint_window_with_a_kept_halfplane_parallel_to_the_line(
         return depth(*args)
 
     monkeypatch.setattr(tverberg, "_depth", counted)
-    assert centerpoint_planar(ps, exclude_input_points=exclude) == expect
+    assert centerpoint_planar(ps) == expect
     assert len(calls) == depth_calls

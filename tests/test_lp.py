@@ -11,6 +11,7 @@ from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import (
     FeasibilityProblem,
+    Witness,
     common_point,
     hull_membership,
     relative_interior_witness,
@@ -90,6 +91,20 @@ def test_hull_membership():
     assert hull_membership((0, 0), (0, 1, 2, 3), ps)  # closed hull
     assert not hull_membership((5, 5), (0, 1, 2, 3), ps)
     assert not hull_membership((2, 2), (0, 1, 4), ps)
+
+
+def test_lp_inputs_take_what_point_coordinates_take():
+    # ints, Fractions and rational strings, as `geometry.rat`; floats raise
+    assert solve_feasibility(FeasibilityProblem([["1/3"]], ["1"])).x == [3]
+    assert Witness(("1/2", 2), [["1/2", F(1, 2)]]).weights == [[F(1, 2), F(1, 2)]]
+    for bad in (
+        lambda: FeasibilityProblem([[0.1]], [1]),
+        lambda: FeasibilityProblem([[1]], [0.5]),
+        lambda: Witness((1, 2), [[0.5, 0.5]]),
+        lambda: Witness((0.5, 2), [[1]]),
+    ):
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            bad()
 
 
 # --- brute-force oracle: feasible iff some supported subsystem solves >= 0 ---
