@@ -243,13 +243,19 @@ def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
 
 def require_general_position(ps: PointSet, extra: Optional[Point] = None) -> None:
     """The general-position gate: raises GeneralPositionViolated carrying
-    `in_general_position`'s report unless that report is empty."""
+    `in_general_position`'s report unless that report is empty. On k <= d
+    points the report is the whole set, and the message names its k
+    points."""
     violations = in_general_position(ps, extra)
     if violations:
+        k = len(ps) + (extra is not None)
+        what = (
+            f"the {k} points {', '.join(map(str, range(k)))} are affinely dependent"
+            if k <= ps.dim
+            else f"{len(violations)} affinely dependent (d+1)-subsets"
+        )
         raise GeneralPositionViolated(
-            f"{len(violations)} affinely dependent (d+1)-subsets; "
-            "perturb the input or fix the data",
-            violations,
+            f"{what}; perturb the input or fix the data", violations
         )
 
 

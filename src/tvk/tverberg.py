@@ -1,19 +1,22 @@
 """Size-bounded Tverberg partitions and extension to oversized inputs.
 
-The brute-force search enumerates canonical partitions and keeps the first
-one certified by the exact LP (in the plane an exact integer predicate
-screens the candidates, so only the winner runs the LP); the planar fast
-path builds a partition around an exactly computed centerpoint and
-verifies it post hoc. Results
-are always independently checkable: every returned partition carries a
-witness whose certificates re-verify by exact arithmetic.
+The brute force is one depth-first search over canonical partitions that
+prunes by bounding boxes and by Helly's theorem, deciding each sub-family
+it tests once (in the plane every one of at most three parts, by an exact
+integer predicate; in d >= 3 those that another candidate can hold, by
+the exact LP), and certifies the first survivor with the exact LP. The
+planar fast path builds a partition around an exactly computed
+centerpoint and verifies it post hoc. Results are always independently
+checkable: every returned partition carries a witness whose certificates
+re-verify by exact arithmetic.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from operator import gt
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -64,59 +67,14 @@ def radon_partition(ps: PointSet) -> Partition:
     return Partition([pos, neg], Witness(o, [w_pos, w_neg]))
 
 
-def iter_bounded_partitions(n: int, r: int, max_size: int) -> Iterator[tuple]:
-    """Unordered partitions of 0..n-1 into r nonempty parts of size <= max_size.
-
-    Canonical order: parts anchored at their smallest element, candidate
-    parts enumerated in lexicographic tuple order.
-    """
-
-    def rec(remaining, parts_left):
-        if not remaining:
-            if parts_left == 0:
-                yield ()
-            return
-        if parts_left == 0:
-            return
-        if len(remaining) > parts_left * max_size or len(remaining) < parts_left:
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
-
-        def extend(prefix, start):
-            part = (anchor,) + prefix
-            left = [x for x in rest if x not in prefix]
-            yield from (
-                (part,) + tail for tail in rec(tuple(left), parts_left - 1)
-            )
-            if len(part) < max_size:
-                for i in range(start, len(rest)):
-                    yield from extend(prefix + (rest[i],), i + 1)
-
-        yield from extend((), 0)
-
-    yield from rec(tuple(range(n)), r)
-
-
-def _boxes_intersect(parts, pts) -> bool:
-    for c in range(len(pts[0])):
-        lo = max(min(pts[i][c] for i in part) for part in parts)
-        hi = min(max(pts[i][c] for i in part) for part in parts)
-        if lo > hi:
-            return False
-    return True
-
-
 def _planar_hulls_meet(hulls) -> bool:
-    """Whether the convex hulls of planar integer point lists share a point.
+    """Whether at most three convex hulls of planar integer point lists
+    share a point.
 
-    By Helly's theorem r hulls meet iff every three do. Three or fewer
-    hulls that meet share a vertex of one of them or the crossing of two
-    non-parallel edges (point pairs) of two of them, so only those
+    Such hulls that meet share a vertex of one of them or the crossing of
+    two non-parallel edges (point pairs) of two of them, so only those
     candidates are tested.
     """
-    if len(hulls) > 3:
-        return all(map(_planar_hulls_meet, combinations(hulls, 3)))
 
     def common(q):
         return all(_in_planar_hull(q, h) for h in hulls)
@@ -137,26 +95,133 @@ def _planar_hulls_meet(hulls) -> bool:
     return False
 
 
-def _first_valid(ps, candidates):
-    """First candidate partition whose hulls meet, with its LP witness."""
-    pts = ps.frame[0]
-    for parts in candidates:
-        if not _boxes_intersect(parts, pts):
-            continue
-        if ps.dim == 2 and not _planar_hulls_meet([[pts[i] for i in p] for p in parts]):
-            continue
-        witness = common_point(parts, ps)
+def _parts(remaining: tuple, lo: int, hi: int) -> list:
+    """The parts of `remaining` that hold its first element and lo..hi
+    elements, in lexicographic order."""
+    anchor, rest = remaining[0], remaining[1:]
+    return sorted((anchor, *c) for k in range(lo - 1, hi) for c in combinations(rest, k))
+
+
+class _Search:
+    """Depth-first search for the first canonical partition whose hulls meet.
+
+    Candidates are the unordered partitions of 0..n-1 into r parts of at
+    most m = d+1 points. Each part holds the smallest index not yet placed
+    and the parts of a level come in lexicographic order, so candidates
+    are visited in canonical order. A part size that leaves a remainder
+    the later parts cannot hold is skipped, and a part whose bounding box
+    misses the intersection of the placed boxes is rejected: boxes meet
+    iff they meet coordinate by coordinate, and intervals meet iff they
+    meet pairwise.
+
+    By Helly's theorem r hulls in R^d meet iff every d+1 of them do. At a
+    leaf, after every box, the sub-families of 2..d+1 parts are tested in
+    `combinations` order, each once per search: in the plane by
+    `_planar_hulls_meet`, in d >= 3 by `common_point`; in d = 1 the boxes
+    are the hulls. A sub-family that misses rules out every candidate that
+    holds it, so the search moves past its last part. In d >= 3 a
+    sub-family of r-1 or r parts belongs to no other candidate, so it is
+    left to the final LP, which then decides the candidate; otherwise the
+    tests are complete, and the final LP of the first candidate to pass
+    them must be feasible.
+    """
+
+    __slots__ = ("ps", "r", "m", "families", "complete", "parts", "boxes", "verdicts")
+
+    def __init__(self, ps: PointSet, r: int):
+        d = ps.dim
+        self.ps = ps
+        self.r = r
+        self.m = d + 1
+        # the largest sub-family tested: none in d = 1, up to three parts in
+        # the plane; in d >= 3 only those another candidate can hold, as r-1
+        # parts fix the last one
+        limit = 1 if d == 1 else min(r, 3) if d == 2 else min(r - 2, d + 1)
+        self.families = [idx for s in range(2, limit + 1) for idx in combinations(range(r), s)]
+        # whether a candidate that passes them must have a common point
+        self.complete = d == 1 or limit >= min(r, d + 1)
+        self.parts = []  # the placed parts
+        self.boxes = {}  # part -> its bounding box (lo, hi)
+        self.verdicts = {}  # sub-family -> whether its hulls meet
+
+    def first(self):
+        """The first partition whose hulls meet, or None."""
+        cols = list(zip(*self.ps.frame[0]))
+        lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
+        found = self._place(tuple(range(len(self.ps))), lo, hi)
+        return None if found.__class__ is int else found
+
+    def _place(self, remaining, lo, hi):
+        """The first partition that completes the placed parts with parts
+        of `remaining`, given that the placed boxes meet in lo..hi; when
+        there is none, the index of the placed part to move past."""
+        pts = self.ps.frame[0]
+        parts, boxes = self.parts, self.boxes
+        k = len(parts)
+        left = self.r - k - 1  # parts after this one
+        size = len(remaining)
+        if left:
+            candidates = _parts(remaining, max(1, size - left * self.m), min(self.m, size - left))
+        else:
+            candidates = (remaining,)  # the last part is what remains
+        for part in candidates:
+            box = boxes.get(part)
+            if box is None:
+                cols = list(zip(*[pts[i] for i in part]))
+                box = boxes[part] = (tuple(map(min, cols)), tuple(map(max, cols)))
+            lo2 = tuple(map(max, lo, box[0]))
+            hi2 = tuple(map(min, hi, box[1]))
+            if any(map(gt, lo2, hi2)):
+                continue
+            parts.append(part)
+            if left:
+                found = self._place(tuple(i for i in remaining if i not in part), lo2, hi2)
+            else:
+                found = self._leaf()
+            parts.pop()
+            if found.__class__ is not int or found < k:
+                return found
+        return k - 1
+
+    def _leaf(self):
+        """The placed candidate with its LP witness; when its hulls miss,
+        the index of the placed part to move past."""
+        parts, verdicts = self.parts, self.verdicts
+        for idx in self.families:
+            family = tuple(parts[i] for i in idx)
+            verdict = verdicts.get(family)
+            if verdict is None:
+                verdict = verdicts[family] = self._hulls_meet(family)
+            if not verdict:
+                return idx[-1]
+        candidate = tuple(parts)
+        witness = common_point(candidate, self.ps)
         if witness is not None:
-            return Partition(list(parts), witness)
-    return None
+            return Partition(list(candidate), witness)
+        if self.complete:
+            raise InternalError(
+                f"the hulls of {candidate} pass every sub-family test of "
+                "Helly's theorem, yet their common-point LP is infeasible"
+            )
+        return self.r - 1
+
+    def _hulls_meet(self, family) -> bool:
+        """Whether the hulls of a sub-family of parts share a point."""
+        if self.ps.dim == 2:
+            pts = self.ps.frame[0]
+            return _planar_hulls_meet([[pts[i] for i in part] for part in family])
+        return common_point(family, self.ps) is not None
 
 
 def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
-    """First canonical size-bounded partition whose hulls share a point.
+    """First canonical size-bounded partition whose hulls share a point,
+    with the witness of its common-point LP.
 
-    Existence is guaranteed for (d+1)(r-1)+1 <= n <= (d+1)r points. Gated at
-    desk scale (n <= 14); only the planar fast path (d=2, n=3r) takes
-    larger inputs.
+    `_Search` rejects only candidates whose hulls miss, so this is the
+    first candidate that an LP on every candidate would accept. Existence
+    is guaranteed for (d+1)(r-1)+1 <= n <= (d+1)r points. Gated at desk
+    scale (n <= 14); only the planar fast path (d=2, n=3r) takes larger
+    inputs.
     """
     d = ps.dim
     n = len(ps)
@@ -172,7 +237,7 @@ def tverberg_partition_bruteforce(ps: PointSet, r: int) -> Partition:
             f"d={d}, r={r}); larger inputs need the planar fast path, which "
             "takes only d=2 and n=3r"
         )
-    found = _first_valid(ps, iter_bounded_partitions(n, r, d + 1))
+    found = _Search(ps, r).first()
     if found is None:
         raise InternalError(
             f"no partition found for n={n}, d={d}, r={r}, where one must exist"

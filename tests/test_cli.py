@@ -513,6 +513,21 @@ def test_degenerate_crossing_input_reports_the_shared_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, 0), (0, 0)], "the 2 points 0, 1 are affinely dependent"),
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], "the 3 points 0, 1, 2 are affinely dependent"),
+    ],
+)
+def test_degenerate_input_of_at_most_d_points_names_the_points(tmp_path, capsys, rows, message):
+    path = tmp_path / "few.txt"
+    write_points(path, rows)
+    code, out, err = run_cli(capsys, "crossing", "--r", "1", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"tvk: degenerate input: {message}; perturb the input or fix the data\n"
+
+
+@pytest.mark.parametrize(
     "options, exit_code",
     [
         (["--r", "0"], 64),

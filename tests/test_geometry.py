@@ -150,7 +150,13 @@ def test_planar_gate_matches_the_subset_scan(case):
         with pytest.raises(GeneralPositionViolated) as info:
             require_general_position(ps, extra)
         assert info.value.violations == report
-        assert str(info.value).startswith(f"{len(report)} affinely dependent")
+        if len(ps) + (extra is not None) <= ps.dim:
+            # the whole set of k <= d points, named point by point
+            k = len(report[0])
+            names = ", ".join(map(str, range(k)))
+            assert str(info.value).startswith(f"the {k} points {names} are affinely dependent")
+        else:
+            assert str(info.value).startswith(f"{len(report)} affinely dependent")
 
 
 @settings(max_examples=60)

@@ -16,6 +16,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = [
     ("partition_d2_n7_r3", "d2_n7_s1.txt", ["partition", "--r", "3"]),
     ("partition_d3_n8_r2", "d3_n8_s2.txt", ["partition", "--r", "2"]),
+    # at the 14-point brute-force gate (points from `tvk gen --seed 9` / `--seed 7`)
+    ("partition_d3_n14_r4", "d3_n14_s9.txt", ["partition", "--r", "4"]),
+    ("partition_d2_n14_r5", "d2_n14_s7.txt", ["partition", "--r", "5"]),
     ("crossing_d2_n12_r4", "d2_n12_s3.txt", ["crossing", "--r", "4"]),
     ("crossing_d2_n15_r4", "d2_n15_s4.txt", ["crossing", "--r", "4"]),
     ("crossing_d3_n8_r2", "d3_n8_s5.txt", ["crossing", "--r", "2"]),

@@ -336,18 +336,24 @@ def planar_parts_case(draw):
     return PointSet(2, points), parts
 
 
+def helly_planar_meet(hulls):
+    """The brute-force search's rule: planar hulls meet iff every three of
+    them do, each three decided by `_planar_hulls_meet`."""
+    return all(map(_planar_hulls_meet, combinations(hulls, min(3, len(hulls)))))
+
+
 @settings(max_examples=500)
 @given(planar_parts_case())
 def test_planar_hulls_meet_matches_lp(case):
     ps, parts = case
     pts = _int_frame(ps.points)[0]
-    got = _planar_hulls_meet([[pts[i] for i in part] for part in parts])
+    got = helly_planar_meet([[pts[i] for i in part] for part in parts])
     assert got == (common_point(parts, ps) is not None)
 
 
 def test_planar_hulls_meet_degenerate_cases():
     def meet(*hulls):
-        return _planar_hulls_meet(hulls)
+        return helly_planar_meet(hulls)
 
     tri = [(0, 0), (4, 0), (0, 4)]
     assert meet(tri, [(2, 2), (5, 5)])  # touching at an edge point

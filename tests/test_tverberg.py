@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,6 @@ from tvk.tverberg import (
     centerpoint_planar,
     extend_partition,
     halfplane_depth,
-    iter_bounded_partitions,
     radon_partition,
     tverberg_partition_bruteforce,
 )
@@ -74,8 +77,40 @@ def test_radon_witness_in_both_hulls(d, seed):
 # --- canonical enumeration -------------------------------------------------------
 
 
+def canonical_partitions(n, r, max_size):
+    """Reference enumerator: unordered partitions of 0..n-1 into r nonempty
+    parts of size <= max_size, each part anchored at its smallest element
+    and the candidate parts in lexicographic tuple order."""
+
+    def rec(remaining, parts_left):
+        if not remaining:
+            if parts_left == 0:
+                yield ()
+            return
+        if parts_left == 0:
+            return
+        if len(remaining) > parts_left * max_size or len(remaining) < parts_left:
+            return
+        anchor = remaining[0]
+        rest = remaining[1:]
+
+        def extend(prefix, start):
+            part = (anchor,) + prefix
+            left = [x for x in rest if x not in prefix]
+            yield from (
+                (part,) + tail for tail in rec(tuple(left), parts_left - 1)
+            )
+            if len(part) < max_size:
+                for i in range(start, len(rest)):
+                    yield from extend(prefix + (rest[i],), i + 1)
+
+        yield from extend((), 0)
+
+    yield from rec(tuple(range(n)), r)
+
+
 def test_enumeration_canonical_order_d1():
-    got = list(iter_bounded_partitions(4, 2, 2))
+    got = list(canonical_partitions(4, 2, 2))
     assert got == [
         ((0, 1), (2, 3)),
         ((0, 2), (1, 3)),
@@ -85,9 +120,9 @@ def test_enumeration_canonical_order_d1():
 
 def test_enumeration_counts():
     # 6 points, 2 parts of size <= 3: sizes (3,3) only -> C(5,2) = 10
-    assert len(list(iter_bounded_partitions(6, 2, 3))) == 10
+    assert len(list(canonical_partitions(6, 2, 3))) == 10
     # 8 points into 2 tetrahedra: C(7,3) = 35
-    assert len(list(iter_bounded_partitions(8, 2, 4))) == 35
+    assert len(list(canonical_partitions(8, 2, 4))) == 35
 
 
 # --- brute force ------------------------------------------------------------------
@@ -123,20 +158,142 @@ def test_bruteforce_gate():
 
 def first_by_lp(ps, r):
     """The brute force with an LP on every candidate that passes no filter."""
-    for parts in iter_bounded_partitions(len(ps), r, ps.dim + 1):
+    for parts in canonical_partitions(len(ps), r, ps.dim + 1):
         witness = common_point(parts, ps)
         if witness is not None:
             return Partition(list(parts), witness)
+
+
+def boxes_meet(parts, ps):
+    return all(
+        max(min(ps.points[i][c] for i in part) for part in parts)
+        <= min(max(ps.points[i][c] for i in part) for part in parts)
+        for c in range(ps.dim)
+    )
+
+
+# every valid r per dimension up to the shapes where an LP on every
+# candidate stays fast; the gate shapes (d=2 r=5, d=3 r=4) follow on seeds
+# where it is fast, and the partition goldens pin them too
+RANDOM_SHAPES = [
+    (d, n, r)
+    for d, max_r in ((1, 5), (2, 4), (3, 3))
+    for r in range(1, max_r + 1)
+    for n in range((d + 1) * (r - 1) + 1, (d + 1) * r + 1)
+]
+
+
+@pytest.mark.parametrize("d, n, r", RANDOM_SHAPES)
+def test_bruteforce_matches_an_lp_on_every_candidate(d, n, r):
+    for seed in (n, 100 + n):
+        ps = random_point_set(d, n, seed=seed, bound=60)
+        assert tverberg_partition_bruteforce(ps, r) == first_by_lp(ps, r)
+
+
+# gate shapes on seeds where the reference reaches its winner within 150
+# candidates; in d=3 the pair LPs reject candidates there
+GATE_CASES = [
+    (3, 14, 4, 60, 12),
+    (3, 14, 4, 60, 22),
+    (3, 14, 4, 10000, 14),
+    (3, 14, 4, 10000, 34),
+    (2, 13, 5, 60, 17),
+    (2, 14, 5, 60, 10),
+    (2, 14, 5, 10000, 30),
+]
+
+
+@pytest.mark.parametrize("d, n, r, bound, seed", GATE_CASES)
+def test_bruteforce_matches_an_lp_on_every_candidate_at_the_gate(
+    monkeypatch, d, n, r, bound, seed
+):
+    ps = random_point_set(d, n, seed=seed, bound=bound)
+    expected = first_by_lp(ps, r)
+    missed = []
+
+    def counting(parts, ps):
+        witness = common_point(parts, ps)
+        if witness is None:
+            missed.append(len(parts))
+        return witness
+
+    monkeypatch.setattr(tverberg, "common_point", counting)
+    assert tverberg_partition_bruteforce(ps, r) == expected
+    assert (2 in missed) == (d == 3)
+
+
+# degenerate inputs off the plane (the planar ones are among
+# PLANAR_BRUTEFORCE_CASES)
+DEGENERATE_CASES = [
+    # repeated points on a line
+    (PointSet(1, [(0,), (0,), (1,), (1,), (2,)]), 3),
+    (PointSet(1, [(3,), (1,), (3,), (2,), (1,), (2,), (3,)]), 4),
+    # the unit cube, a planar grid in space, collinear rows, a repeated point
+    (PointSet(3, [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]), 2),
+    (PointSet(3, [(x, y, 0) for x in range(3) for y in range(3)]), 3),
+    (PointSet(3, [(x, y, 2 * y) for y in range(3) for x in range(3)] + [(1, 1, 5)]), 3),
+    (PointSet(3, [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (0, 0, 0), (1, 1, 1)]), 2),
+]
+
+
+@pytest.mark.parametrize("ps, r", DEGENERATE_CASES)
+def test_bruteforce_matches_an_lp_on_every_candidate_when_degenerate(ps, r):
+    assert tverberg_partition_bruteforce(ps, r) == first_by_lp(ps, r)
+
+
+@st.composite
+def grid_instance(draw):
+    """Points on a small integer grid, repeats allowed, at a size with a
+    valid r."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=2, max_value={1: 4, 2: 3, 3: 2}[d]))
+    n = draw(st.integers(min_value=(d + 1) * (r - 1) + 1, max_value=(d + 1) * r))
+    coord = st.integers(min_value=0, max_value=2)
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    return PointSet(d, points), r
+
+
+@settings(max_examples=80)
+@given(grid_instance())
+def test_bruteforce_matches_an_lp_on_every_candidate_on_grids(case):
+    ps, r = case
+    assert tverberg_partition_bruteforce(ps, r) == first_by_lp(ps, r)
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (6, 2), (7, 2), (8, 2), (9, 3), (10, 3), (12, 3)])
+def test_d3_runs_one_lp_per_box_surviving_candidate_below_r4(monkeypatch, n, r):
+    # every sub-family of r-1 or r parts belongs to this candidate alone,
+    # so the final LP decides it
+    ps = random_point_set(3, n, seed=n, bound=60)
+    expected = first_by_lp(ps, r)
+    survivors = []
+    for parts in canonical_partitions(n, r, 4):
+        if boxes_meet(parts, ps):
+            survivors.append(parts)
+        if list(parts) == expected.parts:
+            break
+    checked = []
+
+    def counting(parts, ps):
+        checked.append(tuple(parts))
+        return common_point(parts, ps)
+
+    monkeypatch.setattr(tverberg, "common_point", counting)
+    assert tverberg_partition_bruteforce(ps, r) == expected
+    assert checked == survivors
 
 
 PLANAR_BRUTEFORCE_CASES = [
     *((random_point_set(2, n, seed=seed), r) for n, r, seed in [
         (4, 2, 0), (6, 2, 1), (7, 3, 2), (7, 3, 5), (9, 3, 3), (10, 4, 4)
     ]),
-    # degenerate inputs: a 3x3 grid, two rows of collinear points, a repeated point
+    # degenerate inputs: grids, rows of collinear points, repeated points
     (PointSet(2, [(x, y) for x in range(3) for y in range(3)]), 3),
     (PointSet(2, [(x, y) for y in range(2) for x in range(4)][:7]), 3),
     (PointSet(2, [(0, 0), (2, 0), (0, 2), (0, 0), (1, 1)]), 2),
+    (PointSet(2, [(x, y) for x in range(4) for y in range(3)][:10]), 4),
+    (PointSet(2, [(x, y) for y in range(2) for x in range(5)]), 4),
+    (PointSet(2, [(0, 0), (2, 0), (0, 2), (0, 0), (1, 1), (2, 2), (0, 0)]), 3),
 ]
 
 
@@ -152,6 +309,49 @@ def test_planar_bruteforce_runs_one_lp_on_the_same_winner(monkeypatch, ps, r):
     monkeypatch.setattr(tverberg, "common_point", counting)
     assert tverberg_partition_bruteforce(ps, r) == expected
     assert checked == [tuple(expected.parts)]
+
+
+@pytest.mark.parametrize("d, n, r", [(1, 6, 3), (2, 7, 3), (2, 10, 4)])
+def test_infeasible_final_lp_after_a_complete_screen_is_an_internal_error(
+    monkeypatch, d, n, r
+):
+    # in d <= 2 no sub-family test runs an LP, so the screen is complete
+    # and the first survivor's LP must be feasible
+    calls = []
+
+    def infeasible(parts, ps):
+        calls.append(parts)
+        return None
+
+    monkeypatch.setattr(tverberg, "common_point", infeasible)
+    with pytest.raises(InternalError, match="Helly"):
+        tverberg_partition_bruteforce(random_point_set(d, n, seed=n), r)
+    assert len(calls) == 1
+
+
+def test_infeasible_lps_in_space_end_in_an_internal_error(monkeypatch):
+    monkeypatch.setattr(tverberg, "common_point", lambda parts, ps: None)
+    with pytest.raises(InternalError, match="no partition found"):
+        tverberg_partition_bruteforce(random_point_set(3, 8, seed=1), 2)
+
+
+def test_infeasible_final_lp_is_an_internal_error_under_python_O():
+    script = (
+        "from tvk import tverberg\n"
+        "from tvk.errors import InternalError\n"
+        "from tvk.generate import random_point_set\n"
+        "tverberg.common_point = lambda parts, ps: None\n"
+        "try:\n"
+        "    tverberg.tverberg_partition_bruteforce(random_point_set(2, 7, seed=7), 3)\n"
+        "except InternalError as exc:\n"
+        "    print(type(exc).__name__, 'Helly' in str(exc))\n"
+    )
+    src = str(Path(tverberg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "InternalError True\n", "")
 
 
 # --- centerpoint ------------------------------------------------------------------
