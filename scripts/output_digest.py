@@ -6,13 +6,18 @@ witnesses, fixing traces and verdicts on these inputs. Instance i of a
 workload has shape ``shapes[i % len(shapes)]`` and points from
 ``random_point_set`` under the seed ``seed * 1_000_000 + i``, as in
 ``tvkbench/workloads.py``. Prints one line per workload, then the digest
-of their digests in that order.
+of their digests in that order, then ``rational``: the digest of the same
+instances, in the same order, each translated by ``SHIFT``. A translation
+keeps general position, and it gives every instance a point frame with a
+denominator, which the benchmark's integer points never have. It is kept
+out of ``combined``.
 
 Usage: python scripts/output_digest.py [--seed 7] [--instances N]
 """
 import argparse
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -20,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from tvk.apps import crossing_simplices, crossing_tverberg
 from tvk.fileio import dump_json, partition_payload, trace_payload
 from tvk.generate import random_point_set
+from tvk.geometry import PointSet
 
 # name: (pipeline, shapes as (d, n, r), default instance count)
 WORKLOADS = {
@@ -33,13 +39,19 @@ WORKLOADS = {
     "bruteforce-planar": ("crossing_tverberg", [(2, 7, 3)], 300),
 }
 
+# the translation of the "rational" digest, its first d entries in R^d
+SHIFT = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 11))
 
-def payloads(name, seed, count):
-    """The serialised output of the first `count` instances, in order."""
+
+def payloads(name, seed, count, shifted=False):
+    """The serialised output of the first `count` instances, in order,
+    each translated by SHIFT when `shifted`."""
     pipeline, shapes, _ = WORKLOADS[name]
     for i in range(count):
         d, n, r = shapes[i % len(shapes)]
         ps = random_point_set(d, n, seed=seed * 1_000_000 + i)
+        if shifted:
+            ps = PointSet(d, [tuple(c + s for c, s in zip(p, SHIFT)) for p in ps.points])
         if pipeline == "crossing_simplices":
             rep = crossing_simplices(ps)
         else:
@@ -50,16 +62,21 @@ def payloads(name, seed, count):
 
 def digests(seed, count=None):
     """{workload: hex digest} plus "combined", the digest of the workload
-    digests' bytes in turn; `count` overrides every default count."""
+    digests' bytes in turn, and "rational", the digest of every workload's
+    translated outputs in turn; `count` overrides every default count."""
     out = {}
-    combined = hashlib.sha256()
+    combined, rational = hashlib.sha256(), hashlib.sha256()
     for name, (_, _, default) in WORKLOADS.items():
+        n = default if count is None else count
         h = hashlib.sha256()
-        for blob in payloads(name, seed, default if count is None else count):
+        for blob in payloads(name, seed, n):
             h.update(blob)
         combined.update(h.digest())
         out[name] = h.hexdigest()
+        for blob in payloads(name, seed, n, shifted=True):
+            rational.update(blob)
     out["combined"] = combined.hexdigest()
+    out["rational"] = rational.hexdigest()
     return out
 
 

@@ -2,11 +2,12 @@
 
 The solver is a phase-1 simplex with Bland's rule, so it terminates on
 every input and is deterministic for a fixed variable order. Its tableau is
-fraction-free: each row is scaled to integers once and keeps a positive
-scale of its own, every pivot divides the rows it changes by their gcd,
-and only the returned x are Fractions. Only feasibility is supported;
-nothing here optimizes. `hull_contains` is the one membership predicate,
-for a point or the index of a point of the set.
+fraction-free: each row is integer with a positive scale of its own, and
+every pivot divides the rows it changes by their gcd. The LPs built here
+read their rows from `PointSet.frame`, so Fractions appear only in the
+returned x and Witness. Only feasibility is supported; nothing here
+optimizes. `hull_contains` is the one membership predicate, for a point
+or the index of a point of the set.
 """
 from __future__ import annotations
 
@@ -38,23 +39,31 @@ def _exact(v):
     return v if type(v) is int or type(v) is Fraction else rat(v)
 
 
-@dataclass
+@dataclass(init=False)
 class FeasibilityProblem:
-    """Equality system A x = b with x >= 0 on every variable; int and
-    Fraction entries are kept as they are, anything else goes through
-    `geometry.rat`, so floats raise TypeError."""
+    """Equality system A x = b with x >= 0 on every variable; entries go
+    through `geometry.rat`, so floats raise TypeError. Each row [a | b] is
+    scaled to integers once: `rows[i]` is `scales[i]` > 0 times row i."""
 
-    a: list
-    b: list
+    rows: list
+    scales: list
 
-    def __post_init__(self):
-        width = {len(row) for row in self.a}
+    def __init__(self, a, b):
+        width = {len(row) for row in a}
         if len(width) > 1:
             raise DimensionMismatch("ragged constraint matrix")
-        if len(self.a) != len(self.b):
+        if len(a) != len(b):
             raise DimensionMismatch("matrix/rhs row count mismatch")
-        self.a = [list(map(_exact, row)) for row in self.a]
-        self.b = list(map(_exact, self.b))
+        scaled = [linalg._int_row([*map(_exact, row), _exact(v)]) for row, v in zip(a, b)]
+        self.rows = [row for row, _ in scaled]
+        self.scales = [scale for _, scale in scaled]
+
+
+def _integer_problem(rows, scales) -> FeasibilityProblem:
+    """FeasibilityProblem of integer rows given with their scales."""
+    prob = FeasibilityProblem.__new__(FeasibilityProblem)
+    prob.rows, prob.scales = rows, scales
+    return prob
 
 
 @dataclass
@@ -90,19 +99,18 @@ def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
     positive row scale keeps, so the pivots and x are those of the
     rational tableau; x[var] is its row's right-hand side over its entry.
     """
-    m = len(prob.a)
-    n = len(prob.a[0]) if m else 0
+    m = len(prob.rows)
     if m == 0:
         return LPResult(True, [])
-    rows, scales = zip(*(linalg._int_row([*a, v]) for a, v in zip(prob.a, prob.b)))
+    n = len(prob.rows[0]) - 1
     # rows with b >= 0 and column n holding b; artificial i is basis label
     # n + i, and its column is never stored: artificials never re-enter
-    tab = [[-x for x in row] if row[n] < 0 else row for row in rows]
+    tab = [[-x for x in row] if row[n] < 0 else row for row in prob.rows]
     basis = [n + i for i in range(m)]
     # reduced costs z_j - c_j for minimizing the artificial sum, as the last
-    # row: the sum of the rows as given, times the lcm of the row scales
-    lcm = math.lcm(*scales)
-    weights = [lcm // s for s in scales]
+    # row: the sum of the rational rows, times the lcm of the row scales
+    lcm = math.lcm(*prob.scales)
+    weights = [lcm // s for s in prob.scales]
     tab.append([sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n + 1)])
     while True:
         entering = next((j for j in range(n) if tab[m][j] > 0), None)
@@ -194,73 +202,83 @@ def barycentric_witness(o: Point, parts, ps: PointSet) -> Witness:
 
 
 def witness_violations(witness: Witness, parts: Sequence[Sequence[int]], ps: PointSet) -> list:
-    """Exact re-check of a witness certificate; empty list means valid."""
+    """Exact re-check of a witness certificate; empty list means valid.
+    Over integers and apart from `_decode_witness`: weights m_j / D
+    reproduce o_c = u / v when v * sum_j m_j P_j[c] = u * D * den (frame P)."""
     out = []
     if len(witness.weights) != len(parts):
         return [f"witness has {len(witness.weights)} weight rows for {len(parts)} parts"]
+    pts, den = ps.frame
+    o = witness.point
     for i, (part, ws) in enumerate(zip(parts, witness.weights)):
         if len(ws) != len(part):
             out.append(f"part {i}: {len(ws)} weights for {len(part)} points")
             continue
-        if any(w < 0 for w in ws):
+        lcm = math.lcm(*[w.denominator for w in ws])
+        ms = [w.numerator * (lcm // w.denominator) for w in ws]
+        if any(m < 0 for m in ms):
             out.append(f"part {i}: negative weight")
-        if sum(ws) != 1:
+        if sum(ms) != lcm:
             out.append(f"part {i}: weights sum to {sum(ws)}, not 1")
-        recon = tuple(
-            sum(w * ps.points[j][c] for w, j in zip(ws, part)) for c in range(ps.dim)
-        )
-        if recon != witness.point:
+        if len(o) != ps.dim or any(
+            u.denominator * sum(m * pts[j][c] for m, j in zip(ms, part))
+            != u.numerator * lcm * den
+            for c, u in enumerate(o)
+        ):
             out.append(f"part {i}: weighted combination does not reproduce the point")
     return out
 
 
 def _common_point_problem(parts, ps: PointSet) -> FeasibilityProblem:
-    """Encode intersection of hulls: A lambda = b with lambda >= 0.
-
-    One convexity row of integer 0/1 entries per part, then d rows per
-    later part equating its combination with the first part's.
-    """
-    cols = sum(len(p) for p in parts)
-    offsets = [sum(len(p) for p in parts[:i]) for i in range(len(parts))]
-    a, b = [], []
-    for off, part in zip(offsets, parts):
-        row = [0] * cols
-        row[off:off + len(part)] = [1] * len(part)
-        a.append(row)
-        b.append(1)
-    first = [ps.points[j] for j in parts[0]]
-    for off, part in zip(offsets[1:], parts[1:]):
-        pts = [ps.points[j] for j in part]
-        for c in range(ps.dim):
-            row = [0] * cols
-            row[:len(first)] = [p[c] for p in first]
-            row[off:off + len(part)] = [-p[c] for p in pts]
-            a.append(row)
-            b.append(0)
-    return FeasibilityProblem(a, b)
-
-
-def _decode_witness(x, parts, ps: PointSet, shift: Fraction = ZERO) -> Witness:
-    """Witness from a solution mu of _common_point_problem, or of its
-    shifted form, with weights lambda = mu + shift."""
-    weights = []
-    pos = 0
+    """Encode intersection of hulls: A lambda = b with lambda >= 0. One
+    0/1 convexity row per part (scale 1), then d rows of `ps.frame` (scale
+    den) per later part equating its combination with the first part's."""
+    pts, den = ps.frame
+    cols = sum(map(len, parts))
+    rows, off = [], 0
     for part in parts:
-        weights.append([v + shift for v in x[pos:pos + len(part)]])
-        pos += len(part)
-    o = tuple(
-        sum(w * ps.points[j][c] for w, j in zip(weights[0], parts[0]))
+        row = [0] * (cols + 1)
+        row[off:off + len(part)] = [1] * len(part)
+        row[cols] = 1
+        rows.append(row)
+        off += len(part)
+    first = [pts[j] for j in parts[0]]
+    off = len(first)
+    for part in parts[1:]:
+        for c in range(ps.dim):
+            row = [0] * (cols + 1)
+            row[:len(first)] = [p[c] for p in first]
+            row[off:off + len(part)] = [-pts[j][c] for j in part]
+            rows.append(row)
+        off += len(part)
+    return _integer_problem(rows, [1] * len(parts) + [den] * (len(rows) - len(parts)))
+
+
+def _decode_witness(x, parts, ps: PointSet, q: int = 0) -> Witness:
+    """Witness from a vertex x of _common_point_problem (lambda = x) or of
+    its shift by 1/q (lambda = (x + 1) / q), over one common denominator."""
+    den = math.lcm(*[v.denominator for v in x])
+    nums = [v.numerator * (den // v.denominator) for v in x]
+    if q:
+        nums = [v + den for v in nums]
+        den *= q
+        x = [Fraction(v, den) for v in nums]
+    pts, scale = ps.frame
+    first = [pts[j] for j in parts[0]]
+    point = tuple(
+        Fraction(sum(v * p[c] for v, p in zip(nums, first)), den * scale)
         for c in range(ps.dim)
     )
-    return Witness(o, weights)
+    weights, pos = [], 0
+    for part in parts:
+        weights.append(x[pos:pos + len(part)])
+        pos += len(part)
+    return Witness(point, weights)
 
 
-def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witness]:
-    """Witness for a common point of the parts' convex hulls, or None.
-
-    The witness point is read off the first basic feasible solution; no
-    interiority is attempted here.
-    """
+def _disjoint_parts(parts) -> list:
+    """The parts as tuples; an empty part, or an index in two parts,
+    raises ValueError."""
     parts = [tuple(p) for p in parts]
     seen = set()
     for p in parts:
@@ -269,6 +287,16 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
         if seen & set(p):
             raise ValueError("parts are not disjoint")
         seen |= set(p)
+    return parts
+
+
+def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witness]:
+    """Witness for a common point of the parts' convex hulls, or None.
+
+    The witness point is read off the first basic feasible solution; no
+    interiority is attempted here.
+    """
+    parts = _disjoint_parts(parts)
     res = solve_feasibility(_common_point_problem(parts, ps))
     if not res.feasible:
         return None
@@ -314,43 +342,44 @@ def _separated(table, q: int) -> bool:
 def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     """Witness with every barycentric weight strictly positive.
 
-    Feasibility of {lambda >= t} is monotone in t, so a shrinking-t loop
-    finds a strictly positive certificate whenever one exists (down to
-    2^-MAX_HALVINGS of the starting threshold). Every t is 1/q for an
-    integer q. In the plane a shift whose shrunk parts are separated along
-    an axis or a part's edge normal (`_planar_shift_screen`) is infeasible
-    and is halved without an LP, so the LP runs first at the same shift as
-    without the screen and returns the same vertex; beyond the plane every
-    shift is solved.
+    Parts are checked as `common_point` checks them. Feasibility of
+    {lambda >= t} is monotone in t, so a shrinking-t loop finds a strictly
+    positive certificate whenever one exists (down to 2^-MAX_HALVINGS of
+    the starting threshold). Every t is 1/q, and lambda = (mu + 1) / q
+    solves A lambda = b exactly when A mu = q b - A 1: only the integer
+    right-hand side changes, and the pivots are those at t. In the plane a shift
+    whose shrunk parts are separated along an axis or a part's edge normal
+    (`_planar_shift_screen`) is infeasible and is halved without an LP, so
+    the LP runs first at the same shift as without the screen and returns
+    the same vertex; beyond the plane every shift is solved.
     """
-    parts = [tuple(p) for p in parts]
-    biggest = max(len(p) for p in parts)
-    t = Fraction(1, 2 * biggest)
-    # lambda = mu + t solves A lambda = b exactly when A mu = b - t A 1,
-    # so only the right-hand side changes with t
+    parts = _disjoint_parts(parts)
+    q = 2 * max(map(len, parts))
     prob = _common_point_problem(parts, ps)
-    b = prob.b
-    sums = [sum(filter(None, row)) for row in prob.a]
+    rows = [(row[:-1], row[-1], sum(row) - row[-1]) for row in prob.rows]
     screen = _planar_shift_screen(parts, ps) if ps.dim == 2 else None
     for _ in range(MAX_HALVINGS):
-        if screen is None or not _separated(screen, t.denominator):
-            prob.b = [v - t * s for v, s in zip(b, sums)]
-            res = solve_feasibility(prob)
+        if screen is None or not _separated(screen, q):
+            shifted = [[*a, q * b - s] for a, b, s in rows]
+            res = solve_feasibility(_integer_problem(shifted, prob.scales))
             if res.feasible:
-                return _decode_witness(res.x, parts, ps, shift=t)
-        t /= 2
+                return _decode_witness(res.x, parts, ps, q)
+        q *= 2
     return None
 
 
 def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}) via LP feasibility;
-    the LP path of hull_contains."""
-    p = mk_point(p)
+    the LP path of hull_contains. p, read by `_query`, is the homogeneous
+    frame point (x, w); the coordinate rows w P = x have scale w * den."""
+    pts, den = ps.frame
+    p = _query(p, ps)
+    *x, w = p if ps.dim == 2 else _homogeneous(p, den)
     idx = tuple(indices)
-    a = [[ps.points[j][c] for j in idx] for c in range(ps.dim)]
-    a.append([1] * len(idx))
-    b = list(p) + [1]
-    return solve_feasibility(FeasibilityProblem(a, b)).feasible
+    rows = [[*(w * pts[j][c] for j in idx), x[c]] for c in range(ps.dim)]
+    rows.append([1] * (len(idx) + 1))
+    prob = _integer_problem(rows, [w * den] * ps.dim + [1])
+    return solve_feasibility(prob).feasible
 
 
 class _Query(tuple):

@@ -22,6 +22,9 @@ CASES = [
     ("crossing_d2_n12_r4", "d2_n12_s3.txt", ["crossing", "--r", "4"]),
     ("crossing_d2_n15_r4", "d2_n15_s4.txt", ["crossing", "--r", "4"]),
     ("crossing_d3_n8_r2", "d3_n8_s5.txt", ["crossing", "--r", "2"]),
+    # rational coordinates beyond the plane (den = 231): the LPs' row scales
+    ("partition_d3_n8_rational_r2", "d3_n8_s1_rational.txt", ["partition", "--r", "2"]),
+    ("crossing_d3_n8_rational_r2", "d3_n8_s1_rational.txt", ["crossing", "--r", "2"]),
     ("crossing_one_fix_r3", "eight_one_fix.txt", ["crossing", "--r", "3"]),
     ("crossing_nested_d3_r2", "nested_d3.txt", ["crossing", "--r", "2"]),
     (

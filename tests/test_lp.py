@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvk import linalg, lp
-from tvk.errors import InternalError
+from tvk.errors import DimensionMismatch, InternalError
 from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import (
@@ -65,6 +65,16 @@ def test_common_point_rejects_empty_and_overlapping_parts():
         common_point([(0, 1, 2), (2, 3, 4)], ps)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_relative_interior_witness_rejects_empty_and_overlapping_parts(d):
+    # the same check as common_point's, before any screen or LP
+    ps = random_point_set(d, 6, seed=1)
+    with pytest.raises(ValueError, match="empty part"):
+        relative_interior_witness([(0, 1, 2), ()], ps)
+    with pytest.raises(ValueError, match="parts are not disjoint"):
+        relative_interior_witness([(0, 1, 2, 3), (3, 4)], ps)
+
+
 def test_solver_deterministic():
     prob = FeasibilityProblem(
         [[1, 2, 0, 1], [0, 1, 1, 3]],
@@ -91,6 +101,20 @@ def test_hull_membership():
     assert hull_membership((0, 0), (0, 1, 2, 3), ps)  # closed hull
     assert not hull_membership((5, 5), (0, 1, 2, 3), ps)
     assert not hull_membership((2, 2), (0, 1, 4), ps)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_membership_reads_the_point_as_query_does(d):
+    # d coordinates, each through `geometry.rat`: a point with one too few
+    # or one too many raises DimensionMismatch, a float raises TypeError
+    ps = random_point_set(d, d + 2, seed=3)
+    idx = range(d + 2)
+    for k in (d - 1, d + 1):
+        with pytest.raises(DimensionMismatch, match=f"point has {k} coordinates, expected {d}"):
+            hull_membership((1,) * k, idx, ps)
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        hull_membership((0.5,) * d, idx, ps)
+    assert hull_membership(ps.points[0], idx, ps)
 
 
 def test_lp_inputs_take_what_point_coordinates_take():
@@ -222,8 +246,20 @@ def fraction_common_point_rows(parts, ps, shift=F(0)):
 
 
 def fraction_witness(parts, ps, shift=F(0)):
+    """The witness at the reference solver's vertex, decoded over Fractions:
+    weights x + shift, and the point their combination of the first part."""
     feasible, x = fraction_solve(*fraction_common_point_rows(parts, ps, shift))
-    return lp._decode_witness(x, parts, ps, shift) if feasible else None
+    if not feasible:
+        return None
+    weights, pos = [], 0
+    for part in parts:
+        weights.append([v + shift for v in x[pos:pos + len(part)]])
+        pos += len(part)
+    point = tuple(
+        sum(w * ps.points[j][c] for w, j in zip(weights[0], parts[0]))
+        for c in range(ps.dim)
+    )
+    return Witness(point, weights)
 
 
 def fraction_relative_interior_witness(parts, ps):
@@ -341,6 +377,19 @@ def test_common_point_matches_fraction_tableau(case):
     assert same_witness(common_point(parts, ps), fraction_witness(parts, ps))
 
 
+# coordinates with denominators, in the plane and in R^3: with the integer
+# coordinate rows tagged with scale 1 instead of den, the reduced costs
+# change, the shifted LPs take other pivots and the witness moves
+@example((
+    PointSet(2, [(F(-7, 5), F(1, 3)), (F(5, 3), F(10, 3)), (-3, F(-11, 2)),
+                 (-2, F(-2, 3)), (0, -1), (1, 6)]),
+    [(0, 1, 2, 3), (4, 5)],
+))
+@example((
+    PointSet(3, [(-1, 0, 2), (3, 4, F(8, 3)), (6, -6, 4), (F(-6, 5), -3, 3),
+                 (F(5, 2), -1, -3), (3, -5, -3), (-4, -6, 1), (F(5, 3), 4, 3)]),
+    [(0, 1, 2, 3, 4), (5, 6, 7)],
+))
 @settings(max_examples=40)
 @given(st.sampled_from([2, 3]).flatmap(parts_in_space))
 def test_relative_interior_witness_matches_fraction_tableau(case):
