@@ -30,6 +30,7 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    _query,
     gp_violations_with_extra,
     longest_side,
     mk_point,
@@ -41,7 +42,6 @@ from .geometry import (
 from .lp import (
     Partition,
     Witness,
-    _query,
     barycentric_witness,
     common_point,
     hull_contains,

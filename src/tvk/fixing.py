@@ -23,6 +23,7 @@ from .geometry import (
     Containment,
     Point,
     PointSet,
+    _query,
     mk_point,
     point_in_simplex,
     require_general_position,
@@ -30,7 +31,6 @@ from .geometry import (
 )
 from .lp import (
     Partition,
-    _query,
     barycentric_witness,
     canonical_parts,
     hull_contains,
@@ -53,7 +53,7 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     all lie in the other's closed hull; Crossing otherwise (for hulls
     sharing a point this exhausts the possibilities). Every membership test
     is `hull_contains`; the parts' own points enter it by index and o as
-    `lp._query(o, ps)`, which callers that classify many pairs at one o
+    `geometry._query(o, ps)`, which callers that classify many pairs at one o
     build once and pass in.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
@@ -73,7 +73,7 @@ def _require_origin_setup(ps: PointSet, o: Point):
         raise SizeOutOfRange(
             f"need exactly 2(d+1)={2 * (d + 1)} points, got {len(ps)}"
         )
-    require_general_position(ps, extra=o)
+    require_general_position(PointSet(d, [*ps.points, o]))
 
 
 def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
@@ -120,8 +120,8 @@ def cocycle_check(ps: PointSet, o: Point) -> CocycleResult:
     """For every (d+2)-subset M, the number of (d+1)-subsets of M whose hull
     contains o must be 0 or 2."""
     o = mk_point(o)
-    require_general_position(ps, extra=o)
     d = ps.dim
+    require_general_position(PointSet(d, [*ps.points, o]))
     n = len(ps)
     member = {f: hull_contains(o, f, ps) for f in combinations(range(n), d + 1)}
     for m in combinations(range(n), d + 2):
@@ -200,10 +200,8 @@ def _measure_vector(parts, ps: PointSet, measure: str) -> list:
     full = [p for p in parts if len(p) == d + 1]
     if measure == "volume":
         values = [simplex_volume([ps.points[i] for i in p]) for p in full]
-    elif measure == "point-count":
-        values = [Fraction(count_interior_points(p, ps)) for p in full]
     else:
-        raise ValueError(f"unknown measure {measure!r}")
+        values = [Fraction(count_interior_points(p, ps)) for p in full]
     return sorted(values, reverse=True)
 
 
@@ -218,8 +216,11 @@ def fix_all(
     The witness point is left untouched and part sizes are preserved. Each
     step must strictly decrease the sorted measure vector in lexicographic
     order; a violation is a bug and raises InternalError. An explicit
-    budget that runs out raises BudgetExceeded with the partial trace.
+    budget that runs out raises BudgetExceeded with the partial trace, and
+    an unknown measure raises ValueError before the first step.
     """
+    if measure not in ("volume", "point-count"):
+        raise ValueError(f"unknown measure {measure!r}")
     if partition.witness is None:
         raise ValueError("fix_all needs a witness")
     d = ps.dim

@@ -5,16 +5,17 @@ works in an integer frame: the points it compares are scaled by the least
 common multiple of their denominators, which keeps every sign, so
 orientation and volume are integer determinants (closed forms for d <= 3,
 Bareiss elimination beyond), and simplex containment and barycentric
-weights both read one Cramer routine, `_cramer`. `angular_order` sorts by
-one exact key, the diamond angle. A `PointSet` computes its frame once,
-on first use, and the planar predicates on its points read that frame by
-index; a point from outside the set enters it as one homogeneous integer
-point. Only sub-dimensional and degenerate simplices fall back to a
+weights both read one integer Cramer routine, `_cramer`. `angular_order`
+sorts by one exact key, the diamond angle. A `PointSet` computes its
+frame once, on first use, and the predicates on its points read that
+frame by index; a point from outside the set has one form in every
+dimension, the homogeneous integer point of the frame that `_query`
+builds. Only sub-dimensional and degenerate simplices fall back to a
 linear solve, which `linalg` runs fraction-free as well. There are no
 tolerances anywhere in this module; degenerate inputs raise rather than
 silently picking a side.
-`require_general_position` is the one gate that raises on an input not in
-general position; its scan, `in_general_position`, finds collinear
+`require_general_position` is the one gate that raises on a point set not
+in general position; its scan, `in_general_position`, finds collinear
 triples in the plane by repeated primitive directions in O(n^2), takes
 the determinant of every (d+1)-subset beyond it, and reports n <= d
 points whole when their difference vectors have a nontrivial nullspace.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -122,11 +123,23 @@ def _int_frame(points):
     return [tuple([c.numerator * (den // c.denominator) for c in p]) for p in points], den
 
 
-def _homogeneous(p, den):
-    """The rational point p in a frame of scale den, as the homogeneous
-    integer point (x_1, ..., x_d, w) with w > 0: p * den == x / w."""
+class _Query(tuple):
+    """A point from outside a PointSet in the one form its predicates read,
+    built once by `_query` for callers that test it against many parts."""
+
+
+def _query(p: Point, ps: PointSet) -> _Query:
+    """p validated once (`rat` on every coordinate, d of them) and made the
+    homogeneous integer point (x_1, ..., x_d, w) of `ps.frame`, with w > 0
+    and p * den == x / w; a _Query is returned as it is."""
+    if type(p) is _Query:
+        return p
+    p = mk_point(p)
+    if len(p) != ps.dim:
+        raise DimensionMismatch(f"point has {len(p)} coordinates, expected {ps.dim}")
+    den = ps.frame[1]
     w = math.lcm(*[c.denominator for c in p])
-    return (*[c.numerator * (w // c.denominator) * den for c in p], w)
+    return _Query((*[c.numerator * (w // c.denominator) * den for c in p], w))
 
 
 def _det(simplex) -> int:
@@ -166,29 +179,22 @@ def simplex_volume(simplex: Sequence[Point]) -> Fraction:
     return Fraction(abs(_det(pts)), math.factorial(d) * den**d)
 
 
-def in_general_position(ps: PointSet, extra: Optional[Point] = None) -> list:
-    """All (d+1)-subsets of ps.points (plus `extra`) that are affinely
-    dependent, in `combinations` order; k <= d points are reported as
-    `tuple(range(k))` when they are affinely dependent.
+def in_general_position(ps: PointSet) -> list:
+    """All affinely dependent (d+1)-subsets of ps.points, in `combinations`
+    order; k <= d points are reported as `tuple(range(k))` when they are
+    affinely dependent.
 
-    An empty report means general position. When `extra` is given it is
-    addressed as index len(ps) in the reported tuples. In the plane this
-    is O(n^2) plus the report: (i, j, l) with i < j < l is collinear
-    exactly when j or l coincides with i or both have the same primitive
-    direction from i. Beyond the plane every subset's determinant is taken
-    on the scaled points.
+    An empty report means general position. A caller that gates a point o
+    together with the set scans `PointSet(d, [*points, o])`, where o is
+    index len(points). In the plane this is O(n^2) plus the report:
+    (i, j, l) with i < j < l is collinear exactly when j or l coincides
+    with i or both have the same primitive direction from i. Beyond the
+    plane every subset's determinant is taken on `ps.frame`.
     """
     d = ps.dim
-    if extra is None:
-        points = ps.points
-    else:
-        extra = mk_point(extra)
-        if len(extra) != d:
-            raise DimensionMismatch(f"need d+1 points in R^d with d >= 1, got {d + 1}")
-        points = [*ps.points, extra]
-    if len(points) <= d:
-        return _few_points_report(points)
-    pts = ps.frame[0] if extra is None else _int_frame(points)[0]
+    if len(ps) <= d:
+        return _few_points_report(ps.points)
+    pts = ps.frame[0]
     if d != 2:
         return [
             idx
@@ -241,14 +247,14 @@ def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     return []
 
 
-def require_general_position(ps: PointSet, extra: Optional[Point] = None) -> None:
+def require_general_position(ps: PointSet) -> None:
     """The general-position gate: raises GeneralPositionViolated carrying
     `in_general_position`'s report unless that report is empty. On k <= d
     points the report is the whole set, and the message names its k
     points."""
-    violations = in_general_position(ps, extra)
+    violations = in_general_position(ps)
     if violations:
-        k = len(ps) + (extra is not None)
+        k = len(ps)
         what = (
             f"the {k} points {', '.join(map(str, range(k)))} are affinely dependent"
             if k <= ps.dim
@@ -288,20 +294,22 @@ def perturb(ps: PointSet, seed: int) -> PointSet:
     raise PerturbationFailed(f"no general-position perturbation after 64 rounds (seed={seed})")
 
 
-def _cramer(p: Point, vertices: Sequence[Point]):
-    """(nums, full) for d+1 affinely independent vertices in R^d, with p and
-    the vertices in one integer frame as q and verts: full = _det(verts) != 0
-    and nums[i] = _det(verts with vertex i replaced by q), so that p's
-    barycentric coordinate i is nums[i] / full (Cramer's rule). None for
-    any other vertex set."""
-    d = len(p)
-    if d < 1 or len(vertices) != d + 1 or any(len(v) != d for v in vertices):
+def _cramer(q, verts):
+    """(nums, full) for the homogeneous integer point q = (x_1, ..., x_d, w),
+    w > 0, and d+1 affinely independent integer vertices in its frame: with
+    the vertices scaled by w, full = _det(them) != 0 and nums[i] = _det(them
+    with vertex i replaced by x), so that x / w's barycentric coordinate i
+    is nums[i] / full (Cramer's rule). None for any other vertex set."""
+    *x, w = q
+    d = len(x)
+    if d < 1 or len(verts) != d + 1:
         return None
-    q, *verts = _int_frame([p, *vertices])[0]
+    if w != 1:
+        verts = [tuple([c * w for c in v]) for v in verts]
     full = _det(verts)
     if not full:
         return None
-    return [_det(verts[:i] + [q] + verts[i + 1:]) for i in range(d + 1)], full
+    return [_det(verts[:i] + [x] + verts[i + 1:]) for i in range(d + 1)], full
 
 
 def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
@@ -310,16 +318,19 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
     Returns the coordinate list, or None when p is off the vertices' affine
     hull. Raises DegenerateSimplex when the vertices are affinely dependent.
     For d+1 affinely independent vertices the weights are ratios of integer
-    determinants (`_cramer`); other vertex sets take a linear solve.
+    determinants: p and the vertices are scaled into one integer frame once
+    and read by `_cramer`; other vertex sets take a linear solve.
     """
     d = len(p)
     for v in vertices:
         if len(v) != d:
             raise DimensionMismatch("point/simplex dimension mismatch")
-    cramer = _cramer(p, vertices)
-    if cramer is not None:
-        nums, full = cramer
-        return [Fraction(x, full) for x in nums]
+    if len(vertices) == d + 1:
+        q, *verts = _int_frame([p, *vertices])[0]
+        cramer = _cramer((*q, 1), verts)
+        if cramer is not None:
+            nums, full = cramer
+            return [Fraction(x, full) for x in nums]
     rows = [[v[c] for v in vertices] for c in range(d)]
     rows.append([Fraction(1)] * len(vertices))
     status, x = linalg.solve_unique(rows, list(p) + [Fraction(1)])
@@ -336,14 +347,17 @@ def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
     Sub-dimensional simplices are tested in their affine hull: INTERIOR means
     relative interior, and points off the hull are OUTSIDE. For d+1 affinely
     independent vertices the barycentric signs are read off the integer
-    determinants of `_cramer` instead of a linear solve.
+    determinants of `_cramer`, on p and the vertices scaled into one integer
+    frame, instead of a linear solve.
     """
-    cramer = _cramer(p, vertices)
-    if cramer is not None:
-        nums, full = cramer
-        if any(x and (x > 0) != (full > 0) for x in nums):
-            return Containment.OUTSIDE
-        return Containment.ON_BOUNDARY if 0 in nums else Containment.INTERIOR
+    if len(vertices) == len(p) + 1 and all(len(v) == len(p) for v in vertices):
+        q, *verts = _int_frame([p, *vertices])[0]
+        cramer = _cramer((*q, 1), verts)
+        if cramer is not None:
+            nums, full = cramer
+            if any(x and (x > 0) != (full > 0) for x in nums):
+                return Containment.OUTSIDE
+            return Containment.ON_BOUNDARY if 0 in nums else Containment.INTERIOR
     coords = barycentric_coordinates(p, vertices)
     if coords is None:
         return Containment.OUTSIDE

@@ -23,8 +23,9 @@ from .geometry import (
     Point,
     PointSet,
     _cramer,
-    _homogeneous,
     _in_planar_hull,
+    _Query,
+    _query,
     barycentric_coordinates,
     mk_point,
     rat,
@@ -276,10 +277,12 @@ def _decode_witness(x, parts, ps: PointSet, q: int = 0) -> Witness:
     return Witness(point, weights)
 
 
-def _disjoint_parts(parts) -> list:
-    """The parts as tuples; an empty part, or an index in two parts,
-    raises ValueError."""
+def _disjoint_parts(parts, ps: PointSet) -> list:
+    """The parts as tuples; no parts, an empty part, an index outside
+    0..n-1 or an index in two parts raises ValueError."""
     parts = [tuple(p) for p in parts]
+    if not parts:
+        raise ValueError("no parts")
     seen = set()
     for p in parts:
         if not p:
@@ -287,6 +290,8 @@ def _disjoint_parts(parts) -> list:
         if seen & set(p):
             raise ValueError("parts are not disjoint")
         seen |= set(p)
+    if min(seen) < 0 or max(seen) >= len(ps):
+        raise ValueError(f"an index lies outside 0..{len(ps) - 1}")
     return parts
 
 
@@ -296,7 +301,7 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     The witness point is read off the first basic feasible solution; no
     interiority is attempted here.
     """
-    parts = _disjoint_parts(parts)
+    parts = _disjoint_parts(parts, ps)
     res = solve_feasibility(_common_point_problem(parts, ps))
     if not res.feasible:
         return None
@@ -353,7 +358,7 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     the LP runs first at the same shift as without the screen and returns
     the same vertex; beyond the plane every shift is solved.
     """
-    parts = _disjoint_parts(parts)
+    parts = _disjoint_parts(parts, ps)
     q = 2 * max(map(len, parts))
     prob = _common_point_problem(parts, ps)
     rows = [(row[:-1], row[-1], sum(row) - row[-1]) for row in prob.rows]
@@ -370,11 +375,10 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
 
 def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}) via LP feasibility;
-    the LP path of hull_contains. p, read by `_query`, is the homogeneous
+    the LP path of hull_contains. p is read by `_query` as the homogeneous
     frame point (x, w); the coordinate rows w P = x have scale w * den."""
     pts, den = ps.frame
-    p = _query(p, ps)
-    *x, w = p if ps.dim == 2 else _homogeneous(p, den)
+    *x, w = _query(p, ps)
     idx = tuple(indices)
     rows = [[*(w * pts[j][c] for j in idx), x[c]] for c in range(ps.dim)]
     rows.append([1] * (len(idx) + 1))
@@ -382,39 +386,21 @@ def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     return solve_feasibility(prob).feasible
 
 
-class _Query(tuple):
-    """A point as `hull_contains` reads it over one PointSet, converted once
-    by `_query` for callers that test it against many parts."""
-
-
-def _query(p: Point, ps: PointSet) -> _Query:
-    """p validated once (`geometry.rat` on every coordinate, d of them)
-    and, in the plane, made the homogeneous integer point of `ps.frame`; a
-    _Query is returned as it is."""
-    if type(p) is _Query:
-        return p
-    p = mk_point(p)
-    if len(p) != ps.dim:
-        raise DimensionMismatch(f"point has {len(p)} coordinates, expected {ps.dim}")
-    return _Query(_homogeneous(p, ps.frame[1]) if ps.dim == 2 else p)
-
-
 def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate. p is a point, the index of a point of ps (`type(p) is
-    int`), or `_query(point, ps)`. In the plane it is an integer halfplane
-    test on `ps.frame`, for parts of any size, with p as one homogeneous
-    point of that frame. Beyond it, d+1 affinely independent points decide
-    by the signs of `geometry._cramer`'s integer determinants, and every
-    other part by `hull_membership`'s LP."""
-    idx = tuple(indices)
+    predicate. p is a point, `_query(point, ps)` or the index of a point of
+    ps (`type(p) is int`), read either way as one homogeneous point of
+    `ps.frame`. In the plane the rule is an integer halfplane test, for
+    parts of any size; beyond it, d+1 affinely independent points decide by
+    the signs of `geometry._cramer`'s integer determinants, and every other
+    part by `hull_membership`'s LP."""
+    pts = ps.frame[0]
+    q = (*pts[p], 1) if type(p) is int else _query(p, ps)
+    verts = [pts[i] for i in indices]
     if ps.dim == 2:
-        pts = ps.frame[0]
-        q = (*pts[p], 1) if type(p) is int else _query(p, ps)
-        return _in_planar_hull(q, [pts[i] for i in idx])
-    p = ps.points[p] if type(p) is int else _query(p, ps)
-    cramer = _cramer(p, [ps.points[i] for i in idx])
+        return _in_planar_hull(q, verts)
+    cramer = _cramer(q, verts)
     if cramer is None:
-        return hull_membership(p, idx, ps)
+        return hull_membership(_Query(q), indices, ps)
     nums, full = cramer
     return not any(x and (x > 0) != (full > 0) for x in nums)

@@ -26,11 +26,10 @@ from .errors import (
     SizeOutOfRange,
 )
 from .fixing import classify_pair
-from .geometry import Point, PointSet, _homogeneous, _in_planar_hull, angular_order, mk_point
+from .geometry import Point, PointSet, _in_planar_hull, _query, angular_order
 from .lp import (
     Partition,
     Witness,
-    _query,
     barycentric_witness,
     common_point,
     hull_contains,
@@ -285,11 +284,11 @@ def _depth(qx: int, qy: int, qd: int, pts, stop_below: int):
 
 
 def halfplane_depth(q: Point, ps: PointSet) -> int:
-    """Exact halfplane depth of q: min points in a closed halfplane containing q."""
+    """Exact halfplane depth of q: min points in a closed halfplane containing q,
+    read by `geometry._query` (a wrong coordinate count raises DimensionMismatch)."""
     if ps.dim != 2:
         raise DimensionMismatch("halfplane_depth is planar only")
-    pts, den = ps.frame
-    return _depth(*_homogeneous(mk_point(q), den), pts, 0)[0]
+    return _depth(*_query(q, ps), ps.frame[0], 0)[0]
 
 
 def centerpoint_planar(ps: PointSet) -> Point:
@@ -401,9 +400,8 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         raise SizeOutOfRange(f"need exactly 3r points, got n={n}, r={r}")
     try:
         o = centerpoint_planar(ps)
-        pts, den = ps.frame
-        qx, qy, qd = _homogeneous(o, den)
-        order = angular_order([(x * qd - qx, y * qd - qy) for x, y in pts])
+        qx, qy, qd = _query(o, ps)
+        order = angular_order([(x * qd - qx, y * qd - qy) for x, y in ps.frame[0]])
         parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
         if not all(hull_contains(o, part, ps) for part in parts):
             raise GeneralPositionViolated("centerpoint fell outside a triple")

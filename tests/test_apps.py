@@ -191,8 +191,8 @@ def oracle_origin_pairs_lp(ps, o):
 
 
 def test_counterexample_points_in_general_position_with_origin():
-    ps = PointSet(3, LINKING_COUNTEREXAMPLE_POINTS)
-    assert in_general_position(ps, extra=(0, 0, 0)) == []
+    ps = PointSet(3, [*LINKING_COUNTEREXAMPLE_POINTS, (0, 0, 0)])
+    assert in_general_position(ps) == []
 
 
 def test_counterexample_report():
@@ -463,6 +463,26 @@ def test_fixing_without_a_measure_drop_is_an_internal_error(monkeypatch):
     for measure in ("volume", "point-count"):
         with pytest.raises(InternalError):
             fixing.fix_all(Partition([(0, 1, 2), (3, 4, 5)], w), ps, measure=measure)
+
+
+def unknown_measure_rejected_before_fixing(monkeypatch, ps, r):
+    classified = []
+    classify = fixing.classify_pair
+    monkeypatch.setattr(
+        fixing, "classify_pair", lambda *args: classified.append(args) or classify(*args)
+    )
+    with pytest.raises(ValueError, match="unknown measure 'bogus'"):
+        apps.crossing_tverberg(ps, r, measure="bogus")
+    assert classified == []
+
+
+def test_unknown_measure_is_rejected_without_a_nested_pair(monkeypatch):
+    # no fixing step runs here, so only an up-front check can see the measure
+    unknown_measure_rejected_before_fixing(monkeypatch, random_point_set(2, 6, seed=3), 2)
+
+
+def test_unknown_measure_is_rejected_before_the_first_fixing_step(monkeypatch):
+    unknown_measure_rejected_before_fixing(monkeypatch, random_point_set(2, 9, seed=33), 3)
 
 
 def test_simplices_discard_out_of_range():

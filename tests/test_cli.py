@@ -473,14 +473,14 @@ def test_inconsistent_crossing_options_are_usage_errors(nine, capsys, options, m
     ],
 )
 def test_general_position_is_scanned_once(capsys, monkeypatch, argv):
-    n = len(parse_points(open(argv[2], encoding="utf-8").read()))
+    points = parse_points(open(argv[2], encoding="utf-8").read()).points
     full_scans = []
     scan = geometry.in_general_position
 
-    def counted(ps, extra=None):
-        if len(ps) == n and extra is None:
+    def counted(ps):
+        if ps.points == points:
             full_scans.append(ps)
-        return scan(ps, extra)
+        return scan(ps)
 
     for name, module in list(sys.modules.items()):  # every binding of the scan
         if name.startswith("tvk") and getattr(module, "in_general_position", None) is scan:

@@ -333,7 +333,7 @@ def nested_case(d, seed):
         ps = PointSet(d, points)
         t1, t2 = tuple(order[: d + 1]), tuple(order[d + 1 : 2 * d + 2])
         try:
-            require_general_position(ps.take(t1 + t2), extra=o)
+            require_general_position(PointSet(d, [*(points[i] for i in t1 + t2), o]))
         except GeneralPositionViolated:
             continue
         if classify_pair(t1, t2, ps, o).kind == "nested":

@@ -27,6 +27,7 @@ from tvk.geometry import (
 )
 from tvk import generate, linalg
 from tvk.apps import segments_intersect_3d, triangles_linked
+from tvk.fixing import enumerate_origin_pairs
 
 coords = st.integers(min_value=-50, max_value=50)
 
@@ -74,10 +75,10 @@ def test_gp_collinear_triple_reported():
 
 
 def test_gp_with_extra_point():
-    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-    assert in_general_position(ps, extra=(F(1, 3), F(1, 3))) == []
-    # extra collinear with two points is reported using index n
-    assert (0, 1, 3) in in_general_position(ps, extra=(2, 0))
+    points = [(0, 0), (1, 0), (0, 1)]
+    assert in_general_position(PointSet(2, [*points, (F(1, 3), F(1, 3))])) == []
+    # a point appended collinear with two others is reported as index n
+    assert (0, 1, 3) in in_general_position(PointSet(2, [*points, (2, 0)]))
 
 
 @pytest.mark.parametrize(
@@ -90,29 +91,28 @@ def test_gp_with_extra_point():
     ],
 )
 def test_gp_violations_with_extra_stops_at_the_first(points, extra):
-    ps = PointSet(len(extra), points)
     n = len(points)
-    with_extra = [t for t in in_general_position(ps, extra) if n in t]
-    assert gp_violations_with_extra(ps.points, extra) == with_extra[:1]
+    appended = PointSet(len(extra), [*points, extra])
+    with_extra = [t for t in in_general_position(appended) if n in t]
+    assert gp_violations_with_extra(appended.points[:n], extra) == with_extra[:1]
 
 
 def test_gate_raises_with_the_scan_report():
-    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-    require_general_position(ps)
-    require_general_position(ps, extra=(F(1, 3), F(1, 3)))
-    for extra in (None, (2, 0)):
-        degenerate = ps if extra else PointSet(2, ps.points + [(2, 0)])
-        with pytest.raises(GeneralPositionViolated) as info:
-            require_general_position(degenerate, extra)
-        assert info.value.violations == in_general_position(degenerate, extra)
-        assert str(info.value).startswith("1 affinely dependent (d+1)-subsets")
+    points = [(0, 0), (1, 0), (0, 1)]
+    require_general_position(PointSet(2, points))
+    require_general_position(PointSet(2, [*points, (F(1, 3), F(1, 3))]))
+    degenerate = PointSet(2, [*points, (2, 0)])
+    with pytest.raises(GeneralPositionViolated) as info:
+        require_general_position(degenerate)
+    assert info.value.violations == in_general_position(degenerate)
+    assert str(info.value).startswith("1 affinely dependent (d+1)-subsets")
 
 
-def ref_in_general_position(ps, extra=None):
+def ref_in_general_position(ps):
     """The subset scan: `orientation` on every (d+1)-subset, and for k <= d
     points the whole set when the Gram determinant of its difference
     vectors is zero."""
-    pts = list(ps.points) + ([tuple(map(F, extra))] if extra is not None else [])
+    pts = list(ps.points)
     if len(pts) <= ps.dim:
         diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
         gram = [[sum(a * b for a, b in zip(u, v)) for v in diffs] for u in diffs]
@@ -136,21 +136,19 @@ def grid_coordinate(bound):
 def grid_sets(draw, d=2):
     coord = grid_coordinate(draw(st.integers(1, 5)))
     point = st.tuples(*[coord] * d)
-    ps = PointSet(d, draw(st.lists(point, max_size=9)))
-    return ps, draw(st.none() | point)
+    return PointSet(d, draw(st.lists(point, max_size=10)))
 
 
 @settings(max_examples=300)
 @given(grid_sets())
-def test_planar_gate_matches_the_subset_scan(case):
-    ps, extra = case
-    report = in_general_position(ps, extra)
-    assert report == ref_in_general_position(ps, extra)
+def test_planar_gate_matches_the_subset_scan(ps):
+    report = in_general_position(ps)
+    assert report == ref_in_general_position(ps)
     if report:
         with pytest.raises(GeneralPositionViolated) as info:
-            require_general_position(ps, extra)
+            require_general_position(ps)
         assert info.value.violations == report
-        if len(ps) + (extra is not None) <= ps.dim:
+        if len(ps) <= ps.dim:
             # the whole set of k <= d points, named point by point
             k = len(report[0])
             names = ", ".join(map(str, range(k)))
@@ -161,9 +159,8 @@ def test_planar_gate_matches_the_subset_scan(case):
 
 @settings(max_examples=60)
 @given(grid_sets(d=3))
-def test_gate_in_space_matches_the_subset_scan(case):
-    ps, extra = case
-    assert in_general_position(ps, extra) == ref_in_general_position(ps, extra)
+def test_gate_in_space_matches_the_subset_scan(ps):
+    assert in_general_position(ps) == ref_in_general_position(ps)
 
 
 def test_planar_gate_on_a_lattice_and_coincident_points():
@@ -174,13 +171,16 @@ def test_planar_gate_on_a_lattice_and_coincident_points():
     # a point coinciding with another makes every triple through both dependent
     ps = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 0)])
     assert in_general_position(ps) == [(0, 1, 3), (1, 2, 3)]
-    assert in_general_position(ps, extra=(0, 0)) == ref_in_general_position(ps, (0, 0))
+    appended = PointSet(2, [*ps.points, (0, 0)])
+    assert in_general_position(appended) == ref_in_general_position(appended)
 
 
 def test_gate_rejects_an_extra_point_of_another_dimension():
-    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-    with pytest.raises(DimensionMismatch, match="got 3"):
-        in_general_position(ps, extra=(1, 2, 3))
+    # the origin is gated as one more point of the set, so a wrong
+    # coordinate count is named as PointSet names it
+    ps = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 1)])
+    with pytest.raises(DimensionMismatch, match="point 6 has 3 coordinates, expected 2"):
+        enumerate_origin_pairs(ps, (1, 2, 3))
 
 
 # --- volume -------------------------------------------------------------------

@@ -19,20 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvk import linalg, tverberg
+from tvk import geometry, linalg, tverberg
 from tvk.errors import DegenerateSimplex, DimensionMismatch
 from tvk.generate import random_point_set
 from tvk.geometry import (
     Containment,
     PointSet,
     _int_frame,
+    _query,
     angular_order,
     barycentric_coordinates,
     orientation,
     point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import _query, common_point, hull_contains, hull_membership
+from tvk.lp import common_point, hull_contains, hull_membership
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
 
 
@@ -471,6 +472,33 @@ def test_hull_contains_input_contract(d):
             hull_contains((1,) * count, part, ps)
     with pytest.raises(DimensionMismatch):
         _query((1,) * (d + 1), ps)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_spatial_hull_contains_reads_the_frame(d, monkeypatch):
+    """With `ps.frame` computed, membership beyond the plane scales nothing
+    again: a point, a `_query` and an index against a simplex part and
+    against parts of other sizes call `_int_frame` zero times."""
+    ps = random_point_set(d, d + 4, seed=5)
+    assert ps.frame
+    calls = []
+    scale = geometry._int_frame
+    monkeypatch.setattr(geometry, "_int_frame", lambda pts: calls.append(pts) or scale(pts))
+    p = tuple(sum(c) / (d + 1) for c in zip(*ps.points[: d + 1]))
+    for part in (range(d + 1), range(d + 2), range(d)):
+        for q in (p, _query(p, ps), d + 3):
+            hull_contains(q, part, ps)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_query_is_the_homogeneous_frame_point(d):
+    ps = random_point_set(d, d + 2, seed=d)
+    den = ps.frame[1]
+    for p in (ps.points[0], (F(-1, 6),) * d, (F(5, 4), *[3] * (d - 1))):
+        *x, w = _query(p, ps)
+        assert w > 0
+        assert [F(c, w) for c in x] == [c * den for c in p]
 
 
 def test_frame_is_the_int_frame_of_the_points():

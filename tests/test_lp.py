@@ -75,6 +75,19 @@ def test_relative_interior_witness_rejects_empty_and_overlapping_parts(d):
         relative_interior_witness([(0, 1, 2, 3), (3, 4)], ps)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_parts_reject_no_parts_and_an_index_outside_the_set(d):
+    # -1 and 5 name the same point of six through Python's indexing, and 6
+    # names none; both entry points refuse them before any screen or LP
+    ps = random_point_set(d, 6, seed=1)
+    for entry in (common_point, relative_interior_witness):
+        with pytest.raises(ValueError, match="no parts"):
+            entry([], ps)
+        for parts in ([(-1,), (5,)], [(0, 1), (2, 6)]):
+            with pytest.raises(ValueError, match=r"an index lies outside 0\.\.5"):
+                entry(parts, ps)
+
+
 def test_solver_deterministic():
     prob = FeasibilityProblem(
         [[1, 2, 0, 1], [0, 1, 1, 3]],

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import tverberg
-from tvk.errors import GeneralPositionViolated, InternalError, SizeOutOfRange
+from tvk.errors import (
+    DimensionMismatch,
+    GeneralPositionViolated,
+    InternalError,
+    SizeOutOfRange,
+)
 from tvk.fixing import PairClass
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
@@ -398,6 +403,14 @@ def test_depth_agrees_with_oracle_exactly():
     assert depth_oracle_at_least(q, ps, d)
     if d < len(ps):
         assert not depth_oracle_at_least(q, ps, d + 1)
+
+
+def test_depth_reads_the_point_as_query_does():
+    ps = random_point_set(2, 8, seed=5, bound=100)
+    assert halfplane_depth(("1", "2"), ps) == halfplane_depth((F(1), F(2)), ps)
+    for count in (1, 3):
+        with pytest.raises(DimensionMismatch, match=f"point has {count} coordinates, expected 2"):
+            halfplane_depth((1,) * count, ps)
 
 
 # --- planar fast path --------------------------------------------------------------
