@@ -5,32 +5,25 @@ import random
 from typing import Optional
 
 from .errors import PerturbationFailed
-from .geometry import Point, PointSet, gp_violations_with_extra, mk_point
+from .geometry import PointSet, gp_violations_with_extra, mk_point
 
 # candidate draws allowed before point generation gives up
 MAX_TRIES = 10000
 
 
-def random_point_set(
-    d: int,
-    n: int,
-    seed: int,
-    bound: int = 10000,
-    extra: Optional[Point] = None,
-) -> PointSet:
+def random_point_set(d: int, n: int, seed: int, bound: int = 10000) -> PointSet:
     """n integer-coordinate points in R^d, no d+1 on a common hyperplane.
 
     Candidates are drawn uniformly from [-bound, bound]^d and rejected when
-    they would violate general position against the accepted points (and the
-    optional extra point, e.g. the origin). Deterministic for a fixed seed.
+    they would violate general position against the accepted points.
+    Deterministic for a fixed seed.
     """
-    fixed = [mk_point(extra)] if extra is not None else []
-    pts = _draw(random.Random(seed), d, fixed, n, bound)
+    pts = _draw(random.Random(seed), d, [], n, bound)
     if pts is None:
         raise PerturbationFailed(
             f"could not place {n} general-position points (seed={seed})"
         )
-    return PointSet(d, pts[len(fixed):])
+    return PointSet(d, pts)
 
 
 def random_extension(ps: PointSet, k: int, seed: int, bound: int = 10000) -> PointSet:
@@ -61,8 +54,6 @@ def _draw(rng, d, pool, k, bound) -> Optional[list]:
             return None
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
         drawn.add(cand)
-        if any(cand == p for p in pts):
-            continue
         if gp_violations_with_extra(pts, cand):
             continue
         pts.append(cand)

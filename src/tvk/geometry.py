@@ -14,11 +14,15 @@ builds. Only sub-dimensional and degenerate simplices fall back to a
 linear solve, which `linalg` runs fraction-free as well. There are no
 tolerances anywhere in this module; degenerate inputs raise rather than
 silently picking a side.
+One scan, `_dependent_through`, finds the d points that are affinely
+dependent together with a point q: in the plane by repeated primitive
+directions from q in O(n), beyond it by one determinant per d-subset. The
+gate `in_general_position` runs it from each point over the later ones;
+`gp_violations_with_extra`, the witness check's and the generator's test,
+runs it from the new point. Fewer than d+1 points are dependent when
+their difference vectors have a nontrivial nullspace.
 `require_general_position` is the one gate that raises on a point set not
-in general position; its scan, `in_general_position`, finds collinear
-triples in the plane by repeated primitive directions in O(n^2), takes
-the determinant of every (d+1)-subset beyond it, and reports n <= d
-points whole when their difference vectors have a nontrivial nullspace.
+in general position.
 """
 from __future__ import annotations
 
@@ -179,6 +183,36 @@ def simplex_volume(simplex: Sequence[Point]) -> Fraction:
     return Fraction(abs(_det(pts)), math.factorial(d) * den**d)
 
 
+def _dependent_through(q, pts, start=0):
+    """Lazily, in `combinations` order, the ascending index tuples of d
+    points of pts[start:] (indices into pts) that are affinely dependent
+    with q; all points are integer. In the plane (j, l) is dependent
+    exactly when p_j or p_l coincides with q or both have the same
+    primitive direction from q: O(n) plus the report. Beyond the plane
+    each d-subset takes one `_det`."""
+    d = len(q)
+    if d != 2:
+        for idx in combinations(range(start, len(pts)), d):
+            if not _det([q, *[pts[i] for i in idx]]):
+                yield idx
+        return
+    x0, y0 = q
+    rays = {}  # primitive direction from q, sign fixed, (0, 0) if coincident
+    for j in range(start, len(pts)):
+        dx, dy = pts[j][0] - x0, pts[j][1] - y0
+        g = math.gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        rays.setdefault((dx // g, dy // g) if g else (0, 0), []).append(j)
+    coincident = rays.pop((0, 0), [])
+    if not coincident and len(rays) == len(pts) - start:
+        return
+    pairs = {pair for js in rays.values() for pair in combinations(js, 2)}
+    for j in coincident:
+        pairs.update((min(j, l), max(j, l)) for l in range(start, len(pts)) if l != j)
+    yield from sorted(pairs)
+
+
 def in_general_position(ps: PointSet) -> list:
     """All affinely dependent (d+1)-subsets of ps.points, in `combinations`
     order; k <= d points are reported as `tuple(range(k))` when they are
@@ -186,38 +220,13 @@ def in_general_position(ps: PointSet) -> list:
 
     An empty report means general position. A caller that gates a point o
     together with the set scans `PointSet(d, [*points, o])`, where o is
-    index len(points). In the plane this is O(n^2) plus the report:
-    (i, j, l) with i < j < l is collinear exactly when j or l coincides
-    with i or both have the same primitive direction from i. Beyond the
-    plane every subset's determinant is taken on `ps.frame`.
+    index len(points). Each point i runs `_dependent_through` over the
+    points after it on `ps.frame`.
     """
-    d = ps.dim
-    if len(ps) <= d:
+    if len(ps) <= ps.dim:
         return _few_points_report(ps.points)
     pts = ps.frame[0]
-    if d != 2:
-        return [
-            idx
-            for idx in combinations(range(len(pts)), d + 1)
-            if not _det([pts[i] for i in idx])
-        ]
-    out = []
-    for i, (x0, y0) in enumerate(pts):
-        rays = {}  # primitive direction from i, sign fixed, (0, 0) if coincident
-        for j in range(i + 1, len(pts)):
-            dx, dy = pts[j][0] - x0, pts[j][1] - y0
-            g = math.gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            rays.setdefault((dx // g, dy // g) if g else (0, 0), []).append(j)
-        coincident = rays.pop((0, 0), [])
-        if not coincident and len(rays) == len(pts) - i - 1:
-            continue
-        pairs = {pair for js in rays.values() for pair in combinations(js, 2)}
-        for j in coincident:
-            pairs.update((min(j, l), max(j, l)) for l in range(i + 1, len(pts)) if l != j)
-        out.extend((i, j, l) for j, l in sorted(pairs))
-    return out
+    return [(i, *idx) for i, p in enumerate(pts) for idx in _dependent_through(p, pts, i + 1)]
 
 
 def _few_points_report(points) -> list:
@@ -233,17 +242,17 @@ def _few_points_report(points) -> list:
 
 def gp_violations_with_extra(points: Sequence[Point], extra: Point) -> list:
     """The first affinely dependent (d+1)-subset that includes `extra`, in
-    `combinations` order, as a one-tuple list; empty when there is none.
-    With fewer than d points the subset is all of them and `extra`."""
+    `combinations` order (the first that `_dependent_through` yields from
+    it), as a one-tuple list; empty when there is none. With fewer than d
+    points the subset is all of them and `extra`."""
     d = len(extra)
     if d < 1 or any(len(p) != d for p in points):
         raise DimensionMismatch(f"need points in R^d with d >= 1 for an extra point in R^{d}")
     if len(points) < d:
         return _few_points_report([*points, extra])
-    *pts, extra = _int_frame([*points, extra])[0]
-    for idx in combinations(range(len(pts)), d):
-        if not _det([pts[i] for i in idx] + [extra]):
-            return [idx + (len(pts),)]
+    *pts, q = _int_frame([*points, extra])[0]
+    for idx in _dependent_through(q, pts):
+        return [(*idx, len(pts))]
     return []
 
 
@@ -342,30 +351,16 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
-    """Containment of p in the simplex spanned by up to d+1 vertices.
+    """Containment of p in the simplex spanned by up to d+1 vertices, read
+    off the signs of `barycentric_coordinates`' weights.
 
     Sub-dimensional simplices are tested in their affine hull: INTERIOR means
-    relative interior, and points off the hull are OUTSIDE. For d+1 affinely
-    independent vertices the barycentric signs are read off the integer
-    determinants of `_cramer`, on p and the vertices scaled into one integer
-    frame, instead of a linear solve.
+    relative interior, and points off the hull are OUTSIDE.
     """
-    if len(vertices) == len(p) + 1 and all(len(v) == len(p) for v in vertices):
-        q, *verts = _int_frame([p, *vertices])[0]
-        cramer = _cramer((*q, 1), verts)
-        if cramer is not None:
-            nums, full = cramer
-            if any(x and (x > 0) != (full > 0) for x in nums):
-                return Containment.OUTSIDE
-            return Containment.ON_BOUNDARY if 0 in nums else Containment.INTERIOR
     coords = barycentric_coordinates(p, vertices)
-    if coords is None:
+    if coords is None or any(c < 0 for c in coords):
         return Containment.OUTSIDE
-    if any(c < 0 for c in coords):
-        return Containment.OUTSIDE
-    if any(c == 0 for c in coords):
-        return Containment.ON_BOUNDARY
-    return Containment.INTERIOR
+    return Containment.ON_BOUNDARY if 0 in coords else Containment.INTERIOR
 
 
 def _in_planar_hull(q, pts) -> bool:

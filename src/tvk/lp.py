@@ -393,8 +393,12 @@ def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     `ps.frame`. In the plane the rule is an integer halfplane test, for
     parts of any size; beyond it, d+1 affinely independent points decide by
     the signs of `geometry._cramer`'s integer determinants, and every other
-    part by `hull_membership`'s LP."""
+    part by `hull_membership`'s LP. An index outside 0..n-1, as p or in
+    the part, raises ValueError."""
     pts = ps.frame[0]
+    idx = [p, *indices] if type(p) is int else indices
+    if idx and (min(idx) < 0 or max(idx) >= len(pts)):
+        raise ValueError(f"an index lies outside 0..{len(pts) - 1}")
     q = (*pts[p], 1) if type(p) is int else _query(p, ps)
     verts = [pts[i] for i in indices]
     if ps.dim == 2:

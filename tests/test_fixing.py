@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tvk import fixing
 from tvk.errors import BudgetExceeded, GeneralPositionViolated, InternalError, SizeOutOfRange
-from tvk.generate import random_point_set
+from tvk.generate import random_extension, random_point_set
 from tvk.geometry import (
     Containment,
     PointSet,
@@ -200,7 +200,7 @@ def test_parity_requires_general_position():
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_parity_random_d2(seed):
-    ps = random_point_set(2, 6, seed=seed, bound=300, extra=(0, 0))
+    ps = random_extension(PointSet(2, [ORIGIN2]), 6, seed=seed, bound=300).take(range(1, 7))
     count, even = parity_check(ps, ORIGIN2)
     assert even and count % 2 == 0
 
@@ -222,7 +222,8 @@ def test_cocycle_halfplane_all_zero():
 def test_cocycle_random(d, seed):
     rng = random.Random(seed)
     n = rng.randint(d + 2, 9)
-    ps = random_point_set(d, n, seed=seed, bound=300, extra=(0,) * d)
+    ps = random_extension(PointSet(d, [(0,) * d]), n, seed=seed, bound=300)
+    ps = ps.take(range(1, n + 1))
     assert cocycle_check(ps, (0,) * d).ok
 
 
@@ -379,7 +380,7 @@ def test_swap_witness_halfplane_empty_matching():
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_swap_witness_involution_random(seed):
-    ps = random_point_set(2, 6, seed=seed, bound=200, extra=(0, 0))
+    ps = random_extension(PointSet(2, [ORIGIN2]), 6, seed=seed, bound=200).take(range(1, 7))
     p, pp, matching = swap_witness_planar(ps, ORIGIN2)
     counted = enumerate_origin_pairs(ps, ORIGIN2)
     assert len(matching) == len(counted)

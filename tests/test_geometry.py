@@ -25,7 +25,7 @@ from tvk.geometry import (
     require_general_position,
     simplex_volume,
 )
-from tvk import generate, linalg
+from tvk import generate, geometry, linalg
 from tvk.apps import segments_intersect_3d, triangles_linked
 from tvk.fixing import enumerate_origin_pairs
 
@@ -157,10 +157,34 @@ def test_planar_gate_matches_the_subset_scan(ps):
             assert str(info.value).startswith(f"{len(report)} affinely dependent")
 
 
-@settings(max_examples=60)
-@given(grid_sets(d=3))
+@settings(max_examples=120)
+@given(st.sampled_from([1, 3, 4]).flatmap(lambda d: grid_sets(d=d)))
 def test_gate_in_space_matches_the_subset_scan(ps):
+    # every d but 2 takes the scan's determinant branch
     assert in_general_position(ps) == ref_in_general_position(ps)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda d: grid_sets(d=d)))
+def test_gp_violations_with_extra_is_the_first_subset_through_the_last_point(ps):
+    # the pool is every point but the last, which is the extra point
+    if not ps.points:
+        return
+    n = len(ps) - 1
+    through = [t for t in ref_in_general_position(ps) if n in t]
+    assert gp_violations_with_extra(ps.points[:n], ps.points[n]) == through[:1]
+
+
+def test_planar_scans_take_no_determinant(monkeypatch):
+    # the plane reads primitive directions only
+    ps = PointSet(2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (F(1, 2), 3)])
+    expected = ref_in_general_position(ps)
+    calls = []
+    monkeypatch.setattr(geometry, "_det", lambda s: calls.append(s) or 1)
+    assert in_general_position(ps) == expected != []
+    assert gp_violations_with_extra(ps.points[:4], (3, 0)) == [(0, 1, 4)]
+    assert gp_violations_with_extra(ps.points, (5, 7)) == []
+    assert calls == []
 
 
 def test_planar_gate_on_a_lattice_and_coincident_points():

@@ -13,6 +13,7 @@ from tvk.lp import (
     FeasibilityProblem,
     Witness,
     common_point,
+    hull_contains,
     hull_membership,
     relative_interior_witness,
     solve_feasibility,
@@ -86,6 +87,20 @@ def test_parts_reject_no_parts_and_an_index_outside_the_set(d):
         for parts in ([(-1,), (5,)], [(0, 1), (2, 6)]):
             with pytest.raises(ValueError, match=r"an index lies outside 0\.\.5"):
                 entry(parts, ps)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 8)])
+def test_hull_contains_rejects_an_index_outside_the_set(d, n):
+    # -1 and -n name points n-1 and 0 through Python's indexing, and n names
+    # none; as the point or in the part, each is refused
+    ps = random_point_set(d, n, seed=1)
+    outside = rf"an index lies outside 0\.\.{n - 1}"
+    for p, part in ((-1, (n - 1,)), (0, (-n,)), (n, tuple(range(d + 1))), (0, (1, n))):
+        with pytest.raises(ValueError, match=outside):
+            hull_contains(p, part, ps)
+    with pytest.raises(ValueError, match=outside):
+        hull_contains(ps.points[0], (0, -1), ps)
+    assert hull_contains(n - 1, (n - 1,), ps) and not hull_contains(0, (n - 1,), ps)
 
 
 def test_solver_deterministic():
