@@ -38,6 +38,15 @@ WORKLOADS = {
     "bruteforce-d3": ("crossing_tverberg", [(3, n, 2) for n in (6, 7, 8)], 300),
     "bruteforce-planar": ("crossing_tverberg", [(2, 7, 3)], 300),
 }
+# d=3 with n = 4r+k: the extension tests membership in parts of five points,
+# which only `hull_contains`' LP rule decides; no workload above reaches it
+EXTENDED = {
+    "d3-extend": (
+        "crossing_tverberg",
+        [(3, 4 * r + k, r) for r in (2, 3) for k in (1, 2)],
+        200,
+    ),
+}
 
 # the translation of the "rational" digest, its first d entries in R^d
 SHIFT = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 11))
@@ -46,7 +55,7 @@ SHIFT = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 11))
 def payloads(name, seed, count, shifted=False):
     """The serialised output of the first `count` instances, in order,
     each translated by SHIFT when `shifted`."""
-    pipeline, shapes, _ = WORKLOADS[name]
+    pipeline, shapes, _ = {**WORKLOADS, **EXTENDED}[name]
     for i in range(count):
         d, n, r = shapes[i % len(shapes)]
         ps = random_point_set(d, n, seed=seed * 1_000_000 + i)
@@ -63,7 +72,8 @@ def payloads(name, seed, count, shifted=False):
 def digests(seed, count=None):
     """{workload: hex digest} plus "combined", the digest of the workload
     digests' bytes in turn, and "rational", the digest of every workload's
-    translated outputs in turn; `count` overrides every default count."""
+    translated outputs in turn, then "d3-extend"; `count` overrides every
+    default count."""
     out = {}
     combined, rational = hashlib.sha256(), hashlib.sha256()
     for name, (_, _, default) in WORKLOADS.items():
@@ -77,6 +87,11 @@ def digests(seed, count=None):
             rational.update(blob)
     out["combined"] = combined.hexdigest()
     out["rational"] = rational.hexdigest()
+    for name, (_, _, default) in EXTENDED.items():
+        h = hashlib.sha256()
+        for blob in payloads(name, seed, default if count is None else count):
+            h.update(blob)
+        out[name] = h.hexdigest()
     return out
 
 
@@ -84,7 +99,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--instances", type=int, default=None,
-                    help="instances per workload (default 150/150/300/300)")
+                    help="instances per workload (default 150/150/300/300/200)")
     args = ap.parse_args()
     for name, value in digests(args.seed, args.instances).items():
         print(f"{name:<18} {value}")

@@ -8,7 +8,6 @@ All coordinates are rationals and every computation is exact.
 
 from .errors import (
     BudgetExceeded,
-    DegenerateIncidence,
     DegenerateSimplex,
     DimensionMismatch,
     GeneralPositionViolated,
@@ -41,8 +40,6 @@ from .tverberg import (
     birch_partition_planar,
     centerpoint_planar,
     extend_partition,
-    halfplane_depth,
-    radon_partition,
     tverberg_partition_bruteforce,
 )
 from .fixing import (

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
-    DegenerateIncidence,
     DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
@@ -221,9 +220,14 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
     """Mod-2 count of transversal passages of a triangle's boundary curve
     through another triangle's spanned surface.
 
-    Assumes the two boundary curves are disjoint. Vertices lying exactly on
-    the surface's plane are handled by looking at the sign change across
-    them; a whole edge in the plane is rejected as degenerate.
+    Assumes the two boundary curves are disjoint, as `triangles_linked` has
+    checked, and reads every contact through that. An edge that crosses
+    the surface's plane passes through the triangle iff the crossing lies
+    strictly on one side of all three edge lines: on an edge line it would
+    be outside the closed triangle. A run of vertices in the plane lies
+    wholly inside the open triangle or wholly outside the closed one, so its
+    first vertex decides whether it is a passage (when the flanking signs
+    differ) or no event.
     """
     sides = [orientation(list(surface) + [v]) for v in curve]
     k = next((i for i, s in enumerate(sides) if s), None)
@@ -243,14 +247,8 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
         s1 = orientation([a, b, surface[0], surface[1]])
         s2 = orientation([a, b, surface[1], surface[2]])
         s3 = orientation([a, b, surface[2], surface[0]])
-        if 0 in (s1, s2, s3):
-            raise DegenerateIncidence("edge crossing through the surface boundary")
-        if s1 == s2 == s3:
+        if s1 == s2 == s3 != 0:
             parity ^= 1
-    # maximal runs of vertices on the surface's plane: disjointness of the
-    # boundary curves forces each run to lie wholly inside the open triangle
-    # (a passage event when the flanking signs differ) or wholly outside the
-    # closed triangle (no event)
     i = 0
     while i < n:
         if sides[i] != 0:
@@ -259,20 +257,10 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
         j = i
         while j < n and sides[j] == 0:
             j += 1
-        run = range(i, j)
-        statuses = [point_in_simplex(curve[m], list(surface)) for m in run]
-        if any(s == Containment.ON_BOUNDARY for s in statuses):
-            raise DegenerateIncidence("curve vertex on the surface boundary")
-        kinds = set(statuses)
-        if len(kinds) > 1:
-            raise DegenerateIncidence(
-                "in-plane edge would cross the surface boundary"
-            )
-        if kinds == {Containment.INTERIOR}:
-            prev_s = sides[i - 1]
-            next_s = sides[j % n]
-            if prev_s != next_s:
-                parity ^= 1
+        if sides[i - 1] != sides[j % n] and (
+            point_in_simplex(curve[i], list(surface)) == Containment.INTERIOR
+        ):
+            parity ^= 1
         i = j
     return parity
 

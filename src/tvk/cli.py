@@ -2,11 +2,11 @@
 
 Exit codes: 0 ok, 2 degenerate input (including a failed perturbation or
 point generation), 3 size gate, 4 budget exceeded, 5 verification failure
-or failed internal check, 64 usage error (including an unwritable output
-path). Output
-is machine-readable JSON on stdout (or --out); diagnostics are single
-lines on stderr. All randomness is seeded, so identical configs produce
-byte-identical JSON.
+(including a report whose parts and discards miss or repeat a point) or
+failed internal check, 64 usage error (including an unwritable output
+path). Output is machine-readable JSON on stdout (or --out); diagnostics
+are single lines on stderr. All randomness is seeded, so identical
+configs produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .apps import (
 )
 from .errors import (
     BudgetExceeded,
-    DegenerateIncidence,
     GeneralPositionViolated,
     PerturbationFailed,
     SizeOutOfRange,
@@ -259,12 +258,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ps = _read_points(args.input)
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            partition = fileio.partition_from_payload(json.load(fh))
+            data = json.load(fh)
+        partition = fileio.partition_from_payload(data)
+        discarded = data.get("discarded", [])
+        if not isinstance(discarded, list):
+            raise ValueError(f"malformed report: discarded is {discarded!r}")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.report}: {exc}") from exc
-    result = verify_crossing_partition(ps, partition)
-    _emit({"command": "verify", "ok": result.ok, "violations": result.violations}, args.out)
-    return EXIT_OK if result.ok else EXIT_VERIFY
+    violations = verify_crossing_partition(ps, partition).violations
+    placed = [*(i for part in partition.parts for i in part), *discarded]
+    if not all(type(i) is int for i in placed) or sorted(placed) != list(range(len(ps))):
+        violations.append(
+            f"the parts and the discarded points do not cover 0..{len(ps) - 1} once each"
+        )
+    _emit({"command": "verify", "ok": not violations, "violations": violations}, args.out)
+    return EXIT_VERIFY if violations else EXIT_OK
 
 
 def cmd_parity(args: argparse.Namespace) -> int:
@@ -339,7 +347,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tvk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GeneralPositionViolated, PerturbationFailed, DegenerateIncidence) as exc:
+    except (GeneralPositionViolated, PerturbationFailed) as exc:
         print(f"tvk: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except SizeOutOfRange as exc:

@@ -13,10 +13,6 @@ class DegenerateSimplex(TvkError):
     """Simplex vertices are affinely dependent."""
 
 
-class DegenerateIncidence(TvkError):
-    """3D incidence test hit a configuration outside its precondition."""
-
-
 class TrianglesIntersect(TvkError):
     """Triangle boundary curves meet; linking is undefined."""
 

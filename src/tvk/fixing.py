@@ -31,6 +31,7 @@ from .geometry import (
 )
 from .lp import (
     Partition,
+    _check_indices,
     barycentric_witness,
     canonical_parts,
     hull_contains,
@@ -168,7 +169,9 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
 
 
 def count_interior_points(simplex, ps: PointSet) -> int:
-    """Points of ps strictly inside the simplex's hull (vertices never count)."""
+    """Points of ps strictly inside the simplex's hull (vertices never count);
+    an index outside 0..n-1 raises ValueError."""
+    _check_indices(simplex, ps)
     verts = [ps.points[i] for i in simplex]
     return sum(
         1

@@ -7,7 +7,8 @@ every pivot divides the rows it changes by their gcd. The LPs built here
 read their rows from `PointSet.frame`, so Fractions appear only in the
 returned x and Witness. Only feasibility is supported; nothing here
 optimizes. `hull_contains` is the one membership predicate, for a point
-or the index of a point of the set.
+or the index of a point of the set; beyond the plane it falls back on
+the LP for every part that is not d+1 affinely independent points.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .geometry import (
     PointSet,
     _cramer,
     _in_planar_hull,
-    _Query,
     _query,
     barycentric_coordinates,
     mk_point,
@@ -290,9 +290,14 @@ def _disjoint_parts(parts, ps: PointSet) -> list:
         if seen & set(p):
             raise ValueError("parts are not disjoint")
         seen |= set(p)
-    if min(seen) < 0 or max(seen) >= len(ps):
-        raise ValueError(f"an index lies outside 0..{len(ps) - 1}")
+    _check_indices(seen, ps)
     return parts
+
+
+def _check_indices(idx, ps: PointSet):
+    """Raise ValueError unless every index lies in 0..n-1."""
+    if idx and (min(idx) < 0 or max(idx) >= len(ps)):
+        raise ValueError(f"an index lies outside 0..{len(ps) - 1}")
 
 
 def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witness]:
@@ -373,38 +378,27 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     return None
 
 
-def hull_membership(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
-    """Exact test p in conv({ps[i] : i in indices}) via LP feasibility;
-    the LP path of hull_contains. p is read by `_query` as the homogeneous
-    frame point (x, w); the coordinate rows w P = x have scale w * den."""
-    pts, den = ps.frame
-    *x, w = _query(p, ps)
-    idx = tuple(indices)
-    rows = [[*(w * pts[j][c] for j in idx), x[c]] for c in range(ps.dim)]
-    rows.append([1] * (len(idx) + 1))
-    prob = _integer_problem(rows, [w * den] * ps.dim + [1])
-    return solve_feasibility(prob).feasible
-
-
 def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
     predicate. p is a point, `_query(point, ps)` or the index of a point of
-    ps (`type(p) is int`), read either way as one homogeneous point of
-    `ps.frame`. In the plane the rule is an integer halfplane test, for
+    ps (`type(p) is int`), read either way as one homogeneous point (x, w)
+    of `ps.frame`. In the plane the rule is an integer halfplane test, for
     parts of any size; beyond it, d+1 affinely independent points decide by
     the signs of `geometry._cramer`'s integer determinants, and every other
-    part by `hull_membership`'s LP. An index outside 0..n-1, as p or in
-    the part, raises ValueError."""
-    pts = ps.frame[0]
-    idx = [p, *indices] if type(p) is int else indices
-    if idx and (min(idx) < 0 or max(idx) >= len(pts)):
-        raise ValueError(f"an index lies outside 0..{len(pts) - 1}")
+    part by the LP w P lambda = x, sum lambda = 1 over the frame points P,
+    whose coordinate rows have scale w * den. An index outside 0..n-1, as p
+    or in the part, raises ValueError."""
+    pts, den = ps.frame
+    _check_indices([p, *indices] if type(p) is int else indices, ps)
     q = (*pts[p], 1) if type(p) is int else _query(p, ps)
     verts = [pts[i] for i in indices]
     if ps.dim == 2:
         return _in_planar_hull(q, verts)
     cramer = _cramer(q, verts)
-    if cramer is None:
-        return hull_membership(_Query(q), indices, ps)
-    nums, full = cramer
-    return not any(x and (x > 0) != (full > 0) for x in nums)
+    if cramer is not None:
+        nums, full = cramer
+        return not any(x and (x > 0) != (full > 0) for x in nums)
+    *x, w = q
+    rows = [[*(w * v[c] for v in verts), x[c]] for c in range(ps.dim)]
+    rows.append([1] * (len(verts) + 1))
+    return solve_feasibility(_integer_problem(rows, [w * den] * ps.dim + [1])).feasible

@@ -18,7 +18,6 @@ from itertools import combinations, product
 from operator import gt
 from typing import Sequence
 
-from . import linalg
 from .errors import (
     DimensionMismatch,
     GeneralPositionViolated,
@@ -30,40 +29,13 @@ from .geometry import Point, PointSet, _in_planar_hull, _query, angular_order
 from .lp import (
     Partition,
     Witness,
+    _check_indices,
     barycentric_witness,
     common_point,
     hull_contains,
 )
 
 BRUTE_FORCE_MAX_POINTS = 14
-
-
-def radon_partition(ps: PointSet) -> Partition:
-    """Radon partition of d+2 points from an exact affine dependence."""
-    d = ps.dim
-    n = len(ps)
-    if n != d + 2:
-        raise SizeOutOfRange(f"radon_partition needs exactly d+2={d + 2} points, got {n}")
-    rows = [[ps.points[j][c] for j in range(n)] for c in range(d)]
-    rows.append([Fraction(1)] * n)
-    kernel = linalg.nullspace(rows, n)
-    if not kernel:
-        raise InternalError("d+2 points always carry an affine dependence")
-    alpha = kernel[0]
-    lead = next(a for a in alpha if a != 0)
-    if lead < 0:
-        alpha = [-a for a in alpha]
-    pos = tuple(i for i in range(n) if alpha[i] >= 0)
-    neg = tuple(i for i in range(n) if alpha[i] < 0)
-    if not (pos and neg):
-        raise InternalError("an affine dependence must have both signs")
-    total = sum(alpha[i] for i in pos)
-    o = tuple(
-        sum((alpha[i] / total) * ps.points[i][c] for i in pos) for c in range(d)
-    )
-    w_pos = [alpha[i] / total for i in pos]
-    w_neg = [-alpha[i] / total for i in neg]
-    return Partition([pos, neg], Witness(o, [w_pos, w_neg]))
 
 
 def _planar_hulls_meet(hulls) -> bool:
@@ -283,14 +255,6 @@ def _depth(qx: int, qy: int, qd: int, pts, stop_below: int):
     return best, best_dir
 
 
-def halfplane_depth(q: Point, ps: PointSet) -> int:
-    """Exact halfplane depth of q: min points in a closed halfplane containing q,
-    read by `geometry._query` (a wrong coordinate count raises DimensionMismatch)."""
-    if ps.dim != 2:
-        raise DimensionMismatch("halfplane_depth is planar only")
-    return _depth(*_query(q, ps), ps.frame[0], 0)[0]
-
-
 def centerpoint_planar(ps: PointSet) -> Point:
     """First candidate point of halfplane depth >= ceil(n/3) that is not an
     input point.
@@ -426,7 +390,9 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     other grown hull is a proper subset of it), and the search stops there.
     After every insertion the crossings of the grown part with every other
     full-dimensional part are re-verified exactly; no other pair changed,
-    so a partition whose full pairs all cross keeps them crossing.
+    so a partition whose full pairs all cross keeps them crossing. A
+    leftover index outside 0..n-1, repeated or already in a part raises
+    ValueError.
     """
     if partition.witness is None:
         raise ValueError("extend_partition needs a witness")
@@ -435,6 +401,9 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     q = _query(o, ps)
     parts = [tuple(p) for p in partition.parts]
     weights = [list(w) for w in partition.witness.weights]
+    _check_indices(leftover, ps)
+    if len(set(leftover)) < len(leftover) or {i for p in parts for i in p} & set(leftover):
+        raise ValueError("a leftover index is repeated or already in a part")
     for idx in sorted(leftover):
         target = None
         for i, part in enumerate(parts):

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from tvk.lp import FeasibilityProblem, Partition, Witness, solve_feasibility
 
 settings.register_profile(
     "exact",
@@ -60,3 +63,78 @@ NINE_TRIPLE_NESTED = [
 @pytest.fixture
 def origin2():
     return (F(0), F(0))
+
+
+# --- references that share no code with the predicates they check -------------
+
+
+def lp_hull_contains(p, idx, ps):
+    """Membership by the phase-1 LP over the rational points, none of
+    `hull_contains`' rules: p = sum w_j P_j, sum w_j = 1, w >= 0."""
+    pts = [ps.points[j] for j in idx]
+    a = [[q[c] for q in pts] for c in range(ps.dim)] + [[1] * len(pts)]
+    return solve_feasibility(FeasibilityProblem(a, [*p, 1])).feasible
+
+
+def ref_depth(q, points):
+    """Halfplane depth of the planar point q: the fewest points in a closed
+    halfplane through q. The count changes only where the boundary line
+    meets a point p != q, so the halfplanes with a normal w perpendicular
+    to p - q are tried, tilted toward either end of the line: a point on
+    the line counts when it lies toward the tilt. Coordinates are scaled
+    to integers by the lcm of their denominators."""
+    vs = [(F(x) - q[0], F(y) - q[1]) for x, y in points]
+    scale = math.lcm(*[c.denominator for v in vs for c in v])
+    vs = [(int(x * scale), int(y * scale)) for x, y in vs]
+    at_q = vs.count((0, 0))
+    best = len(vs)
+    for vx, vy in vs:
+        if (vx, vy) == (0, 0):
+            continue
+        # one pass serves w = (-vy, vx) and -w, each tilted either way
+        above = below = ahead = behind = 0
+        for ux, uy in vs:
+            s = vx * uy - vy * ux
+            if s:
+                above += s > 0
+                below += s < 0
+            else:
+                t = ux * vx + uy * vy
+                ahead += t > 0
+                behind += t < 0
+        best = min(best, at_q + min(above, below) + min(ahead, behind))
+    return best
+
+
+def ref_radon(ps):
+    """The Radon partition of d+2 points in general position from the
+    Fraction nullspace of [P; 1]: its one basis vector a has no zero entry,
+    and the points with a_i > 0 and those with a_i < 0 meet at
+    sum_{a_i > 0} a_i p_i / sum_{a_i > 0} a_i."""
+    n = len(ps)
+    rows = [[F(p[c]) for p in ps.points] for c in range(ps.dim)] + [[F(1)] * n]
+    pivots = []  # reduced row echelon form, one pivot column per row
+    for col in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[k])]
+        pivots.append(col)
+    assert len(pivots) == n - 1, "the points are not in general position"
+    free = next(c for c in range(n) if c not in pivots)
+    a = [F(0)] * n
+    a[free] = F(1)
+    for k, col in enumerate(pivots):
+        a[col] = -rows[k][free]
+    pos = [i for i in range(n) if a[i] > 0]
+    neg = [i for i in range(n) if a[i] < 0]
+    assert len(pos) + len(neg) == n, "a zero coefficient: not in general position"
+    total = sum(a[i] for i in pos)
+    o = tuple(sum(a[i] * ps.points[i][c] for i in pos) / total for c in range(ps.dim))
+    weights = [[a[i] / total for i in pos], [-a[i] / total for i in neg]]
+    return Partition([pos, neg], Witness(o, weights))

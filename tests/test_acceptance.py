@@ -15,7 +15,7 @@ from tvk.generate import random_extension, random_point_set
 from tvk.geometry import PointSet
 from tvk.fixing import cocycle_check, fix_all, parity_check
 from tvk.lp import witness_violations
-from tvk.tverberg import Partition, extend_partition, radon_partition
+from tvk.tverberg import Partition, extend_partition, tverberg_partition_bruteforce
 from tvk.apps import (
     crossing_simplices,
     crossing_tverberg,
@@ -25,7 +25,7 @@ from tvk.apps import (
 )
 
 from cocycles import cocycle_generator_masks, mask_disjoint_pair_count
-from conftest import NESTED_SIX, NINE_ONE_FIX
+from conftest import NESTED_SIX, NINE_ONE_FIX, ref_radon
 
 
 def _report(name, elapsed, detail=""):
@@ -213,11 +213,14 @@ def test_criterion_7_linking_counterexample():
 
 
 def test_criterion_8_radon_correctness():
+    # d+2 points in general position have one partition into two parts whose
+    # hulls meet, the Radon partition, so the search must return it
     t0 = time.time()
     for d in (1, 2, 3, 4):
         for i in range(200):
             ps = random_point_set(d, d + 2, seed=70_000 * d + i, bound=2000)
-            p = radon_partition(ps)
+            p = tverberg_partition_bruteforce(ps, 2)
+            assert p == ref_radon(ps)
             assert witness_violations(p.witness, p.parts, ps) == []
             from tvk.geometry import Containment, point_in_simplex
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tvk import apps, fixing, lp, tverberg
 from tvk.errors import (
-    DegenerateIncidence,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
@@ -24,7 +23,7 @@ from tvk.geometry import (
     orientation,
     point_in_simplex,
 )
-from tvk.lp import Witness, hull_membership
+from tvk.lp import Witness
 from tvk.fixing import enumerate_origin_pairs
 from tvk.tverberg import Partition
 from tvk.apps import (
@@ -33,12 +32,14 @@ from tvk.apps import (
     crossing_simplices,
     crossing_tverberg,
     refine_witness,
+    segments_intersect_3d,
     tetrahedra_face_linked,
+    triangles_linked,
     verify_crossing_partition,
     verify_linking_counterexample,
 )
 
-from conftest import NESTED_SIX, NINE_ONE_FIX
+from conftest import NESTED_SIX, NINE_ONE_FIX, lp_hull_contains
 
 
 def test_crossing_nine_points_r3():
@@ -185,7 +186,7 @@ def oracle_origin_pairs_lp(ps, o):
     for rest in combinations(range(1, n), 3):
         f = (0,) + rest
         g = tuple(i for i in range(n) if i not in f)
-        if hull_membership(o, f, ps) and hull_membership(o, g, ps):
+        if lp_hull_contains(o, f, ps) and lp_hull_contains(o, g, ps):
             out.append((f, g))
     return out
 
@@ -462,7 +463,11 @@ def test_fixing_without_a_measure_drop_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(fixing, "unnest_pair", lambda t1, t2, ps, o: (t1, t2))
     for measure in ("volume", "point-count"):
         with pytest.raises(InternalError):
-            fixing.fix_all(Partition([(0, 1, 2), (3, 4, 5)], w), ps, measure=measure)
+            # a budget, so that a loop that misses the drop ends in
+            # BudgetExceeded instead of running on
+            fixing.fix_all(
+                Partition([(0, 1, 2), (3, 4, 5)], w), ps, measure=measure, budget=8
+            )
 
 
 def unknown_measure_rejected_before_fixing(monkeypatch, ps, r):
@@ -505,10 +510,17 @@ def test_extension_random_insertions_keep_crossing():
     assert verify_crossing_partition(grown, out).ok
 
 
+class OldRuleRaised(Exception):
+    """The earlier rule gave up on a contact it took for degenerate."""
+
+
 def wrapping_pierce_parity(curve, surface):
     """`apps._curve_pierce_parity` as it was before it rotated the curve up
-    front: it rotated inside the run loop when a run of in-plane vertices
-    wrapped around the end."""
+    front (it rotated inside the run loop when a run of in-plane vertices
+    wrapped around the end) and before it read every contact through the
+    disjointness of the boundaries: it raised on a crossing on an edge
+    line, on a curve vertex on the surface boundary and on a run of
+    in-plane vertices with mixed statuses."""
     sides = [orientation(list(surface) + [v]) for v in curve]
     if all(s == 0 for s in sides):
         return 0
@@ -523,7 +535,7 @@ def wrapping_pierce_parity(curve, surface):
         s2 = orientation([a, b, surface[1], surface[2]])
         s3 = orientation([a, b, surface[2], surface[0]])
         if 0 in (s1, s2, s3):
-            raise DegenerateIncidence("edge crossing through the surface boundary")
+            raise OldRuleRaised("edge crossing through the surface boundary")
         if s1 == s2 == s3:
             parity ^= 1
     i = 0
@@ -542,32 +554,74 @@ def wrapping_pierce_parity(curve, surface):
             j += 1
         statuses = [point_in_simplex(curve[m], list(surface)) for m in range(i, j)]
         if any(s == Containment.ON_BOUNDARY for s in statuses):
-            raise DegenerateIncidence("curve vertex on the surface boundary")
+            raise OldRuleRaised("curve vertex on the surface boundary")
         kinds = set(statuses)
         if len(kinds) > 1:
-            raise DegenerateIncidence("in-plane edge would cross the surface boundary")
+            raise OldRuleRaised("in-plane edge would cross the surface boundary")
         if kinds == {Containment.INTERIOR} and sides[i - 1] != sides[j % n]:
             parity ^= 1
         i = j
     return parity
 
 
-def _outcome(fn, *args):
+def old_rule(curve, surface):
+    """The earlier parity, or None where it raised."""
     try:
-        return fn(*args)
-    except DegenerateIncidence as exc:
-        return type(exc), str(exc)
+        return wrapping_pierce_parity(curve, surface)
+    except OldRuleRaised:
+        return None
+
+
+def disjoint_triangle_pairs(seed, count):
+    """The first `count` seeded triangle pairs on the grid [-2, 2]^3 whose
+    boundary curves are disjoint, the precondition of the pierce parity."""
+    rng = random.Random(seed)
+    tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+    out = []
+    while len(out) < count:
+        t1, t2 = tri(), tri()
+        edges1 = [(t1[i], t1[i - 1]) for i in range(3)]
+        edges2 = [(t2[i], t2[i - 1]) for i in range(3)]
+        if not any(segments_intersect_3d(*e, *f) for e in edges1 for f in edges2):
+            out.append((t1, t2))
+    return out
 
 
 def test_pierce_parity_matches_the_wrapping_version():
-    rng = random.Random(11)
-    wrapped = 0
-    for _ in range(4000):
-        tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
-        t1, t2 = tri(), tri()
+    wrapped = compared = 0
+    for t1, t2 in disjoint_triangle_pairs(11, 10000):
         for curve, surface in ((t1, t2), (t2, t1)):
-            expect = _outcome(wrapping_pierce_parity, curve, surface)
-            assert _outcome(apps._curve_pierce_parity, curve, surface) == expect
+            expect = old_rule(curve, surface)
+            if expect is not None:  # where it raised, see the test below
+                assert apps._curve_pierce_parity(curve, surface) == expect
+                compared += 1
             sides = [orientation(list(surface) + [v]) for v in curve]
             wrapped += sides[0] == sides[-1] == 0 and any(sides)
     assert wrapped > 50  # the old in-loop rotation ran this often
+    assert compared > 18000
+
+
+def test_linking_where_the_old_rule_raised_matches_a_generic_perturbation():
+    """Where the earlier rule raised, the verdict is the earlier rule's on
+    a generic perturbation of the pair by at most 1e-9 per coordinate.
+    Disjoint boundaries of triangles on the grid [-2, 2]^3 lie much further
+    apart, so the perturbation keeps them disjoint and keeps their link."""
+    rng = random.Random(5)
+    raised = 0
+    for t1, t2 in disjoint_triangle_pairs(21, 2000):
+        if old_rule(t1, t2) is not None and old_rule(t2, t1) is not None:
+            continue
+        raised += 1
+        for _ in range(5):
+            m1, m2 = (
+                [tuple(c + F(rng.randint(-1000, 1000), 10**12) for c in p) for p in t]
+                for t in (t1, t2)
+            )
+            parities = {old_rule(m1, m2), old_rule(m2, m1)}
+            if None not in parities:
+                break
+        else:
+            pytest.fail(f"no generic perturbation of {t1}, {t2} in five draws")
+        assert len(parities) == 1
+        assert triangles_linked(t1, t2) == (parities == {1})
+    assert raised > 40  # the earlier rule raised on about one pair in twenty

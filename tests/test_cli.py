@@ -115,6 +115,45 @@ def test_verify_detects_tampering(nine, tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+COVER = "the parts and the discarded points do not cover 0..{} once each"
+
+
+def test_verify_requires_the_parts_to_cover_the_points(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    good = json.loads(out_path.read_text())
+    witness, weights = good["witness"], good["witness"]["weights"]
+    for data in (
+        # a part dropped with its weight row, every part dropped
+        {**good, "parts": good["parts"][:-1], "witness": {**witness, "weights": weights[:-1]}},
+        {**good, "parts": [], "witness": {**witness, "weights": []}},
+        # a placed point also listed as discarded
+        {**good, "discarded": [0]},
+        {**good, "discarded": [True]},
+    ):
+        out_path.write_text(json.dumps(data))
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(nine), "--report", str(out_path)
+        )
+        assert code == 5
+        assert COVER.format(8) in json.loads(out)["violations"]
+
+
+def test_verify_reads_the_discarded_points(seven, tmp_path, capsys):
+    out_path = tmp_path / "simplices.json"
+    run_cli(capsys, "crossing", "--input", str(seven), "--simplices", "--out", str(out_path))
+    good = json.loads(out_path.read_text())
+    assert good["discarded"] == [6]
+    for discarded, expect in (([6], 0), ([], 5), ([5], 5), (6, 64)):
+        out_path.write_text(json.dumps({**good, "discarded": discarded}))
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(seven), "--report", str(out_path)
+        )
+        assert code == expect, discarded
+        if expect == 5:
+            assert json.loads(out)["violations"] == [COVER.format(6)]
+
+
 def test_crossing_budget_exceeded(tmp_path, capsys):
     path = tmp_path / "nested.txt"
     write_points(path, NESTED_SIX)
@@ -265,6 +304,20 @@ def test_link_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "link", "--input", str(path))
     assert code == 0
     assert json.loads(out)["verdict"] == "linked"
+
+
+def test_link_with_a_crossing_on_an_edge_line(tmp_path, capsys):
+    # the edge (2,0,-1)-(2,0,1) crosses the plane z=0 of the face 0 1 2 at
+    # (2,0,0): on the line through the face's edge 0-1, outside the face
+    rows = [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 5),
+        (2, 0, -1), (2, 0, 1), (5, 3, 7), (9, 9, -3),
+    ]
+    path = tmp_path / "tets.txt"
+    write_points(path, rows)
+    code, out, err = run_cli(capsys, "link", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "unlinked"
 
 
 def test_discard_not_an_integer_is_a_usage_error(seven, capsys):

@@ -16,7 +16,7 @@ from tvk.geometry import (
     require_general_position,
     simplex_volume,
 )
-from tvk.lp import Witness, hull_membership
+from tvk.lp import Witness
 from tvk.fixing import (
     PairClass,
     classify_pair,
@@ -40,7 +40,7 @@ from cocycles import (
     mask_disjoint_pair_count,
     mask_to_family,
 )
-from conftest import HEXAGON, NESTED_SIX, NINE_ONE_FIX
+from conftest import HEXAGON, NESTED_SIX, NINE_ONE_FIX, lp_hull_contains
 from swap_witness import swap_witness_planar
 
 ORIGIN2 = (F(0), F(0))
@@ -76,13 +76,14 @@ def test_classify_no_common_point():
 
 
 def ref_pair_verdict(a, b, ps, o):
-    """The trichotomy with every membership test an LP (hull_membership)."""
+    """The trichotomy with every membership test the rational LP
+    (`conftest.lp_hull_contains`)."""
     a, b = tuple(sorted(a)), tuple(sorted(b))
-    if not (hull_membership(o, a, ps) and hull_membership(o, b, ps)):
+    if not (lp_hull_contains(o, a, ps) and lp_hull_contains(o, b, ps)):
         return "no_common_point", None, None
-    if all(hull_membership(ps.points[i], b, ps) for i in a):
+    if all(lp_hull_contains(ps.points[i], b, ps) for i in a):
         return "nested", a, b
-    if all(hull_membership(ps.points[i], a, ps) for i in b):
+    if all(lp_hull_contains(ps.points[i], a, ps) for i in b):
         return "nested", b, a
     return "crossing", None, None
 
@@ -156,7 +157,7 @@ def oracle_origin_pairs(ps, o):
     for rest in combinations(range(1, n), d):
         f = (0,) + rest
         g = tuple(i for i in range(n) if i not in f)
-        if hull_membership(o, f, ps) and hull_membership(o, g, ps):
+        if lp_hull_contains(o, f, ps) and lp_hull_contains(o, g, ps):
             out.append((f, g))
     return out
 
@@ -521,6 +522,14 @@ def test_count_interior_points():
     assert count_interior_points((0, 1, 2), ps) == 0
     ps2 = nested_six_ps()
     assert count_interior_points((0, 1, 2), ps2) >= 3  # inner vertices inside outer
+
+
+def test_count_interior_points_rejects_an_index_outside_the_set():
+    # as hull_contains does: -1 is not read as the last point
+    ps = random_point_set(2, 9, seed=3)
+    for simplex in ((0, 1, -1), (0, 1, 99), (9, 1, 2)):
+        with pytest.raises(ValueError, match="an index lies outside 0..8"):
+            count_interior_points(simplex, ps)
 
 
 def test_classify_nested_in_a_four_point_part():

@@ -1,12 +1,14 @@
 """Differential tests of the exact predicates against plain Fraction references.
 
-The references below share no code with `tvk`'s predicates: a determinant
-by Fraction elimination, barycentric containment by solving the affine
-system in Fractions, and a centerpoint scan that asks `halfplane_depth`
-about every candidate in the documented order. The hull tests, in the
-plane and beyond it, use the phase-1 LP as their reference, barycentric
-weights are checked against the linear solve they replaced, and the
-angular order against the comparator it replaced. Any change to how the
+The references below share no code with the predicates they check: a
+determinant by Fraction elimination, barycentric containment by solving
+the affine system in Fractions, and a centerpoint scan that asks a
+Fraction depth (`conftest.ref_depth`) about every candidate in the
+documented order. The hull tests, in the plane and beyond it, use as
+their reference the phase-1 LP on the rational points
+(`conftest.lp_hull_contains`), which none of `hull_contains`' rules
+builds; barycentric weights are checked against the linear solve they
+replaced, and the angular order against the comparator it replaced. Any change to how the
 predicates compute must leave every verdict, volume, raised error and
 returned point equal.
 """
@@ -33,8 +35,10 @@ from tvk.geometry import (
     point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import common_point, hull_contains, hull_membership
-from tvk.tverberg import _planar_hulls_meet, centerpoint_planar, halfplane_depth
+from tvk.lp import common_point, hull_contains
+from tvk.tverberg import _planar_hulls_meet, centerpoint_planar
+
+from conftest import lp_hull_contains, ref_depth
 
 
 def ref_det(rows):
@@ -211,7 +215,7 @@ def ref_centerpoint(ps):
         seen.add(q)
         if q in inputs:
             continue
-        if halfplane_depth(q, ps) >= m:
+        if ref_depth(q, pts) >= m:
             return q
     return None
 
@@ -257,7 +261,7 @@ def test_centerpoint_with_points_on_a_kept_halfplane_boundary(points):
 
 def ref_planar_hull_contains(p, points):
     """Membership by the phase-1 LP: p = sum w_i s_i, sum w_i = 1, w >= 0."""
-    return hull_membership(p, range(len(points)), PointSet(2, points))
+    return lp_hull_contains(p, range(len(points)), PointSet(2, points))
 
 
 @st.composite
@@ -397,12 +401,12 @@ def test_frame_hull_contains_matches_lp_on_subsets(points, data):
         p = on_line(a, b, F(data.draw(st.integers(min_value=-1, max_value=5)), 4))
     else:
         p = data.draw(fractional_point)
-    expected = hull_membership(p, idx, ps)
+    expected = lp_hull_contains(p, idx, ps)
     assert hull_contains(p, idx, ps) == expected
     sub = ps.take(idx)
     assert hull_contains(p, range(len(idx)), sub) == expected
     for i in range(len(points)):
-        assert hull_contains(i, idx, ps) == hull_membership(points[i], idx, ps)
+        assert hull_contains(i, idx, ps) == lp_hull_contains(points[i], idx, ps)
 
 
 # --- membership beyond the plane ------------------------------------------------
@@ -445,15 +449,15 @@ def spatial_part_case(draw):
 @settings(max_examples=400)
 @given(spatial_part_case())
 def test_spatial_hull_contains_matches_lp(case):
-    """Cramer signs for d+1 independent points, the LP for every other part:
-    either way the verdict is `hull_membership`'s, for p given as a point,
-    as `_query` and as the index of every point of the set."""
+    """Cramer signs for d+1 independent points, the frame LP for every other
+    part: either way the verdict is the rational LP's, for p given as a
+    point, as `_query` and as the index of every point of the set."""
     ps, idx, p = case
-    expected = hull_membership(p, idx, ps)
+    expected = lp_hull_contains(p, idx, ps)
     assert hull_contains(p, idx, ps) == expected
     assert hull_contains(_query(p, ps), idx, ps) == expected
     for i, q in enumerate(ps.points):
-        assert hull_contains(i, idx, ps) == hull_membership(q, idx, ps)
+        assert hull_contains(i, idx, ps) == lp_hull_contains(q, idx, ps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -14,7 +14,6 @@ from tvk.lp import (
     Witness,
     common_point,
     hull_contains,
-    hull_membership,
     relative_interior_witness,
     solve_feasibility,
     witness_violations,
@@ -125,24 +124,41 @@ def test_relative_interior_witness_strictly_positive():
 
 def test_hull_membership():
     ps = PointSet(2, [(0, 0), (4, 0), (0, 4), (4, 4), (1, 1)])
-    assert hull_membership((2, 2), (0, 1, 2, 3), ps)
-    assert hull_membership((0, 0), (0, 1, 2, 3), ps)  # closed hull
-    assert not hull_membership((5, 5), (0, 1, 2, 3), ps)
-    assert not hull_membership((2, 2), (0, 1, 4), ps)
+    assert hull_contains((2, 2), (0, 1, 2, 3), ps)
+    assert hull_contains((0, 0), (0, 1, 2, 3), ps)  # closed hull
+    assert not hull_contains((5, 5), (0, 1, 2, 3), ps)
+    assert not hull_contains((2, 2), (0, 1, 4), ps)
+    # beyond the plane, parts that are not d+1 independent points go to the
+    # LP rule: five points, a segment, a square
+    ps = PointSet(
+        3, [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (4, 4, 4), (1, 1, 1), (4, 4, 0)]
+    )
+    assert hull_contains((1, 1, 1), (0, 1, 2, 3, 4), ps)
+    assert hull_contains(5, (0, 1, 2, 3, 4), ps)
+    assert not hull_contains((5, 5, 5), (0, 1, 2, 3, 4), ps)
+    assert hull_contains((2, 2, 2), (0, 4), ps)
+    assert not hull_contains((2, 2, 1), (0, 4), ps)
+    assert hull_contains((2, 2, 0), (0, 1, 2, 6), ps)
+    assert not hull_contains((2, 2, 1), (0, 1, 2, 6), ps)
+    # and check the indices as every other rule does: -1 is not point 6
+    for p, part in ((ps.points[6], (-1,)), (ps.points[0], (7,)), (-1, (0, 4)), (7, (0, 4))):
+        with pytest.raises(ValueError, match="an index lies outside 0..6"):
+            hull_contains(p, part, ps)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_hull_membership_reads_the_point_as_query_does(d):
     # d coordinates, each through `geometry.rat`: a point with one too few
-    # or one too many raises DimensionMismatch, a float raises TypeError
+    # or one too many raises DimensionMismatch, a float raises TypeError;
+    # d+2 points take the LP rule beyond the plane
     ps = random_point_set(d, d + 2, seed=3)
     idx = range(d + 2)
     for k in (d - 1, d + 1):
         with pytest.raises(DimensionMismatch, match=f"point has {k} coordinates, expected {d}"):
-            hull_membership((1,) * k, idx, ps)
+            hull_contains((1,) * k, idx, ps)
     with pytest.raises(TypeError, match="floats are not accepted"):
-        hull_membership((0.5,) * d, idx, ps)
-    assert hull_membership(ps.points[0], idx, ps)
+        hull_contains((0.5,) * d, idx, ps)
+    assert hull_contains(ps.points[0], idx, ps)
 
 
 def test_lp_inputs_take_what_point_coordinates_take():

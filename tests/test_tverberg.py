@@ -11,26 +11,24 @@ from hypothesis import strategies as st
 
 from tvk import tverberg
 from tvk.errors import (
-    DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
 )
 from tvk.fixing import PairClass
 from tvk.generate import random_extension, random_point_set
-from tvk.geometry import Containment, PointSet, point_in_simplex
-from tvk.lp import common_point, hull_contains, hull_membership, witness_violations
+from tvk.geometry import Containment, PointSet, _query, point_in_simplex
+from tvk.lp import common_point, hull_contains, witness_violations
 from tvk.tverberg import (
     Partition,
+    _depth,
     birch_partition_planar,
     centerpoint_planar,
     extend_partition,
-    halfplane_depth,
-    radon_partition,
     tverberg_partition_bruteforce,
 )
 
-from conftest import HEXAGON, NESTED_SIX
+from conftest import HEXAGON, NESTED_SIX, lp_hull_contains, ref_depth, ref_radon
 
 
 def witness_in_all_hulls(partition, ps):
@@ -42,39 +40,47 @@ def witness_in_all_hulls(partition, ps):
 
 
 # --- radon ---------------------------------------------------------------------
+# On d+2 points in general position the Radon partition is the one
+# partition into two parts whose hulls meet, so the search returns it.
+
+
+def radon(ps):
+    p = tverberg_partition_bruteforce(ps, 2)
+    assert p == ref_radon(ps)
+    return p
 
 
 def test_radon_square():
     ps = PointSet(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
-    p = radon_partition(ps)
+    p = radon(ps)
     assert p.parts == [(0, 1), (2, 3)]
     assert p.witness.point == (F(1, 2), F(1, 2))
 
 
 def test_radon_interior_point():
     ps = PointSet(2, [(0, 0), (2, 0), (0, 2), (F(1, 2), F(1, 2))])
-    p = radon_partition(ps)
+    p = radon(ps)
     assert p.parts == [(0, 1, 2), (3,)]
     assert p.witness.point == (F(1, 2), F(1, 2))
 
 
 def test_radon_d1():
     ps = PointSet(1, [(-1,), (0,), (5,)])
-    p = radon_partition(ps)
+    p = radon(ps)
     assert p.parts == [(0, 2), (1,)]
     assert p.witness.point == (F(0),)
 
 
 def test_radon_wrong_size():
     with pytest.raises(SizeOutOfRange):
-        radon_partition(PointSet(2, [(0, 0), (1, 0), (0, 1)]))
+        tverberg_partition_bruteforce(PointSet(2, [(0, 0), (1, 0), (0, 1)]), 2)
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**6))
 def test_radon_witness_in_both_hulls(d, seed):
     ps = random_point_set(d, d + 2, seed=seed, bound=500)
-    p = radon_partition(ps)
+    p = radon(ps)
     assert witness_in_all_hulls(p, ps)
     assert witness_violations(p.witness, p.parts, ps) == []
 
@@ -366,7 +372,7 @@ def depth_oracle_at_least(q, ps, m):
     """q has depth >= m iff q lies in the hull of every (n-m+1)-subset."""
     n = len(ps)
     for sub in combinations(range(n), n - m + 1):
-        if not hull_membership(q, sub, ps):
+        if not lp_hull_contains(q, sub, ps):
             return False
     return True
 
@@ -382,7 +388,7 @@ def test_centerpoint_triangle():
 def test_centerpoint_hexagon_plus_center():
     ps = PointSet(2, HEXAGON + [(F(1, 23), F(1, 29))])
     o = centerpoint_planar(ps)
-    d = halfplane_depth(o, ps)
+    d = ref_depth(o, ps.points)
     assert d >= 3  # ceil(7/3)
     assert depth_oracle_at_least(o, ps, d)
 
@@ -392,25 +398,18 @@ def test_centerpoint_hexagon_plus_center():
 def test_centerpoint_nine_random(seed):
     ps = random_point_set(2, 9, seed=seed, bound=1000)
     o = centerpoint_planar(ps)
-    assert halfplane_depth(o, ps) >= 3
+    assert ref_depth(o, ps.points) >= 3
     assert depth_oracle_at_least(o, ps, 3)
 
 
 def test_depth_agrees_with_oracle_exactly():
     ps = random_point_set(2, 8, seed=5, bound=100)
-    q = (F(1), F(2))
-    d = halfplane_depth(q, ps)
-    assert depth_oracle_at_least(q, ps, d)
-    if d < len(ps):
-        assert not depth_oracle_at_least(q, ps, d + 1)
-
-
-def test_depth_reads_the_point_as_query_does():
-    ps = random_point_set(2, 8, seed=5, bound=100)
-    assert halfplane_depth(("1", "2"), ps) == halfplane_depth((F(1), F(2)), ps)
-    for count in (1, 3):
-        with pytest.raises(DimensionMismatch, match=f"point has {count} coordinates, expected 2"):
-            halfplane_depth((1,) * count, ps)
+    for q in [(F(1), F(2)), ps.points[3], (F(-7, 3), F(5, 2)), (F(999), F(0))]:
+        d = _depth(*_query(q, ps), ps.frame[0], 0)[0]
+        assert d == ref_depth(q, ps.points)
+        assert depth_oracle_at_least(q, ps, d)
+        if d < len(ps):
+            assert not depth_oracle_at_least(q, ps, d + 1)
 
 
 # --- planar fast path --------------------------------------------------------------
@@ -495,6 +494,23 @@ def test_extend_outside_point_keeps_crossing():
     ps2 = PointSet(2, list(ps.points) + [(61, 59)])
     out = extend_partition(fixed, [6], ps2)
     assert verify_crossing_partition(ps2, out).ok
+
+
+def test_extend_rejects_bad_leftover_indices():
+    from tvk.apps import crossing_tverberg
+
+    ps = random_point_set(2, 9, seed=3)
+    partition = crossing_tverberg(ps.take(range(6)), 2).partition
+    for leftover, message in (
+        ([0], "repeated or already in a part"),  # point 0 is placed
+        ([7, 7], "repeated or already in a part"),
+        ([6, 9], "an index lies outside 0..8"),
+        ([-1, 7], "an index lies outside 0..8"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            extend_partition(partition, leftover, ps)
+    grown = extend_partition(partition, [6, 7, 8], ps)
+    assert sorted(i for part in grown.parts for i in part) == list(range(9))
 
 
 def ref_extension_parts(parts, leftover, ps):
