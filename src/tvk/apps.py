@@ -186,7 +186,10 @@ def crossing_simplices(
     if discard is None:
         discard = list(range(n - spare, n))
     else:
-        discard = sorted(set(discard))
+        for k, i in enumerate(discard):
+            if type(i) is not int or i in discard[:k]:
+                raise SizeOutOfRange(f"discarded index {i!r} is repeated or not an integer")
+        discard = sorted(discard)
         if len(discard) != spare:
             raise SizeOutOfRange(
                 f"must discard exactly n mod (d+1) = {spare} points, got {len(discard)}"
@@ -217,69 +220,46 @@ def segments_intersect_3d(a, b, c, d) -> bool:
 
 
 def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> int:
-    """Mod-2 count of transversal passages of a triangle's boundary curve
-    through another triangle's spanned surface.
+    """Mod-2 count of the passages of a triangle's boundary curve through
+    another triangle.
 
     Assumes the two boundary curves are disjoint, as `triangles_linked` has
-    checked, and reads every contact through that. An edge that crosses
-    the surface's plane passes through the triangle iff the crossing lies
-    strictly on one side of all three edge lines: on an edge line it would
-    be outside the closed triangle. A run of vertices in the plane lies
-    wholly inside the open triangle or wholly outside the closed one, so its
-    first vertex decides whether it is a passage (when the flanking signs
-    differ) or no event.
+    checked. A curve without vertices strictly on both sides of the
+    surface's plane passes through it an even number of times. Otherwise it
+    passes at most twice: along an edge with ends strictly on opposite sides,
+    iff the crossing lies strictly on one side of all three edge lines (on
+    an edge line it is outside the closed triangle), and at the one vertex
+    in the plane, if any, iff that vertex is in the triangle.
     """
     sides = [orientation(list(surface) + [v]) for v in curve]
-    k = next((i for i, s in enumerate(sides) if s), None)
-    if k is None:
-        return 0  # coplanar disjoint curves are never linked
-    # start at a vertex off the plane, so that no run of in-plane vertices
-    # wraps around the end; the edge events are XORed, so order is free
-    sides = sides[k:] + sides[:k]
-    curve = list(curve[k:]) + list(curve[:k])
+    if not {1, -1} <= set(sides):
+        return 0
     parity = 0
-    n = len(curve)
-    for i in range(n):
-        si, sj = sides[i], sides[(i + 1) % n]
-        if si == 0 or sj == 0 or si == sj:
-            continue
-        a, b = curve[i], curve[(i + 1) % n]
-        s1 = orientation([a, b, surface[0], surface[1]])
-        s2 = orientation([a, b, surface[1], surface[2]])
-        s3 = orientation([a, b, surface[2], surface[0]])
-        if s1 == s2 == s3 != 0:
-            parity ^= 1
-    i = 0
-    while i < n:
-        if sides[i] != 0:
-            i += 1
-            continue
-        j = i
-        while j < n and sides[j] == 0:
-            j += 1
-        if sides[i - 1] != sides[j % n] and (
-            point_in_simplex(curve[i], list(surface)) == Containment.INTERIOR
-        ):
-            parity ^= 1
-        i = j
+    for i in range(3):
+        a, b = curve[i - 1], curve[i]
+        if sides[i - 1] * sides[i] < 0:
+            s1 = orientation([a, b, surface[0], surface[1]])
+            s2 = orientation([a, b, surface[1], surface[2]])
+            s3 = orientation([a, b, surface[2], surface[0]])
+            parity ^= s1 == s2 == s3 != 0
+        elif sides[i] == 0:
+            parity ^= point_in_simplex(b, list(surface)) != Containment.OUTSIDE
     return parity
 
 
 def triangles_linked(tri1: Sequence[Point], tri2: Sequence[Point]) -> bool:
     """Whether two disjoint triangle boundary curves in R^3 are linked.
 
-    Computed as the mod-2 number of times one curve pierces the other's
-    spanned surface; both directions are computed and asserted equal.
-    Raises TrianglesIntersect when the boundary curves meet.
+    Raises TrianglesIntersect when nine exact segment tests find that the
+    boundary curves meet. Otherwise the verdict is the mod-2 number of
+    passages of one curve through the other triangle; both directions are
+    computed, and a difference between them is an InternalError.
     """
     t1, t2 = [mk_point(p) for p in tri1], [mk_point(p) for p in tri2]
     _require_r3(*t1, *t2)
-    edges1 = [(t1[i], t1[(i + 1) % 3]) for i in range(3)]
-    edges2 = [(t2[i], t2[(i + 1) % 3]) for i in range(3)]
-    for a, b in edges1:
-        for c, d in edges2:
-            if segments_intersect_3d(a, b, c, d):
-                raise TrianglesIntersect("triangle boundaries intersect")
+    edges1, edges2 = ([(t[i - 1], t[i]) for i in range(3)] for t in (t1, t2))
+    if any(segments_intersect_3d(*e, *f) for e in edges1 for f in edges2):
+        raise TrianglesIntersect("triangle boundaries intersect")
     p1 = _curve_pierce_parity(t1, t2)
     p2 = _curve_pierce_parity(t2, t1)
     if p1 != p2:

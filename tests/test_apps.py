@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -23,7 +24,7 @@ from tvk.geometry import (
     orientation,
     point_in_simplex,
 )
-from tvk.lp import Witness
+from tvk.lp import Witness, witness_violations
 from tvk.fixing import enumerate_origin_pairs
 from tvk.tverberg import Partition
 from tvk.apps import (
@@ -279,6 +280,24 @@ def test_verifier_reports_malformed_partitions_without_raising():
     assert any("degenerate" in v for v in rep.violations)
 
 
+def test_verifier_rejects_weights_that_do_not_sum_to_one():
+    # positive weights 2/3 reproduce the witness (0, 0) in both triangles,
+    # and every other check passes, but each row sums to 2
+    ps = PointSet(2, [(3, 0), (-3, 2), (0, -2), (0, 3), (-2, -3), (2, 0)])
+    parts = [(0, 1, 2), (3, 4, 5)]
+    w = Witness((0, 0), [[F(2, 3)] * 3, [F(2, 3)] * 3])
+    expected = ["part 0: weights sum to 2, not 1", "part 1: weights sum to 2, not 1"]
+    assert witness_violations(w, parts, ps) == expected
+    assert verify_crossing_partition(ps, Partition(parts, w)).violations == expected
+
+
+def test_verifier_rejects_a_weight_of_minus_one_third():
+    # (-1/3, 2/3, 2/3) sums to 1 and reproduces (2, 2), outside the triangle
+    ps = PointSet(2, [(0, 0), (3, 0), (0, 3)])
+    w = Witness((2, 2), [[F(-1, 3), F(2, 3), F(2, 3)]])
+    assert witness_violations(w, [(0, 1, 2)], ps) == ["part 0: negative weight"]
+
+
 def test_verify_degenerate_simplex_against_a_larger_part():
     # a collinear triple through the witness paired with a square around it:
     # the verdict is "degenerate" whatever the partner's size
@@ -497,6 +516,23 @@ def test_simplices_discard_out_of_range():
             crossing_simplices(ps, discard=discard)
 
 
+def test_simplices_discard_repeated_or_not_an_integer():
+    # eight points leave two to discard, seven leave one
+    eight, seven = random_point_set(2, 8, seed=3), random_point_set(2, 7, seed=3)
+    cases = [
+        (eight, [0, 0], "0"),
+        (eight, [0, 0, 1], "0"),
+        (eight, [2, 1, 2], "2"),
+        (seven, [True], "True"),
+        (seven, [F(1)], "Fraction(1, 1)"),
+        (seven, [1.0], "1.0"),
+    ]
+    for ps, discard, name in cases:
+        message = rf"^discarded index {re.escape(name)} is repeated or not an integer$"
+        with pytest.raises(SizeOutOfRange, match=message):
+            crossing_simplices(ps, discard=discard)
+
+
 # --- extension acceptance shape -----------------------------------------------------
 
 
@@ -572,19 +608,35 @@ def old_rule(curve, surface):
         return None
 
 
-def disjoint_triangle_pairs(seed, count):
-    """The first `count` seeded triangle pairs on the grid [-2, 2]^3 whose
-    boundary curves are disjoint, the precondition of the pierce parity."""
-    rng = random.Random(seed)
-    tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+def boxes_meet(e, f):
+    """Whether the bounding boxes of two segments meet: segments whose boxes
+    are disjoint are disjoint."""
+    return all(
+        min(a[c], b[c]) <= max(x[c], y[c]) for (a, b), (x, y) in ((e, f), (f, e)) for c in range(3)
+    )
+
+
+def disjoint_pairs(draw, count):
+    """The first `count` triangle pairs from `draw` whose boundary curves
+    are disjoint, the precondition of the pierce parity."""
     out = []
     while len(out) < count:
-        t1, t2 = tri(), tri()
+        t1, t2 = draw()
         edges1 = [(t1[i], t1[i - 1]) for i in range(3)]
         edges2 = [(t2[i], t2[i - 1]) for i in range(3)]
-        if not any(segments_intersect_3d(*e, *f) for e in edges1 for f in edges2):
+        if not any(
+            boxes_meet(e, f) and segments_intersect_3d(*e, *f) for e in edges1 for f in edges2
+        ):
             out.append((t1, t2))
     return out
+
+
+def disjoint_triangle_pairs(seed, count):
+    """The first `count` seeded triangle pairs on the grid [-2, 2]^3 whose
+    boundary curves are disjoint."""
+    rng = random.Random(seed)
+    tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+    return disjoint_pairs(lambda: (tri(), tri()), count)
 
 
 def test_pierce_parity_matches_the_wrapping_version():
@@ -625,3 +677,86 @@ def test_linking_where_the_old_rule_raised_matches_a_generic_perturbation():
         assert len(parities) == 1
         assert triangles_linked(t1, t2) == (parities == {1})
     assert raised > 40  # the earlier rule raised on about one pair in twenty
+
+
+def side(p0, p1, p2, p3):
+    """Sign of det[p1 - p0, p2 - p0, p3 - p0], expanded in place: the
+    orientation of four points in R^3, without the kernel's scaling."""
+    (a, b, c), (d, e, f), (g, h, i) = ([x - y for x, y in zip(p, p0)] for p in (p1, p2, p3))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (det > 0) - (det < 0)
+
+
+def run_scan_pierce_parity(curve, surface):
+    """`apps._curve_pierce_parity` as it was written for any closed polygon,
+    on a determinant of its own: it rotated the curve to start at a vertex
+    off the surface's plane, and read each run of in-plane vertices by its
+    first vertex and the sides of the vertices that flank the run."""
+    orientation = lambda pts: side(*pts)  # the kernel's name, so the copy reads as it was
+    sides = [orientation(list(surface) + [v]) for v in curve]
+    k = next((i for i, s in enumerate(sides) if s), None)
+    if k is None:
+        return 0
+    sides = sides[k:] + sides[:k]
+    curve = list(curve[k:]) + list(curve[:k])
+    parity = 0
+    n = len(curve)
+    for i in range(n):
+        si, sj = sides[i], sides[(i + 1) % n]
+        if si == 0 or sj == 0 or si == sj:
+            continue
+        a, b = curve[i], curve[(i + 1) % n]
+        s1 = orientation([a, b, surface[0], surface[1]])
+        s2 = orientation([a, b, surface[1], surface[2]])
+        s3 = orientation([a, b, surface[2], surface[0]])
+        if s1 == s2 == s3 != 0:
+            parity ^= 1
+    i = 0
+    while i < n:
+        if sides[i] != 0:
+            i += 1
+            continue
+        j = i
+        while j < n and sides[j] == 0:
+            j += 1
+        if sides[i - 1] != sides[j % n] and (
+            point_in_simplex(curve[i], list(surface)) == Containment.INTERIOR
+        ):
+            parity ^= 1
+        i = j
+    return parity
+
+
+def test_pierce_parity_of_two_passages_matches_the_run_scan():
+    """The triangle rule agrees with the general-curve run scan, in both
+    argument orders, on 20,000 pairs with disjoint boundaries: on the grid
+    [-2, 2]^3, with a collinear triangle, and with rational coordinates in
+    sixths. The run scan reads the rational pairs in integers, six times
+    larger: scaling moves no point across a plane or an edge line."""
+    rng = random.Random(23)
+    point = lambda b: tuple(rng.choices(range(-b, b + 1), k=3))
+    tri = lambda b: [point(b), point(b), point(b)]
+
+    def collinear():
+        p, v = point(2), point(1)
+        if v == (0, 0, 0):
+            v = (1, 0, 0)
+        return [tuple(c + k * e for c, e in zip(p, v)) for k in rng.sample(range(-2, 3), 3)]
+
+    sixths = lambda t: [tuple(F(c, 6) for c in p) for p in t]
+    kinds = [
+        (lambda: (tri(2), tri(2)), 10000, list),
+        (lambda: (collinear(), tri(2)), 5000, list),
+        (lambda: (tri(12), tri(12)), 5000, sixths),
+    ]
+    at_a_vertex = linked = 0
+    for draw, count, scale in kinds:
+        for t1, t2 in disjoint_pairs(draw, count):
+            for curve, surface in ((t1, t2), (t2, t1)):
+                parity = apps._curve_pierce_parity(scale(curve), scale(surface))
+                assert parity == run_scan_pierce_parity(curve, surface)
+                if parity:
+                    linked += 1
+                    at_a_vertex += 0 in [side(*surface, v) for v in curve]
+    assert at_a_vertex > 120  # a passage at a curve vertex in the plane
+    assert linked > 3000

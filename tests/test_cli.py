@@ -336,6 +336,16 @@ def test_discard_out_of_range_is_a_size_gate(seven, capsys):
         assert code == 3, (bad, err)
 
 
+def test_discard_repeated_is_a_size_gate(tmp_path, capsys):
+    eight = gen_points(tmp_path, capsys, 8)
+    for bad in ("0,0,1", "0,0", "3,1,3"):
+        code, out, err = run_cli(
+            capsys, "crossing", "--input", str(eight), "--simplices", "--discard", bad
+        )
+        assert (code, out) == (3, ""), (bad, err)
+        assert f"discarded index {bad[0]} is repeated" in err
+
+
 def test_verify_malformed_report_is_a_usage_error(nine, tmp_path, capsys):
     out_path = tmp_path / "crossing.json"
     run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))

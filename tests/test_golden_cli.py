@@ -1,10 +1,11 @@
 """CLI output pinned byte for byte against committed goldens.
 
-Each case runs `tvk` in-process on a point file in tests/golden/ and
-compares stdout with the committed JSON next to it; each `tvk gen` case
-compares the generated point file with a committed one. The goldens were
-written by an earlier build of the CLI and are the reference: a mismatch
-means the partitions, witnesses, traces or serialisation changed.
+Each case runs `tvk` in-process on a point file in tests/golden/ (or on
+no file, for `tvk fs`) and compares stdout with the committed JSON next
+to it; each `tvk gen` case compares the generated point file with a
+committed one. The goldens were written by an earlier build of the CLI
+and are the reference: a mismatch means the partitions, witnesses,
+traces, verdicts or serialisation changed.
 """
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from tvk.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (golden JSON name, point file, CLI arguments after --input)
+# (golden JSON name, point file or None, CLI arguments after --input)
 CASES = [
     ("partition_d2_n7_r3", "d2_n7_s1.txt", ["partition", "--r", "3"]),
     ("partition_d3_n8_r2", "d3_n8_s2.txt", ["partition", "--r", "2"]),
@@ -43,6 +44,11 @@ CASES = [
         "d2_n14_s6.txt",
         ["crossing", "--simplices", "--discard", "0,5"],
     ),
+    # the linking verdicts and the built-in counterexample
+    ("link_linked", "link_linked.txt", ["link"]),
+    ("link_edge_line", "link_edge_line.txt", ["link"]),
+    ("link_faces_intersect", "link_faces_intersect.txt", ["link"]),
+    ("fs", None, ["fs"]),
 ]
 
 
@@ -60,7 +66,8 @@ GEN_CASES = [
 
 def run_case(points, args, capsys):
     command, *rest = args
-    code = main([command, "--input", str(GOLDEN / points), *rest])
+    source = [] if points is None else ["--input", str(GOLDEN / points)]
+    code = main([command, *source, *rest])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -161,6 +161,13 @@ def test_hull_membership_reads_the_point_as_query_does(d):
     assert hull_contains(ps.points[0], idx, ps)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_of_no_points_contains_nothing(d):
+    ps = random_point_set(d, d + 2, seed=3)
+    assert not hull_contains(ps.points[0], (), ps)
+    assert not hull_contains(0, (), ps)
+
+
 def test_lp_inputs_take_what_point_coordinates_take():
     # ints, Fractions and rational strings, as `geometry.rat`; floats raise
     assert solve_feasibility(FeasibilityProblem([["1/3"]], ["1"])).x == [3]
