@@ -357,13 +357,14 @@ class VerificationReport:
 def verify_crossing_partition(ps: PointSet, partition: Partition) -> VerificationReport:
     """Re-check a claimed crossing partition from primitives only.
 
-    Structural checks come first: indices are ints (not booleans) in range,
-    disjoint and not repeated, the size bound when claimed, and a witness
-    point of dimension d. Only when they pass are the geometric checks run:
-    the witness certificates (nonnegative weights summing to 1 that
-    reproduce the point, which proves it lies in every part's hull) and a
-    crossing verdict for every pair of full-dimensional parts; a pair
-    involving an affinely dependent (d+1)-point part is "degenerate".
+    Structural checks come first: at least one part, indices are ints (not
+    booleans) in range, disjoint and not repeated, the size bound when
+    claimed, and a witness point of dimension d. Only when they pass are
+    the geometric checks run: the witness certificates (nonnegative weights
+    summing to 1 that reproduce the point, which proves it lies in every
+    part's hull) and a crossing verdict for every pair of full-dimensional
+    parts; a pair involving an affinely dependent (d+1)-point part is
+    "degenerate".
     Returns violations and never raises; no state from any producing
     pipeline is used. The membership tests read `ps.frame`, which is a
     pure function of `ps.points`, computed on first use and never written
@@ -374,6 +375,8 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     parts = partition.parts
     out = []
     seen = set()
+    if not parts:
+        out.append("partition has no parts")
     for part in parts:
         if not part:
             out.append("empty part")

@@ -1,10 +1,10 @@
 """Pair classification, parity and cocycle checks, unnesting, and the
 terminating fixing loop.
 
-Two simplices whose hulls share a point either cross (their boundaries
-meet) or are nested; the fixing loop repeatedly repartitions the 2(d+1)
-points of a nested pair into a crossing pair with the same common point,
-and instruments the strictly decreasing measure that forces termination.
+Two simplices whose hulls share a point either cross or are nested; the
+fixing loop repeatedly repartitions the 2(d+1) points of a nested pair into
+a crossing pair with the same common point, and instruments the strictly
+decreasing measure that forces termination.
 """
 from __future__ import annotations
 
@@ -51,11 +51,12 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     """Classify two disjoint parts of any size relative to a candidate point o.
 
     NoCommonPoint when o misses either hull; Nested when one part's points
-    all lie in the other's closed hull; Crossing otherwise (for hulls
-    sharing a point this exhausts the possibilities). Every membership test
-    is `hull_contains`; the parts' own points enter it by index and o as
-    `geometry._query(o, ps)`, which callers that classify many pairs at one o
-    build once and pass in.
+    all lie in the other's closed hull; Crossing otherwise: for d >= 2,
+    where a hull's boundary is connected, the boundaries meet, and in d = 1
+    the segments overlap without nesting. Every membership test is
+    `hull_contains`; the parts' own points enter it by index and o as
+    `geometry._query(o, ps)`, which callers that classify many pairs at one
+    o build once and pass in.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
     o = _query(o, ps)
@@ -77,6 +78,14 @@ def _require_origin_setup(ps: PointSet, o: Point):
     require_general_position(PointSet(d, [*ps.points, o]))
 
 
+def _splits(indices, d: int):
+    """Complementary (d+1)-splits (F, G) of the sorted indices, F holding the
+    first one, in F's lexicographic order."""
+    for rest in combinations(indices[1:], d):
+        f = (indices[0],) + rest
+        yield f, tuple(i for i in indices if i not in f)
+
+
 def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
     """All complementary (d+1)-set partitions {F, G} with o in both hulls.
 
@@ -85,15 +94,12 @@ def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
     """
     o = mk_point(o)
     _require_origin_setup(ps, o)
-    d = ps.dim
-    n = len(ps)
-    out = []
-    for rest in combinations(range(1, n), d):
-        f = (0,) + rest
-        g = tuple(i for i in range(n) if i not in f)
-        if hull_contains(o, f, ps) and hull_contains(o, g, ps):
-            out.append((f, g))
-    return out
+    q = _query(o, ps)
+    return [
+        (f, g)
+        for f, g in _splits(range(len(ps)), ps.dim)
+        if hull_contains(q, f, ps) and hull_contains(q, g, ps)
+    ]
 
 
 def parity_check(ps: PointSet, o: Point):
@@ -155,9 +161,7 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
     union = sorted(t1 + t2)
     _require_origin_setup(ps.take(union), o)
     q = _query(o, ps)
-    for rest in combinations(union[1:], ps.dim):
-        f = (union[0],) + rest
-        g = tuple(i for i in union if i not in f)
+    for f, g in _splits(union, ps.dim):
         if f not in (t1, t2) and classify_pair(f, g, ps, q).kind == "crossing":
             return f, g
     raise InternalError(
@@ -198,14 +202,16 @@ class FixTrace:
         return len(self.steps)
 
 
-def _measure_vector(parts, ps: PointSet, measure: str) -> list:
-    d = ps.dim
-    full = [p for p in parts if len(p) == d + 1]
+def _measure(part, ps: PointSet, measure: str) -> Fraction:
+    """A simplex's volume, or the number of points strictly inside it."""
     if measure == "volume":
-        values = [simplex_volume([ps.points[i] for i in p]) for p in full]
-    else:
-        values = [Fraction(count_interior_points(p, ps)) for p in full]
-    return sorted(values, reverse=True)
+        return simplex_volume([ps.points[i] for i in part])
+    return Fraction(count_interior_points(part, ps))
+
+
+def _measure_vector(parts, ps: PointSet, measure: str) -> list:
+    full = [p for p in parts if len(p) == ps.dim + 1]
+    return sorted((_measure(p, ps, measure) for p in full), reverse=True)
 
 
 def fix_all(
@@ -217,8 +223,9 @@ def fix_all(
     """Unnest nested pairs until every full-dimensional pair crosses.
 
     The witness point is left untouched and part sizes are preserved. Each
-    step must strictly decrease the sorted measure vector in lexicographic
-    order; a violation is a bug and raises InternalError. An explicit
+    step must measure both new parts below the nested pair's outer one and
+    strictly decrease the sorted measure vector in lexicographic order;
+    either violation is a bug and raises InternalError. An explicit
     budget that runs out raises BudgetExceeded with the partial trace, and
     an unknown measure raises ValueError before the first step.
     """
@@ -235,22 +242,16 @@ def fix_all(
     verdicts = {}
     while True:
         full = [i for i, p in enumerate(parts) if len(p) == d + 1]
-        nested_at = None
-        for a in range(len(full)):
-            for b in range(a + 1, len(full)):
-                i, j = full[a], full[b]
-                key = (parts[i], parts[j])
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = classify_pair(*key, ps, q)
-                if verdict.kind == "no_common_point":
-                    raise ValueError("fix_all needs a witness inside every part")
-                if verdict.kind == "nested":
-                    nested_at = (i, j, verdict)
-                    break
-            if nested_at:
+        for i, j in combinations(full, 2):
+            key = (parts[i], parts[j])
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = classify_pair(*key, ps, q)
+            if verdict.kind == "no_common_point":
+                raise ValueError("fix_all needs a witness inside every part")
+            if verdict.kind == "nested":
                 break
-        if nested_at is None:
+        else:
             break
         if budget is not None and trace.iterations >= budget:
             raise BudgetExceeded(
@@ -258,14 +259,12 @@ def fix_all(
                 partition=Partition(parts, barycentric_witness(o, parts, ps)),
                 trace=trace,
             )
-        i, j, verdict = nested_at
         # a step's parts are the next step's, so its measure is the last after
         before = trace.steps[-1].after if trace.steps else _measure_vector(parts, ps, measure)
         s1, s2 = unnest_pair(parts[i], parts[j], ps, o)
-        if measure == "volume":
-            outer = simplex_volume([ps.points[k] for k in verdict.outer])
-            if any(simplex_volume([ps.points[k] for k in s]) >= outer for s in (s1, s2)):
-                raise InternalError("replacement simplex not smaller than the outer one")
+        outer = _measure(verdict.outer, ps, measure)
+        if any(_measure(s, ps, measure) >= outer for s in (s1, s2)):
+            raise InternalError("replacement simplex not smaller than the outer one")
         parts[i], parts[j] = s1, s2
         parts = canonical_parts(parts)
         after = _measure_vector(parts, ps, measure)

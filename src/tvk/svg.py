@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .geometry import PointSet, angular_order
-from .lp import Partition
+from .geometry import PointSet, angular_order, longest_side
+from .lp import Partition, hull_contains
 
 VIEW = 800
 MARGIN = Fraction(5, 100)
@@ -31,13 +31,9 @@ PALETTE = [
 
 
 def _fit(ps: PointSet):
-    xs = [p[0] for p in ps.points]
-    ys = [p[1] for p in ps.points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y)
-    if span == 0:
-        span = Fraction(1)
+    lo_x = min(p[0] for p in ps.points)
+    lo_y = min(p[1] for p in ps.points)
+    span = longest_side(ps.points)
     pad = span * MARGIN
     span += 2 * pad
     scale = Fraction(VIEW) / span
@@ -62,8 +58,7 @@ def render_partition(ps: PointSet, partition: Partition, discarded=None) -> str:
     ]
     for k, part in enumerate(partition.parts):
         color = PALETTE[k % len(PALETTE)]
-        pts = [ps.points[i] for i in part]
-        ordered = _ccw_hull_order(pts)
+        ordered = _ccw_hull_order([ps.points[i] for i in _hull_vertices(part, ps)])
         coords = " ".join(
             f"{x:.3f},{y:.3f}" for x, y in (to_screen(p) for p in ordered)
         )
@@ -94,20 +89,20 @@ def render_partition(ps: PointSet, partition: Partition, discarded=None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _hull_vertices(part, ps: PointSet) -> list:
+    """The part's points outside the hull of its points elsewhere."""
+    return [
+        i
+        for i in part
+        if not hull_contains(i, [j for j in part if ps.points[j] != ps.points[i]], ps)
+    ]
+
+
 def _ccw_hull_order(points):
-    """Vertices in drawing order: angular order around the centroid."""
+    """Hull vertices in drawing order: angular order around their centroid,
+    and a point at the centroid (the one point of a part) last."""
     n = len(points)
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
-    vecs = []
-    kept = []
-    for p in points:
-        v = (p[0] - cx, p[1] - cy)
-        if v == (0, 0):
-            continue
-        vecs.append(v)
-        kept.append(p)
-    order = angular_order(vecs)
-    ordered = [kept[i] for i in order]
-    ordered.extend(p for p in points if (p[0] - cx, p[1] - cy) == (0, 0))
-    return ordered
+    c = (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
+    moved = [p for p in points if p != c]
+    order = angular_order([(p[0] - c[0], p[1] - c[1]) for p in moved])
+    return [moved[i] for i in order] + [p for p in points if p == c]

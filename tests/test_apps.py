@@ -280,6 +280,14 @@ def test_verifier_reports_malformed_partitions_without_raising():
     assert any("degenerate" in v for v in rep.violations)
 
 
+def test_verifier_rejects_a_partition_with_no_parts():
+    # no part means no hull to hold the witness, wherever it is
+    ps = PointSet(2, [(0, 0), (4, 1), (1, 5)])
+    for o in ((1, 1), (100, -7)):
+        rep = verify_crossing_partition(ps, Partition([], Witness(o, [])))
+        assert rep.violations == ["partition has no parts"]
+
+
 def test_verifier_rejects_weights_that_do_not_sum_to_one():
     # positive weights 2/3 reproduce the witness (0, 0) in both triangles,
     # and every other check passes, but each row sums to 2

@@ -139,6 +139,20 @@ def test_verify_requires_the_parts_to_cover_the_points(nine, tmp_path, capsys):
         assert COVER.format(8) in json.loads(out)["violations"]
 
 
+def test_verify_rejects_a_report_with_no_parts(tmp_path, capsys):
+    points = tmp_path / "three.txt"
+    write_points(points, [(0, 0), (4, 1), (1, 5)])
+    report = tmp_path / "empty.json"
+    report.write_text(json.dumps({
+        "parts": [],
+        "witness": {"point": ["1/1", "1/1"], "weights": []},
+        "discarded": [0, 1, 2],
+    }))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(points), "--report", str(report))
+    assert code == 5
+    assert json.loads(out)["violations"] == ["partition has no parts"]
+
+
 def test_verify_reads_the_discarded_points(seven, tmp_path, capsys):
     out_path = tmp_path / "simplices.json"
     run_cli(capsys, "crossing", "--input", str(seven), "--simplices", "--out", str(out_path))

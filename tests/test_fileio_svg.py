@@ -1,14 +1,20 @@
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from tvk import fileio
+from tvk.cli import main
 from tvk.errors import DimensionMismatch
+from tvk.generate import random_point_set
 from tvk.geometry import PointSet
 from tvk.svg import render_partition
 from tvk.apps import crossing_tverberg
 
-from conftest import NINE_ONE_FIX
+from conftest import NINE_ONE_FIX, lp_hull_contains
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_points_formats():
@@ -97,3 +103,44 @@ def test_svg_rejects_3d():
 
     with pytest.raises(DimensionMismatch):
         render_partition(ps, Partition([(0, 1, 2, 3)]))
+
+
+def polygons_and_dots(svg):
+    """Each polygon's vertices and each point's dot, as the rendered strings."""
+    polygons = [p.split() for p in re.findall(r'<polygon points="([^"]*)"', svg)]
+    dots = [f"{x},{y}" for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)]
+    return polygons, dots
+
+
+def test_svg_outlines_an_extended_part_by_its_hull():
+    # `tvk gen --d 2 --n 15 --seed 0`, then `tvk crossing --r 4`: the first
+    # part has six points, and point 14 lies inside the hull of the others
+    ps = random_point_set(2, 15, seed=0)
+    rep = crossing_tverberg(ps, 4, seed=0)
+    assert rep.partition.parts[0] == (0, 5, 11, 12, 13, 14)
+    polygons, dots = polygons_and_dots(render_partition(ps, rep.partition))
+    assert len(polygons) == 4
+    for part, polygon in zip(rep.partition.parts, polygons):
+        hull = [
+            i for i in part if not lp_hull_contains(ps.points[i], [j for j in part if j != i], ps)
+        ]
+        assert sorted(polygon) == sorted(dots[i] for i in hull)
+        # drawn in convex order: every turn has one sign
+        xy = [tuple(map(float, v.split(","))) for v in polygon]
+        turns = [
+            (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+            for a, b, c in zip(xy, xy[1:] + xy[:1], xy[2:] + xy[:2])
+        ]
+        assert all(t > 0 for t in turns) or all(t < 0 for t in turns)
+    assert len(polygons[0]) == 5 and dots[14] not in polygons[0]
+
+
+def test_svg_triangle_render_matches_the_golden(tmp_path, capsys):
+    # written by the earlier rule, which drew every point of a part
+    svg_path = tmp_path / "out.svg"
+    code = main(
+        ["crossing", "--input", str(GOLDEN / "d2_n12_s3.txt"), "--r", "4", "--svg", str(svg_path)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert svg_path.read_text() == (GOLDEN / "crossing_d2_n12_r4.svg").read_text()

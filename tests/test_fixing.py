@@ -16,7 +16,7 @@ from tvk.geometry import (
     require_general_position,
     simplex_volume,
 )
-from tvk.lp import Witness
+from tvk.lp import Witness, barycentric_witness, canonical_parts
 from tvk.fixing import (
     PairClass,
     classify_pair,
@@ -27,7 +27,7 @@ from tvk.fixing import (
     parity_check,
     unnest_pair,
 )
-from tvk.tverberg import Partition
+from tvk.tverberg import Partition, bounded_partition
 from tvk.apps import crossing_simplices, refine_witness
 from tvk.fileio import trace_payload
 
@@ -512,6 +512,139 @@ def test_fix_all_preserves_part_sizes():
     assert trace.iterations == 1
     assert sorted(len(p) for p in fixed.parts) == [1, 3, 3]
     assert fixed.witness.point == single
+
+
+def test_fix_all_checks_the_replacement_under_point_count(monkeypatch):
+    # a replacement that counts more interior points than the outer part is
+    # caught by the step check, before the measure vector is compared
+    real = fixing.count_interior_points
+    nested = {(0, 1, 2), (3, 4, 5)}
+    monkeypatch.setattr(
+        fixing,
+        "count_interior_points",
+        lambda simplex, ps: real(simplex, ps) if tuple(simplex) in nested else 10,
+    )
+    ps = nested_six_ps()
+    part = _partition_with_witness([(0, 1, 2), (3, 4, 5)], ps)
+    with pytest.raises(InternalError, match="replacement simplex not smaller than the outer one"):
+        fix_all(part, ps, measure="point-count", budget=8)
+
+
+# --- differential: the fixing loop against the earlier one ---------------------------------
+
+
+def ref_measure_vector(parts, ps, measure):
+    full = [p for p in parts if len(p) == ps.dim + 1]
+    if measure == "volume":
+        values = [simplex_volume([ps.points[i] for i in p]) for p in full]
+    else:
+        values = [F(count_interior_points(p, ps)) for p in full]
+    return sorted(values, reverse=True)
+
+
+def ref_unnest(t1, t2, ps, o):
+    """The split walk over the union of a nested pair, written out."""
+    union = sorted(t1 + t2)
+    for rest in combinations(union[1:], ps.dim):
+        f = (union[0],) + rest
+        g = tuple(i for i in union if i not in f)
+        if f not in (t1, t2) and classify_pair(f, g, ps, o).kind == "crossing":
+            return f, g
+    raise AssertionError("no crossing repartition")
+
+
+def ref_fix_all(partition, ps, measure, budget=None):
+    """The earlier fixing loop: a flagged double loop over the pairs, a
+    volume-only check of the replacement, and the measure vector written
+    out per measure."""
+    d = ps.dim
+    o = partition.witness.point
+    parts = canonical_parts(partition.parts)
+    trace = fixing.FixTrace(measure=measure)
+    while True:
+        full = [i for i, p in enumerate(parts) if len(p) == d + 1]
+        nested_at = None
+        for a in range(len(full)):
+            for b in range(a + 1, len(full)):
+                i, j = full[a], full[b]
+                verdict = classify_pair(parts[i], parts[j], ps, o)
+                if verdict.kind == "nested":
+                    nested_at = (i, j, verdict)
+                    break
+            if nested_at:
+                break
+        if nested_at is None:
+            break
+        if budget is not None and trace.iterations >= budget:
+            raise BudgetExceeded(
+                f"fixing needs more than {budget} steps",
+                partition=Partition(parts, barycentric_witness(o, parts, ps)),
+                trace=trace,
+            )
+        i, j, verdict = nested_at
+        before = ref_measure_vector(parts, ps, measure)
+        s1, s2 = ref_unnest(parts[i], parts[j], ps, o)
+        if measure == "volume":
+            outer = simplex_volume([ps.points[k] for k in verdict.outer])
+            assert all(simplex_volume([ps.points[k] for k in s]) < outer for s in (s1, s2))
+        parts[i], parts[j] = s1, s2
+        parts = canonical_parts(parts)
+        after = ref_measure_vector(parts, ps, measure)
+        assert after < before
+        trace.steps.append(fixing.FixStep((i, j), before, after))
+    witness = barycentric_witness(o, parts, ps)
+    return Partition(parts, witness, size_bounded=partition.size_bounded), trace
+
+
+def budget_outcome(run, budget):
+    try:
+        return "done", run(budget)
+    except BudgetExceeded as err:
+        return str(err), (err.partition, err.trace)
+
+
+def assert_fixes_as_the_earlier_loop(partition, ps):
+    """Both measures, with no budget and with every budget up to the step
+    count: equal parts, witnesses, steps and BudgetExceeded payloads.
+    Returns the step counts."""
+    steps = []
+    for measure in ("volume", "point-count"):
+        fixed, trace = fix_all(partition, ps, measure=measure)
+        assert (fixed, trace) == ref_fix_all(partition, ps, measure)
+        for budget in range(trace.iterations + 1):
+            assert budget_outcome(
+                lambda b: fix_all(partition, ps, measure=measure, budget=b), budget
+            ) == budget_outcome(lambda b: ref_fix_all(partition, ps, measure, b), budget)
+        steps.append(trace.iterations)
+    return steps
+
+
+# (r, seed) of planar n=3r inputs whose pipeline partition takes fixing steps
+PLANAR_STEP_CASES = [(6, 0), (7, 44), (8, 22), (9, 0), (10, 31), (11, 4)]
+
+
+@pytest.mark.parametrize("r,seed", PLANAR_STEP_CASES)
+def test_fix_all_matches_the_earlier_loop_in_the_plane(r, seed):
+    ps = random_point_set(2, 3 * r, seed=seed)
+    parts = bounded_partition(ps, r).parts
+    steps = assert_fixes_as_the_earlier_loop(_partition_with_witness(parts, ps, seed), ps)
+    assert min(steps) >= 1
+
+
+def test_fix_all_matches_the_earlier_loop_on_three_nested_triangles():
+    from conftest import NINE_TRIPLE_NESTED
+
+    ps = PointSet(2, NINE_TRIPLE_NESTED)
+    partition = _partition_with_witness([(0, 1, 2), (3, 4, 5), (6, 7, 8)], ps)
+    assert assert_fixes_as_the_earlier_loop(partition, ps) == [3, 3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fix_all_matches_the_earlier_loop_in_space(seed):
+    # random d=3 inputs rarely start nested, so the nested pairs are built
+    ps, t1, t2, o = nested_case(3, seed)
+    partition = Partition([t1, t2], barycentric_witness(o, [t1, t2], ps))
+    assert assert_fixes_as_the_earlier_loop(partition, ps) == [1, 1]
 
 
 # --- interior counts ----------------------------------------------------------------------

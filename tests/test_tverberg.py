@@ -18,7 +18,7 @@ from tvk.errors import (
 from tvk.fixing import PairClass
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import Containment, PointSet, _query, point_in_simplex
-from tvk.lp import common_point, hull_contains, witness_violations
+from tvk.lp import Witness, common_point, hull_contains, witness_violations
 from tvk.tverberg import (
     Partition,
     _depth,
@@ -511,6 +511,14 @@ def test_extend_rejects_bad_leftover_indices():
             extend_partition(partition, leftover, ps)
     grown = extend_partition(partition, [6, 7, 8], ps)
     assert sorted(i for part in grown.parts for i in part) == list(range(9))
+
+
+def test_extend_to_equal_grown_hulls_takes_the_first_part():
+    # two coincident points make both grown hulls the same segment, so each
+    # lies inside the other and only the reverse test keeps part 0 minimal
+    ps = PointSet(2, [(0, 0), (0, 0), (5, 2)])
+    partition = Partition([(0,), (1,)], Witness((0, 0), [[1], [1]]))
+    assert extend_partition(partition, [2], ps).parts == [(0, 2), (1,)]
 
 
 def ref_extension_parts(parts, leftover, ps):
