@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Measure how many fixing steps the crossing pipeline needs.
 
-How often do random inputs start nested, and does the point-count measure
-change the step counts? Runs seeded batches and prints a small table.
+How often do random inputs start nested? Runs seeded batches under both
+measures and prints a small table. The measure only checks each step, it
+never picks the nested pair or the split, so both rows must show the same
+step distribution; the script exits 1 when they differ.
 
 Usage: python scripts/fixing_step_counts.py [--d 2] [--r 4] [--instances 50] [--seed 0]
 """
@@ -42,14 +44,18 @@ def main():
     args = ap.parse_args()
 
     print(f"d={args.d} r={args.r} n={(args.d + 1) * args.r} instances={args.instances}")
+    dists = []
     for measure in ("volume", "point-count"):
         counts, elapsed = run_batch(args.d, args.r, args.instances, args.seed, measure)
+        dists.append(counts)
         total = sum(k * v for k, v in counts.items())
         dist = " ".join(f"{k}:{v}" for k, v in sorted(counts.items()))
         print(
             f"  measure={measure:<11} steps total={total:<4} "
             f"distribution[steps:instances]={dist}  ({elapsed:.1f}s)"
         )
+    if dists[0] != dists[1]:
+        sys.exit("the step distributions differ between the measures")
 
 
 if __name__ == "__main__":

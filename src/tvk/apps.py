@@ -91,9 +91,8 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
     o = witness.point
     for attempt in range(512):
         eps = Fraction(1, 2 ** (12 + attempt // 8))
+        # all-zero coefficients give cand = o, which the gp test rejects
         coeffs = [rng.randint(-9, 9) for _ in directions]
-        if all(c == 0 for c in coeffs):
-            continue
         cand = tuple(
             oc + eps * scale * sum(c * v[k] for c, v in zip(coeffs, directions))
             for k, oc in enumerate(o)

@@ -70,20 +70,21 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="tvk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_input=True, seeded=False):
+    def command(name, handler, help, needs_input=True, seeded=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         if needs_input:
             sp.add_argument("--input", required=True, help="point file")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write JSON here instead of stdout")
+        return sp
 
-    sp = sub.add_parser("partition", help="size-bounded common-point partition")
-    add_common(sp, seeded=True)
+    sp = command("partition", cmd_partition, "size-bounded common-point partition", seeded=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--perturb", action="store_true")
 
-    sp = sub.add_parser("crossing", help="crossing partition pipeline")
-    add_common(sp, seeded=True)
+    sp = command("crossing", cmd_crossing, "crossing partition pipeline", seeded=True)
     sp.add_argument("--r", type=int)
     sp.add_argument("--simplices", action="store_true",
                     help="run the floor(n/(d+1)) crossing-simplices variant")
@@ -94,26 +95,21 @@ def _build_parser() -> _Parser:
                     help="comma-separated indices to drop (simplices mode)")
     sp.add_argument("--svg", dest="svg_path", help="render the result (d=2 only)")
 
-    sp = sub.add_parser("verify", help="re-verify a crossing/partition JSON report")
-    add_common(sp)
+    sp = command("verify", cmd_verify, "re-verify a crossing/partition JSON report")
     sp.add_argument("--report", required=True, help="JSON produced by crossing/partition")
 
-    sp = sub.add_parser("parity", help="origin-pair parity of 2(d+1) points")
-    add_common(sp)
+    sp = command("parity", cmd_parity, "origin-pair parity of 2(d+1) points")
     sp.add_argument("--point", help="candidate point, comma-separated (default origin)")
 
-    sp = sub.add_parser("cocycle", help="cocycle property of origin-containing subsets")
-    add_common(sp)
+    sp = command("cocycle", cmd_cocycle, "cocycle property of origin-containing subsets")
     sp.add_argument("--point", help="candidate point, comma-separated (default origin)")
 
-    sp = sub.add_parser("link", help="face-linking verdict for two tetrahedra (8 points)")
-    add_common(sp)
+    command("link", cmd_link, "face-linking verdict for two tetrahedra (8 points)")
+    command("fs", cmd_fs, "verify the built-in 8-point linking counterexample",
+            needs_input=False)
 
-    sp = sub.add_parser("fs", help="verify the built-in 8-point linking counterexample")
-    add_common(sp, needs_input=False)
-
-    sp = sub.add_parser("gen", help="seeded general-position point generator")
-    add_common(sp, needs_input=False, seeded=True)
+    sp = command("gen", cmd_gen, "seeded general-position point generator",
+                 needs_input=False, seeded=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, default=10000)
@@ -171,7 +167,7 @@ def _parse_point(raw, dim):
 
 def cmd_partition(args: argparse.Namespace) -> int:
     ps = _read_points(args.input)
-    if args.r is None or args.r < 1:
+    if args.r < 1:
         raise UsageError("--r must be a positive integer")
     ps, extra = _perturbed(ps, args)
     if not args.perturb:  # bounded_partition has no gate of its own
@@ -225,7 +221,7 @@ def cmd_crossing(args: argparse.Namespace) -> int:
             "command": "crossing",
             "error": "budget_exceeded",
             "trace": fileio.trace_payload(exc.trace),
-            "parts": [list(p) for p in exc.partition.parts] if exc.partition else None,
+            "parts": [list(p) for p in exc.partition.parts],
         }
         _emit(payload, args.out)
         print(f"tvk: budget exceeded: {exc}", file=sys.stderr)
@@ -327,23 +323,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "partition": cmd_partition,
-    "crossing": cmd_crossing,
-    "verify": cmd_verify,
-    "parity": cmd_parity,
-    "cocycle": cmd_cocycle,
-    "link": cmd_link,
-    "fs": cmd_fs,
-    "gen": cmd_gen,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"tvk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,12 @@ prunes by bounding boxes and by Helly's theorem, deciding each sub-family
 it tests once (in the plane every one of at most three parts, by an exact
 integer predicate; in d >= 3 those that another candidate can hold, by
 the exact LP), and certifies the first survivor with the exact LP. The
-planar fast path builds a partition around an exactly computed
-centerpoint and verifies it post hoc. Results are always independently
-checkable: every returned partition carries a witness whose certificates
-re-verify by exact arithmetic.
+planar fast path groups the points by angle around an exactly computed
+centerpoint, and Birch's theorem puts that centerpoint in every group, so
+its barycentric weights are the witness and a group missing it is an
+InternalError. Results are always independently checkable: every
+returned partition carries a witness whose certificates re-verify by
+exact arithmetic.
 """
 from __future__ import annotations
 
@@ -279,14 +281,12 @@ def centerpoint_planar(ps: PointSet) -> Point:
     pts, denom = ps.frame
     input_set = set(pts)
     shallow = []  # (wx, wy, thr) of halfplanes with fewer than m points
-    seen = set()
 
     def deep(qx, qy, qd):
-        """q as a point if it is new, not an input point and deep enough;
-        a shallow halfplane found on the way is kept."""
-        if (qx, qy, qd) in seen:
-            return None
-        seen.add((qx, qy, qd))
+        """q as a point if it is not an input point and deep enough; a
+        shallow halfplane found on the way is kept. A candidate met again
+        on a later line pair needs no cache: `_depth` gives it the same
+        verdict, and keeping its halfplane twice changes no window."""
         if qd == 1 and (qx, qy) in input_set:
             return None
         depth, w = _depth(qx, qy, qd, pts, m)
@@ -353,9 +353,14 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
 
     Points are sorted by angle around the centerpoint o, as the integer
     vectors p - o of `ps.frame` scaled by o's homogeneous weight (a positive
-    scale keeps every angle and tie), and grouped as {i, i+r, i+2r};
-    containment of o in every triple is verified exactly, with a
-    brute-force fallback on failure.
+    scale keeps every angle and tie), and grouped as {i, i+r, i+2r}. By
+    Birch's theorem every triple contains o: were the counter-clockwise gap
+    from p_i to p_{i+r} over pi, a closed halfplane through o inside that
+    gap would hold only the points sorted strictly between them, at most
+    r - 1 < depth(o). Ties on a ray keep their stable order, and o is never
+    an input point. A triple missing o is therefore a bug, which
+    `barycentric_witness` raises as InternalError. Only a set with no
+    candidate centerpoint (e.g. three points) falls back to brute force.
     """
     if ps.dim != 2:
         raise DimensionMismatch("birch_partition_planar requires d=2")
@@ -364,14 +369,12 @@ def birch_partition_planar(ps: PointSet, r: int) -> Partition:
         raise SizeOutOfRange(f"need exactly 3r points, got n={n}, r={r}")
     try:
         o = centerpoint_planar(ps)
-        qx, qy, qd = _query(o, ps)
-        order = angular_order([(x * qd - qx, y * qd - qy) for x, y in ps.frame[0]])
-        parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
-        if not all(hull_contains(o, part, ps) for part in parts):
-            raise GeneralPositionViolated("centerpoint fell outside a triple")
-        return Partition(parts, barycentric_witness(o, parts, ps))
     except GeneralPositionViolated:
         return tverberg_partition_bruteforce(ps, r)
+    qx, qy, qd = _query(o, ps)
+    order = angular_order([(x * qd - qx, y * qd - qy) for x, y in ps.frame[0]])
+    parts = [(order[i], order[i + r], order[i + 2 * r]) for i in range(r)]
+    return Partition(parts, barycentric_witness(o, parts, ps))
 
 
 def bounded_partition(ps: PointSet, r: int) -> Partition:

@@ -91,6 +91,26 @@ def test_refine_witness_nudges_a_witness_off_a_spanned_line(monkeypatch):
     assert verify_crossing_partition(ps, rep.partition).ok
 
 
+def test_refine_witness_nudges_along_a_sub_dimensional_part(monkeypatch):
+    # the start (0, 0) lies on the segment (6, 7), on the line x + 4y = 0,
+    # and on the line through points 2 and 5, so the nudge must stay on the
+    # segment's line to keep the witness in that part
+    ps = PointSet(2, [(-3, -1), (3, -1), (0, 4), (-2, 3), (2, 3), (0, -5), (-4, 1), (8, -2)])
+    parts = [(0, 1, 2), (3, 4, 5), (6, 7)]
+    assert in_general_position(ps) == []
+
+    def start_at_origin(parts, ps):
+        return lp.barycentric_witness((0, 0), parts, ps)
+
+    monkeypatch.setattr(apps, "relative_interior_witness", start_at_origin)
+    w = refine_witness(parts, ps, seed=0)
+    x, y = w.point
+    assert (x, y) == (F(-9, 256), F(9, 1024))
+    assert x + 4 * y == 0
+    assert gp_violations_with_extra(list(ps.points[:6]), w.point) == []
+    assert witness_violations(w, parts, ps) == []
+
+
 def test_crossing_d3_counterexample_points():
     ps = PointSet(3, LINKING_COUNTEREXAMPLE_POINTS)
     rep = crossing_tverberg(ps, 2, seed=0)
@@ -266,6 +286,8 @@ def test_verifier_reports_malformed_partitions_without_raising():
     for message, parts in cases:
         rep = verify_crossing_partition(ps, Partition(parts, good.witness))
         assert any(message in v for v in rep.violations), (message, rep.violations)
+    rep = verify_crossing_partition(ps, Partition(good.parts))
+    assert rep.violations == ["partition has no witness"]
     lifted = Witness(good.witness.point + (F(0),), good.witness.weights)
     rep = verify_crossing_partition(ps, Partition(good.parts, lifted))
     assert any("coordinates, expected 2" in v for v in rep.violations)

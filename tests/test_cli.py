@@ -19,8 +19,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def rows_text(rows):
+    return "\n".join(" ".join(str(c) for c in p) for p in rows) + "\n"
+
+
 def write_points(path, rows):
-    path.write_text("\n".join(" ".join(str(c) for c in p) for p in rows) + "\n")
+    path.write_text(rows_text(rows))
 
 
 def gen_points(tmp_path, capsys, n):
@@ -169,19 +173,23 @@ def test_verify_reads_the_discarded_points(seven, tmp_path, capsys):
 
 
 def test_crossing_budget_exceeded(tmp_path, capsys):
-    path = tmp_path / "nested.txt"
-    write_points(path, NESTED_SIX)
+    # `tvk gen --d 2 --n 6 --seed 23 --bound 50`: the fast path's triangles
+    # are nested, so the first fixing step already exceeds a budget of 0
+    path = tmp_path / "six.txt"
+    write_points(path, [(49, -13), (-40, -48), (25, -11), (4, -2), (17, -5), (-34, 42)])
     code, out, err = run_cli(
         capsys, "crossing", "--input", str(path), "--r", "2", "--budget", "0"
     )
-    # the planar fast path may avoid fixing entirely; force brute force via d=3?
-    # nested six needs exactly one fix only off the birch path, so accept both
-    assert code in (0, 4)
+    assert code == 4
+    data = json.loads(out)
+    assert (data["error"], data["trace"], data["parts"]) == (
+        "budget_exceeded", [], [[0, 1, 5], [2, 3, 4]]
+    )
+    assert "budget exceeded" in err
 
 
 def test_budget_exceeded_brute_force(tmp_path, capsys):
-    # d=3 path always brute-forces; first canonical partition of the built-in
-    # counterexample needs no fix, so craft a nested 3D pair instead
+    # d=3 always brute-forces; this nested 3D pair needs one fixing step
     rows = [
         (100, -90, -80), (-95, -100, -70), (7, 105, -60), (3, 4, 200),
         (2, -3, -1), (-1, -2, -1), (1, 1, -1), (0, 0, 3),
@@ -189,11 +197,8 @@ def test_budget_exceeded_brute_force(tmp_path, capsys):
     path = tmp_path / "nested3.txt"
     write_points(path, rows)
     code0, out0, _ = run_cli(capsys, "crossing", "--input", str(path), "--r", "2")
-    if code0 != 0:
-        pytest.skip("fixture lost containment; covered by unit budget test")
-    data = json.loads(out0)
-    if not data["trace"]:
-        pytest.skip("no fixing needed; covered by unit budget test")
+    assert code0 == 0
+    assert len(json.loads(out0)["trace"]) == 1
     code, out, err = run_cli(
         capsys, "crossing", "--input", str(path), "--r", "2", "--budget", "0"
     )
@@ -296,6 +301,40 @@ def test_parity_and_cocycle_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cocycle", "--input", str(path))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+SIX = [(3, 1), (-2, 2), (-1, -3), (4, -2), (-4, -1), (1, 4)]
+GRID = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, expect",
+    [
+        (
+            rows_text(GRID), ["crossing", "--r", "2", "--perturb"], 0,
+            {"perturbed": True, "original_points": [[f"{x}/1", f"{y}/1"] for x, y in GRID]},
+        ),
+        (rows_text(SIX), ["parity", "--point", "1/7,1/11"], 0, {"count": 2, "even": True}),
+        (rows_text(SIX), ["cocycle", "--point", "1/7,1/11"], 0, {"ok": True}),
+        (rows_text(SIX), ["parity", "--point", "1,2,3"], 64, "point has 3 coordinates"),
+        (rows_text(SIX), ["partition", "--r", "0"], 64, "--r must be a positive integer"),
+        (rows_text([(x, y, x * y) for x, y in SIX]), ["link"], 64, "exactly 8 points in R^3"),
+        ("1 2\n3\n", ["crossing", "--r", "1"], 64, "cannot parse"),
+        ("# only a comment\n", ["crossing", "--r", "1"], 64, "no points in input"),
+    ],
+)
+def test_command_outcomes(tmp_path, capsys, text, argv, code, expect):
+    # a JSON subset on success, an error line naming the cause otherwise
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    got, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert got == code
+    if code == 0:
+        data = json.loads(out)
+        assert {k: data[k] for k in expect} == expect
+    else:
+        assert out == ""
+        assert expect in err and len(err.strip().splitlines()) == 1
 
 
 def test_fs_command(capsys):

@@ -440,24 +440,27 @@ def test_birch_output_is_bruteforce_acceptable():
     assert w is not None
 
 
-def _far_centerpoint(ps):
-    return (F(10**6), F(10**6))  # outside every triple
+def test_birch_falls_back_to_bruteforce_without_a_centerpoint(monkeypatch):
+    def no_centerpoint(ps):
+        raise GeneralPositionViolated("no candidate centerpoint found")
 
-
-def _no_centerpoint(ps):
-    raise GeneralPositionViolated("no candidate centerpoint found")
-
-
-@pytest.mark.parametrize("fake", [_far_centerpoint, _no_centerpoint])
-def test_birch_falls_back_to_bruteforce(monkeypatch, fake):
     ps = random_point_set(2, 9, seed=0)
     birch = birch_partition_planar(ps, 3)
     expected = tverberg_partition_bruteforce(ps, 3)
     assert birch.parts != expected.parts  # the result shows which path ran
-    monkeypatch.setattr(tverberg, "centerpoint_planar", fake)
+    monkeypatch.setattr(tverberg, "centerpoint_planar", no_centerpoint)
     p = birch_partition_planar(ps, 3)
     assert (p.parts, p.witness) == (expected.parts, expected.witness)
     assert witness_violations(p.witness, p.parts, ps) == []
+
+
+def test_birch_triple_missing_the_centerpoint_is_an_internal_error(monkeypatch):
+    # Birch's theorem puts a point of depth >= r in every triple, so a
+    # point outside every triple can only come from a centerpoint bug
+    ps = random_point_set(2, 9, seed=0)
+    monkeypatch.setattr(tverberg, "centerpoint_planar", lambda ps: (F(10**6), F(10**6)))
+    with pytest.raises(InternalError, match="not in the hull of part"):
+        birch_partition_planar(ps, 3)
 
 
 # --- extension ---------------------------------------------------------------------
