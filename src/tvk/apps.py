@@ -41,9 +41,9 @@ from .geometry import (
 from .lp import (
     Partition,
     Witness,
+    _hull_test,
     barycentric_witness,
     common_point,
-    hull_contains,
     relative_interior_witness,
     witness_violations,
 )
@@ -89,6 +89,7 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
     scale = longest_side(ps.points)
     rng = random.Random(seed)
     o = witness.point
+    tests = [_hull_test(part, ps) for part in parts]
     for attempt in range(512):
         eps = Fraction(1, 2 ** (12 + attempt // 8))
         # all-zero coefficients give cand = o, which the gp test rejects
@@ -97,7 +98,8 @@ def refine_witness(parts, ps: PointSet, seed: int = 0) -> Witness:
             oc + eps * scale * sum(c * v[k] for c, v in zip(coeffs, directions))
             for k, oc in enumerate(o)
         )
-        if not all(hull_contains(cand, part, ps) for part in parts):
+        q = _query(cand, ps)
+        if not all(test(q) for test in tests):
             continue
         if gp_violations_with_extra(anchor_points, cand):
             continue

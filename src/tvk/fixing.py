@@ -32,6 +32,7 @@ from .geometry import (
 from .lp import (
     Partition,
     _check_indices,
+    _hull_test,
     barycentric_witness,
     canonical_parts,
     hull_contains,
@@ -53,18 +54,20 @@ def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     NoCommonPoint when o misses either hull; Nested when one part's points
     all lie in the other's closed hull; Crossing otherwise: for d >= 2,
     where a hull's boundary is connected, the boundaries meet, and in d = 1
-    the segments overlap without nesting. Every membership test is
-    `hull_contains`; the parts' own points enter it by index and o as
-    `geometry._query(o, ps)`, which callers that classify many pairs at one
-    o build once and pass in.
+    the segments overlap without nesting. Each part's membership test is
+    prepared once (`lp._hull_test`) and asked about o, then about the other
+    part's points; o enters as `geometry._query(o, ps)`, which callers that
+    classify many pairs at one o build once and pass in.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
     o = _query(o, ps)
-    if not (hull_contains(o, a, ps) and hull_contains(o, b, ps)):
+    in_a, in_b = _hull_test(a, ps), _hull_test(b, ps)
+    if not (in_a(o) and in_b(o)):
         return PairClass("no_common_point")
-    if all(hull_contains(i, b, ps) for i in a):
+    pts = ps.frame[0]
+    if all(in_b((*pts[i], 1)) for i in a):
         return PairClass("nested", inner=a, outer=b)
-    if all(hull_contains(i, a, ps) for i in b):
+    if all(in_a((*pts[i], 1)) for i in b):
         return PairClass("nested", inner=b, outer=a)
     return PairClass("crossing")
 

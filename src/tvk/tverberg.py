@@ -27,11 +27,12 @@ from .errors import (
     SizeOutOfRange,
 )
 from .fixing import classify_pair
-from .geometry import Point, PointSet, _in_planar_hull, _query, angular_order
+from .geometry import Point, PointSet, _query, angular_order
 from .lp import (
     Partition,
     Witness,
     _check_indices,
+    _hull_test,
     barycentric_witness,
     common_point,
     hull_contains,
@@ -40,21 +41,26 @@ from .lp import (
 BRUTE_FORCE_MAX_POINTS = 14
 
 
-def _planar_hulls_meet(hulls) -> bool:
-    """Whether at most three convex hulls of planar integer point lists
-    share a point.
+def _planar_hulls_meet(family, ps: PointSet) -> bool:
+    """Whether the convex hulls of at most three planar parts share a point.
 
     Such hulls that meet share a vertex of one of them or the crossing of
     two non-parallel edges (point pairs) of two of them, so only those
-    candidates are tested.
+    candidates are tested: a vertex against the other parts' membership
+    tests, an edge crossing against every part's, each test prepared once
+    per call.
     """
+    pts = ps.frame[0]
+    tests = [_hull_test(part, ps) for part in family]
 
     def common(q):
-        return all(_in_planar_hull(q, h) for h in hulls)
+        return all(test(q) for test in tests)
 
-    if any(common((x, y, 1)) for h in hulls for x, y in h):
-        return True
-    edges = [list(combinations(h, 2)) for h in hulls]
+    for k, part in enumerate(family):
+        others = tests[:k] + tests[k + 1:]
+        if any(all(test((*pts[i], 1)) for test in others) for i in part):
+            return True
+    edges = [list(combinations([pts[i] for i in part], 2)) for part in family]
     for es, fs in combinations(edges, 2):
         for ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) in product(es, fs):
             ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
@@ -181,8 +187,7 @@ class _Search:
     def _hulls_meet(self, family) -> bool:
         """Whether the hulls of a sub-family of parts share a point."""
         if self.ps.dim == 2:
-            pts = self.ps.frame[0]
-            return _planar_hulls_meet([[pts[i] for i in part] for part in family])
+            return _planar_hulls_meet(family, self.ps)
         return common_point(family, self.ps) is not None
 
 
@@ -262,15 +267,17 @@ def centerpoint_planar(ps: PointSet) -> Point:
     input point.
 
     Candidates are all pairwise line intersections in lexicographic
-    line-pair order. Every halfplane `_depth` finds with fewer than
-    ceil(n/3) = m points is kept, as its inner normal w and thr, the m-th
-    largest projection p.w: any closed halfplane containing q bounds q's
-    depth, so the kept halfplane rejects exactly the candidates q with
-    q.w > thr. Along the line a + t u the kept halfplanes leave one window
-    lo <= t <= hi, empty when a halfplane parallel to the line holds it
-    whole; it is computed again only when a halfplane is kept, and a
-    candidate outside it is rejected by cross-multiplying its t. Only a
-    candidate no kept halfplane rejects gets the full `_depth`.
+    line-pair order; two lines through a common input point meet at that
+    point, so such a pair is skipped before any arithmetic. Every halfplane
+    `_depth` finds with fewer than ceil(n/3) = m points is kept, as its
+    inner normal w and thr, the m-th largest projection p.w: any closed
+    halfplane containing q bounds q's depth, so the kept halfplane rejects
+    exactly the candidates q with q.w > thr. Along the line a + t u the
+    kept halfplanes leave one window lo <= t <= hi, empty when a halfplane
+    parallel to the line holds it whole; it is computed again only when a
+    halfplane is kept, and a candidate outside it is rejected by
+    cross-multiplying its t. Only a candidate no kept halfplane rejects
+    gets the full `_depth`.
     """
     if ps.dim != 2:
         raise DimensionMismatch("centerpoint_planar requires d=2")
@@ -317,14 +324,20 @@ def centerpoint_planar(ps: PointSet) -> Point:
             return None
         return lo, hi
 
-    # each line through two input points as (a point, its direction)
-    lines = [(a, (b[0] - a[0], b[1] - a[1])) for a, b in combinations(pts, 2)]
-    for i, ((ax, ay), (ux, uy)) in enumerate(lines):
+    # each line through two input points as (their indices, a point, its
+    # direction)
+    lines = [
+        ((j, k), a, (b[0] - a[0], b[1] - a[1]))
+        for (j, a), (k, b) in combinations(enumerate(pts), 2)
+    ]
+    for i, ((j, k), (ax, ay), (ux, uy)) in enumerate(lines):
         kept = len(shallow)
         bounds = window(ax, ay, ux, uy)
-        for (cx, cy), (vx, vy) in lines[i + 1:]:
+        for ends, (cx, cy), (vx, vy) in lines[i + 1:]:
             if bounds is None:
                 break
+            if j in ends or k in ends:  # the lines meet at an input point
+                continue
             den = ux * vy - uy * vx
             if den == 0:
                 continue
@@ -407,18 +420,16 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     _check_indices(leftover, ps)
     if len(set(leftover)) < len(leftover) or {i for p in parts for i in p} & set(leftover):
         raise ValueError("a leftover index is repeated or already in a part")
+    pts = ps.frame[0]
     for idx in sorted(leftover):
-        target = None
-        for i, part in enumerate(parts):
-            if hull_contains(idx, part, ps):
-                target = i
-                break
+        target = next((i for i, part in enumerate(parts) if hull_contains(idx, part, ps)), None)
         if target is None:
             grown = [part + (idx,) for part in parts]
+            tests = [_hull_test(part, ps) for part in grown]
 
             def inside(i, j):
                 """Whether grown part j's hull lies in grown part i's."""
-                return all(hull_contains(v, grown[i], ps) for v in grown[j])
+                return all(tests[i]((*pts[v], 1)) for v in grown[j])
 
             # i is inclusion-minimal iff no grown hull is a proper subset of it
             target = next(

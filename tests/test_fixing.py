@@ -100,23 +100,35 @@ def _convex_combination(draw, points):
 
 @st.composite
 def pair_case(draw):
-    """Two disjoint parts of d+1..d+3 points in d=2,3, and a point o.
+    """Two disjoint parts of 1..d+3 points in d=2,3, and a point o.
 
     Parts are often centred (their last point cancels the others, so the
     origin is their centroid) and b is sometimes drawn inside a's hull, so
     that every verdict is common; o is the origin, a point of b's hull or a
-    lattice point that may miss both. Small coordinates make dependent and
-    boundary cases common too.
+    lattice point that may miss both. A part of d+1 points is often flat
+    (collinear in the plane, coplanar in d=3), so that every rule of the
+    membership test decides some case: facet rows, the planar halfplane
+    test and the LP. Small coordinates make dependent and boundary cases
+    common too.
     """
     d = draw(st.sampled_from([2, 3]))
-    ka, kb = (draw(st.sampled_from([d + 1, d + 1, d + 2, d + 3])) for _ in range(2))
+    size = st.one_of(st.just(d + 1), st.integers(min_value=1, max_value=d + 3))
+    ka, kb = draw(size), draw(size)
     centred = draw(st.sampled_from([True, True, False]))
+    flat = draw(st.sampled_from([True, False, False]))
 
     def part(k):
         coord = st.integers(min_value=-6, max_value=6)
         pts = [tuple(draw(st.lists(coord, min_size=d, max_size=d))) for _ in range(k)]
         if centred:
             pts[-1] = tuple(-sum(p[c] for p in pts[:-1]) for c in range(d))
+        if flat and k == d + 1:
+            # the last point in the affine hull of the first d
+            ts = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(d - 1)]
+            pts[-1] = tuple(
+                pts[0][c] + sum(t * (p[c] - pts[0][c]) for t, p in zip(ts, pts[1:]))
+                for c in range(d)
+            )
         return pts
 
     pa = part(ka)
@@ -138,7 +150,7 @@ def pair_case(draw):
     return PointSet(d, points), tuple(order[:ka]), tuple(order[ka:]), o
 
 
-@settings(max_examples=200)
+@settings(max_examples=400)
 @given(pair_case())
 def test_classify_pair_matches_lp_reference(case):
     ps, a, b, o = case

@@ -1,8 +1,9 @@
 """Differential tests of the exact predicates against plain Fraction references.
 
 The references below share no code with the predicates they check: a
-determinant by Fraction elimination, barycentric containment by solving
-the affine system in Fractions, and a centerpoint scan that asks a
+determinant by Fraction elimination (with one vertex replaced by the
+query, also the reference for each facet row), barycentric containment
+by solving the affine system in Fractions, and a centerpoint scan that asks a
 Fraction depth (`conftest.ref_depth`) about every candidate in the
 documented order. The hull tests, in the plane and beyond it, use as
 their reference the phase-1 LP on the rational points
@@ -15,7 +16,7 @@ returned point equal.
 import math
 from fractions import Fraction as F
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,41 @@ def test_point_in_full_simplex_matches_barycentric_reference(case):
 def test_point_in_subdimensional_simplex_matches_barycentric_reference(case):
     p, verts = case
     assert outcome(point_in_simplex, p, verts) == outcome(ref_containment, p, verts)
+
+
+@st.composite
+def facets_case(draw):
+    """d+1 integer vertices in R^d, d = 1..4, half of them with the last
+    vertex on the line through the first and the next to last (affinely
+    dependent; for d = 1 the two vertices coincide), and a homogeneous
+    query point (x, w) with w in 1..5."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    verts = [tuple(draw(st.lists(small_int, min_size=d, max_size=d))) for _ in range(d + 1)]
+    if draw(st.booleans()):
+        t = draw(st.integers(min_value=-2, max_value=2))
+        verts[-1] = tuple(a + t * (b - a) for a, b in zip(verts[0], verts[-2]))
+    x = tuple(draw(st.lists(st.integers(min_value=-15, max_value=15), min_size=d, max_size=d)))
+    return verts, x, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=400)
+@given(facets_case())
+def test_facet_rows_match_fraction_determinants(case):
+    """row_i . (x, w) is w times the determinant with vertex i replaced by
+    x / w, and full is the determinant itself; None exactly when it is 0."""
+    verts, x, w = case
+    full = ref_volume_det(verts)
+    got = geometry._facets(verts)
+    if full == 0:
+        assert got is None
+        return
+    rows, got_full = got
+    assert type(got_full) is int and got_full == full
+    p = tuple(F(c, w) for c in x)
+    for i, row in enumerate(rows):
+        assert len(row) == len(x) + 1 and all(type(c) is int for c in row)
+        replaced = verts[:i] + [p] + verts[i + 1:]
+        assert sum(c * v for c, v in zip(row, (*x, w))) == w * ref_volume_det(replaced)
 
 
 def test_degenerate_simplex_raises_only_for_points_on_its_hull():
@@ -341,24 +377,25 @@ def planar_parts_case(draw):
     return PointSet(2, points), parts
 
 
-def helly_planar_meet(hulls):
+def helly_planar_meet(ps, parts):
     """The brute-force search's rule: planar hulls meet iff every three of
     them do, each three decided by `_planar_hulls_meet`."""
-    return all(map(_planar_hulls_meet, combinations(hulls, min(3, len(hulls)))))
+    return all(_planar_hulls_meet(f, ps) for f in combinations(parts, min(3, len(parts))))
 
 
 @settings(max_examples=500)
 @given(planar_parts_case())
 def test_planar_hulls_meet_matches_lp(case):
     ps, parts = case
-    pts = _int_frame(ps.points)[0]
-    got = helly_planar_meet([[pts[i] for i in part] for part in parts])
-    assert got == (common_point(parts, ps) is not None)
+    assert helly_planar_meet(ps, parts) == (common_point(parts, ps) is not None)
 
 
 def test_planar_hulls_meet_degenerate_cases():
     def meet(*hulls):
-        return helly_planar_meet(hulls)
+        """The hulls as the consecutive parts of one point set."""
+        ends = list(accumulate(map(len, hulls)))
+        parts = [tuple(range(end - len(h), end)) for h, end in zip(hulls, ends)]
+        return helly_planar_meet(PointSet(2, [p for h in hulls for p in h]), parts)
 
     tri = [(0, 0), (4, 0), (0, 4)]
     assert meet(tri, [(2, 2), (5, 5)])  # touching at an edge point
@@ -449,8 +486,8 @@ def spatial_part_case(draw):
 @settings(max_examples=400)
 @given(spatial_part_case())
 def test_spatial_hull_contains_matches_lp(case):
-    """Cramer signs for d+1 independent points, the frame LP for every other
-    part: either way the verdict is the rational LP's, for p given as a
+    """Facet-row signs for d+1 independent points, the frame LP for every
+    other part: either way the verdict is the rational LP's, for p given as a
     point, as `_query` and as the index of every point of the set."""
     ps, idx, p = case
     expected = lp_hull_contains(p, idx, ps)
