@@ -39,9 +39,11 @@ def random_extension(ps: PointSet, k: int, seed: int, bound: int = 10000) -> Poi
 def _draw(rng, d, pool, k, bound) -> Optional[list]:
     """pool plus k candidates drawn from [-bound, bound]^d and kept when they
     leave the pool in general position; None once MAX_TRIES draws are spent
-    or every grid point was drawn (a rejected candidate stays rejected as the
-    pool grows), and at once when k exceeds d * (2 * bound + 1): in general
-    position each grid slice x_1 = c holds at most d points."""
+    or every grid point was drawn, and at once when k exceeds
+    d * (2 * bound + 1): in general position each grid slice x_1 = c holds
+    at most d points. A repeated draw is skipped unscanned: a rejected
+    candidate stays rejected as the pool grows, and an accepted one now
+    coincides with a pooled point."""
     if k > d * (2 * bound + 1):
         return None
     pts = list(pool)
@@ -53,6 +55,8 @@ def _draw(rng, d, pool, k, bound) -> Optional[list]:
         if tries > MAX_TRIES or len(drawn) == (2 * bound + 1) ** d:
             return None
         cand = mk_point(tuple(rng.randint(-bound, bound) for _ in range(d)))
+        if cand in drawn:
+            continue
         drawn.add(cand)
         if gp_violations_with_extra(pts, cand):
             continue

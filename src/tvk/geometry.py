@@ -12,9 +12,10 @@ diamond angle. A `PointSet` computes its frame once, on first use, and
 the predicates on its points read that frame by index; a point from
 outside the set has one form in every dimension, the homogeneous integer
 point of the frame that `_query` builds. Only sub-dimensional and
-degenerate simplices fall back to a linear solve, which `linalg` runs
-fraction-free as well. There are no tolerances anywhere in this module;
-degenerate inputs raise rather than silently picking a side.
+degenerate simplices fall back to a linear system, read off the
+nullspace that `linalg` computes fraction-free as well. There are no
+tolerances anywhere in this module; degenerate inputs raise rather than
+silently picking a side.
 One scan, `_dependent_through`, finds the d points that are affinely
 dependent together with a point q: in the plane by repeated primitive
 directions from q in O(n), beyond it by one determinant per d-subset. The
@@ -174,7 +175,8 @@ def orientation(simplex: Sequence[Point]) -> int:
     Zero exactly when the points are affinely dependent.
     """
     _simplex_dim(simplex)
-    return linalg.sign(_det(_int_frame(simplex)[0]))
+    v = _det(_int_frame(simplex)[0])
+    return (v > 0) - (v < 0)
 
 
 def simplex_volume(simplex: Sequence[Point]) -> Fraction:
@@ -288,8 +290,6 @@ def perturb(ps: PointSet, seed: int) -> PointSet:
     diam / 2^16) and grows each round until `in_general_position` passes.
     """
     rng = random.Random(seed)
-    if len(ps) == 0:
-        return PointSet(ps.dim, [])
     diam = longest_side(ps.points)
     span = 2**16
     for j in range(16, 16 + 64):
@@ -356,8 +356,10 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
     hull. Raises DegenerateSimplex when the vertices are affinely dependent.
     For d+1 affinely independent vertices the weights are the vertices'
     facet rows (`_facets`) applied to p, over their determinant, with p and
-    the vertices scaled into one integer frame once; other vertex sets take
-    a linear solve.
+    the vertices scaled into one integer frame once. Other vertex sets read
+    the nullspace of sum w_i v_i = t p, sum w_i = t: p is off the hull when
+    no basis vector has t != 0, the vertices are dependent when there is
+    more than one, and one basis vector (w, t) gives the weights w / t.
     """
     d = len(p)
     for v in vertices:
@@ -370,14 +372,15 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
             rows, full = facets
             q = (*x, 1)
             return [Fraction(sum(map(mul, row, q)), full) for row in rows]
-    rows = [[v[c] for v in vertices] for c in range(d)]
-    rows.append([Fraction(1)] * len(vertices))
-    status, x = linalg.solve_unique(rows, list(p) + [Fraction(1)])
-    if status == "underdetermined":
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    if status == "inconsistent":
+    rows = [[*[v[c] for v in vertices], -p[c]] for c in range(d)]
+    rows.append([1] * len(vertices) + [-1])
+    basis = linalg.nullspace(rows, len(vertices) + 1)
+    if not any(v[-1] for v in basis):
         return None
-    return x
+    if len(basis) > 1:
+        raise DegenerateSimplex("simplex vertices are affinely dependent")
+    *w, t = basis[0]
+    return [c / t for c in w]
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:

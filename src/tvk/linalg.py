@@ -1,9 +1,10 @@
 """Small exact linear algebra toolkit over int and Fraction matrices.
 
-One fraction-free Gauss-Jordan reduction serves `det`, `solve_unique` and
-`nullspace`: every working entry is an integer, and `Fraction`s are built
-only for the returned values. No tolerances anywhere. Matrices are lists of
-row lists.
+Two questions, `det` and `nullspace`, and one fraction-free Gauss-Jordan
+reduction that serves both: every working entry is an integer, and
+`Fraction`s are built only for the returned values. A linear system
+A x = b is read off the nullspace of [A | -b]. No tolerances anywhere.
+Matrices are lists of row lists.
 """
 from __future__ import annotations
 
@@ -14,14 +15,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def _reduce(rows, ncols):
     """Fraction-free Gauss-Jordan reduction on the first `ncols` columns.
 
@@ -30,9 +23,8 @@ def _reduce(rows, ncols):
     Math. Comp. 1968), so each entry stays an integer minor of the scaled
     matrix, and every pivot row ends with the last pivot in its pivot
     column: row i is the reduced row echelon form's row i times that pivot.
-    Extra columns ride along as right-hand sides. Returns the integer rows,
-    the pivot columns, the sign of the row swaps and the product of the row
-    scales.
+    Returns the integer rows, the pivot columns, the sign of the row swaps
+    and the product of the row scales.
     """
     m, scale = [], 1
     for row in rows:
@@ -88,21 +80,6 @@ def det(rows) -> Fraction:
     if len(pivots) < len(m):
         return ZERO
     return Fraction(flip * m[-1][-1], scale) if m else ONE
-
-
-def solve_unique(a_rows, b):
-    """Solve A x = b expecting a unique solution.
-
-    Returns ("unique", x), ("inconsistent", None) when no solution exists,
-    or ("underdetermined", None) when the solution is not unique.
-    """
-    ncols = len(a_rows[0]) if a_rows else 0
-    m, pivots, _, _ = _reduce([[*r, v] for r, v in zip(a_rows, b)], ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return "inconsistent", None
-    if len(pivots) < ncols:
-        return "underdetermined", None
-    return "unique", [Fraction(row[ncols], row[col]) for row, col in zip(m, pivots)]
 
 
 def nullspace(a_rows, ncols):

@@ -40,10 +40,6 @@ ZERO = Fraction(0)
 MAX_HALVINGS = 64
 
 
-def _exact(v):
-    return v if type(v) is int or type(v) is Fraction else rat(v)
-
-
 @dataclass(init=False)
 class FeasibilityProblem:
     """Equality system A x = b with x >= 0 on every variable; entries go
@@ -59,7 +55,7 @@ class FeasibilityProblem:
             raise DimensionMismatch("ragged constraint matrix")
         if len(a) != len(b):
             raise DimensionMismatch("matrix/rhs row count mismatch")
-        scaled = [linalg._int_row([*map(_exact, row), _exact(v)]) for row, v in zip(a, b)]
+        scaled = [linalg._int_row([*map(rat, row), rat(v)]) for row, v in zip(a, b)]
         self.rows = [row for row, _ in scaled]
         self.scales = [scale for _, scale in scaled]
 

@@ -76,6 +76,52 @@ def lp_hull_contains(p, idx, ps):
     return solve_feasibility(FeasibilityProblem(a, [*p, 1])).feasible
 
 
+def ref_eliminate(aug, ncols):
+    """Plain Gauss-Jordan elimination over Fractions on the first `ncols`
+    columns of `aug`, in place: (rows, pivot columns, product of the pivots
+    times the sign of the row swaps)."""
+    nrows = len(aug)
+    pivots = []
+    flip, prod = 1, F(1)
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            aug[row], aug[piv] = aug[piv], aug[row]
+            flip = -flip
+        p = aug[row][col]
+        prod *= p
+        aug[row] = [v / p for v in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return aug, pivots, flip * prod
+
+
+def ref_solve_unique(a_rows, b):
+    """A x = b by `ref_eliminate`: ("unique", x), ("inconsistent", None)
+    when no solution exists, or ("underdetermined", None) when it is not
+    unique."""
+    ncols = len(a_rows[0]) if a_rows else 0
+    aug = [[F(v) for v in r] + [F(b[i])] for i, r in enumerate(a_rows)]
+    aug, pivots, _ = ref_eliminate(aug, ncols)
+    if any(aug[r][ncols] != 0 for r in range(len(pivots), len(aug))):
+        return "inconsistent", None
+    if len(pivots) < ncols:
+        return "underdetermined", None
+    x = [F(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return "unique", x
+
+
 def ref_depth(q, points):
     """Halfplane depth of the planar point q: the fewest points in a closed
     halfplane through q. The count changes only where the boundary line

@@ -111,6 +111,65 @@ def test_refine_witness_nudges_along_a_sub_dimensional_part(monkeypatch):
     assert witness_violations(w, parts, ps) == []
 
 
+@pytest.mark.parametrize(
+    "d, n, seed, parts, message",
+    [
+        (2, 7, 869267, [(0, 1, 5), (2, 4), (3, 6)], "no full-dimensional common region"),
+        (3, 12, 453395, [(0, 1, 2, 5), (3, 4, 6, 10), (7, 8, 9, 11)],
+         "no full-dimensional common region"),
+        (2, 10, 900309, [(0, 1), (2, 4, 6), (3, 7, 8), (5, 9)],
+         "witness is pinned to a degenerate affine subspace"),
+    ],
+)
+def test_refine_witness_refuses_parts_without_a_generic_common_point(d, n, seed, parts, message):
+    # gate-passing small-grid inputs whose first partition cannot be refined
+    # (the open bug of the crossing pipeline on such inputs)
+    ps = random_point_set(d, n, seed=seed, bound=3)
+    assert in_general_position(ps) == []
+    with pytest.raises(GeneralPositionViolated, match=message):
+        refine_witness(parts, ps)
+
+
+def test_refine_witness_skips_a_nudge_that_breaks_general_position(monkeypatch):
+    ps = random_point_set(2, 9, seed=353, bound=3)
+    found = []
+    real = apps.gp_violations_with_extra
+    monkeypatch.setattr(
+        apps, "gp_violations_with_extra", lambda *a: found.append(real(*a)) or found[-1]
+    )
+    rep = crossing_tverberg(ps, 3)
+    # the start and the first nudge are both on a spanned line
+    assert [bool(v) for v in found] == [True, True, False]
+    assert rep.partition.parts == [(0, 1, 6), (2, 3, 4), (5, 7, 8)]
+    assert rep.partition.witness.point == (F(-131, 256), F(2039, 6144))
+    assert verify_crossing_partition(ps, rep.partition).ok
+
+
+def test_refine_witness_skips_a_nudge_outside_a_hull(monkeypatch):
+    # the start (2, 1) is on the edge from point 3 to point 4, so a nudge
+    # to the wrong side of that edge leaves the second triangle
+    ps = PointSet(2, [(0, 0), (10000, 0), (0, 4), (1, -3), (3, 5), (-2, 3)])
+    parts = [(0, 1, 2), (3, 4, 5)]
+
+    def start_on_an_edge(parts, ps):
+        return lp.barycentric_witness((2, 1), parts, ps)
+
+    queries, found = [], []
+    real_query, real_gp = apps._query, apps.gp_violations_with_extra
+    monkeypatch.setattr(apps, "relative_interior_witness", start_on_an_edge)
+    monkeypatch.setattr(apps, "_query", lambda *a: queries.append(a) or real_query(*a))
+    monkeypatch.setattr(
+        apps, "gp_violations_with_extra", lambda *a: found.append(real_gp(*a)) or found[-1]
+    )
+    w = refine_witness(parts, ps, seed=0)
+    # the start is on a spanned line, and every nudge before the accepted
+    # one failed a hull test
+    assert [bool(v) for v in found] == [True, False]
+    assert len(queries) == 23
+    assert w.point == (F(3191, 4096), F(13193, 8192))
+    assert witness_violations(w, parts, ps) == []
+
+
 def test_crossing_d3_counterexample_points():
     ps = PointSet(3, LINKING_COUNTEREXAMPLE_POINTS)
     rep = crossing_tverberg(ps, 2, seed=0)

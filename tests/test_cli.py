@@ -157,6 +157,15 @@ def test_verify_rejects_a_report_with_no_parts(tmp_path, capsys):
     assert json.loads(out)["violations"] == ["partition has no parts"]
 
 
+def test_verify_reports_a_missing_witness(nine, tmp_path, capsys):
+    out_path = tmp_path / "crossing.json"
+    run_cli(capsys, "crossing", "--input", str(nine), "--r", "3", "--out", str(out_path))
+    out_path.write_text(json.dumps({**json.loads(out_path.read_text()), "witness": None}))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(nine), "--report", str(out_path))
+    assert code == 5
+    assert json.loads(out)["violations"] == ["partition has no witness"]
+
+
 def test_verify_reads_the_discarded_points(seven, tmp_path, capsys):
     out_path = tmp_path / "simplices.json"
     run_cli(capsys, "crossing", "--input", str(seven), "--simplices", "--out", str(out_path))

@@ -291,6 +291,8 @@ def test_perturb_fixes_collinear():
     ps = PointSet(2, [(0, 0), (1, 0), (2, 0), (3, 0)])
     out = perturb(ps, seed=1)
     assert in_general_position(out) == []
+    # an empty set is in general position after the first round
+    assert perturb(PointSet(3, []), seed=1) == PointSet(3, [])
 
 
 def test_generation_refuses_more_points_than_the_grid_slices_hold(monkeypatch):
@@ -315,6 +317,22 @@ def test_generation_stops_once_every_grid_point_was_drawn(monkeypatch):
     with pytest.raises(PerturbationFailed, match=r"could not place 6"):
         generate.random_point_set(2, 6, seed=0, bound=1)
     assert len(set(drawn)) == 9 and len(drawn) < generate.MAX_TRIES
+
+
+@pytest.mark.parametrize("d, n, seed, bound", [(2, 6, 0, 1), (3, 16, 0, 3), (2, 12, 4, 3)])
+def test_generation_scans_each_distinct_candidate_once(monkeypatch, d, n, seed, bound):
+    # a repeated draw is skipped before the general-position scan: it was
+    # rejected before, or it coincides with an accepted point
+    scanned = []
+    real = generate.gp_violations_with_extra
+    monkeypatch.setattr(
+        generate, "gp_violations_with_extra", lambda pts, c: scanned.append(c) or real(pts, c)
+    )
+    try:
+        generate.random_point_set(d, n, seed=seed, bound=bound)
+    except PerturbationFailed:
+        pass
+    assert len(scanned) == len(set(scanned))
 
 
 def test_generation_fills_a_grid_at_its_slice_bound():

@@ -8,8 +8,9 @@ Fraction depth (`conftest.ref_depth`) about every candidate in the
 documented order. The hull tests, in the plane and beyond it, use as
 their reference the phase-1 LP on the rational points
 (`conftest.lp_hull_contains`), which none of `hull_contains`' rules
-builds; barycentric weights are checked against the linear solve they
-replaced, and the angular order against the comparator it replaced. Any change to how the
+builds; barycentric weights are checked against a Fraction solve of
+the affine system (`conftest.ref_solve_unique`), and the angular order
+against the comparator it replaced. Any change to how the
 predicates compute must leave every verdict, volume, raised error and
 returned point equal.
 """
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvk import geometry, linalg, tverberg
+from tvk import geometry, tverberg
 from tvk.errors import DegenerateSimplex, DimensionMismatch
 from tvk.generate import random_point_set
 from tvk.geometry import (
@@ -39,7 +40,7 @@ from tvk.geometry import (
 from tvk.lp import common_point, hull_contains
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar
 
-from conftest import lp_hull_contains, ref_depth
+from conftest import lp_hull_contains, ref_depth, ref_solve_unique
 
 
 def ref_det(rows):
@@ -557,10 +558,11 @@ def test_frame_is_the_int_frame_of_the_points():
 
 
 def ref_barycentric(p, verts):
-    """The affine system sum w_i v_i = p, sum w_i = 1 by `linalg.solve_unique`."""
+    """The affine system sum w_i v_i = p, sum w_i = 1 by Fraction
+    elimination (`conftest.ref_solve_unique`)."""
     rows = [[v[c] for v in verts] for c in range(len(p))]
     rows.append([1] * len(verts))
-    status, x = linalg.solve_unique(rows, [*p, 1])
+    status, x = ref_solve_unique(rows, [*p, 1])
     if status == "underdetermined":
         raise DegenerateSimplex("reference: dependent vertices")
     return None if status == "inconsistent" else x
@@ -568,16 +570,17 @@ def ref_barycentric(p, verts):
 
 @st.composite
 def barycentric_case(draw):
-    """d = 2..4 with 1..d+1 vertices, the last one often an affine
-    combination of the others (dependent vertices)."""
-    d = draw(st.integers(min_value=2, max_value=4))
-    k = draw(st.integers(min_value=1, max_value=d + 1))
+    """d = 1..4 with 0..d+2 vertices, the last one often an affine
+    combination of the others (dependent vertices, as d+2 always are),
+    and p often an affine combination of the vertices."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d + 2))
     verts = [tuple(draw(st.lists(coordinate, min_size=d, max_size=d))) for _ in range(k)]
     if k >= 2 and draw(st.booleans()):
         ws = [F(draw(st.integers(min_value=-2, max_value=2))) for _ in range(k - 2)]
         ws.append(1 - sum(ws))
         verts[-1] = tuple(sum(w * F(v[c]) for w, v in zip(ws, verts)) for c in range(d))
-    if draw(st.booleans()):
+    if k and draw(st.booleans()):
         ws = [F(draw(st.integers(min_value=-1, max_value=3))) for _ in range(k)]
         ws[0] += 1 - sum(ws)
         p = tuple(sum(w * F(v[c]) for w, v in zip(ws, verts)) for c in range(d))

@@ -20,7 +20,7 @@ from tvk.lp import (
 )
 from tvk.tverberg import birch_partition_planar
 
-from conftest import HEXAGON
+from conftest import HEXAGON, ref_solve_unique
 
 
 def test_trivial_feasible():
@@ -191,7 +191,7 @@ def bfs_oracle(a, b, m, n):
     for size in range(1, m + 1):
         for cols in combinations(range(n), size):
             sub = [[a[i][j] for j in cols] for i in range(m)]
-            status, x = linalg.solve_unique(sub, b)
+            status, x = ref_solve_unique(sub, b)
             if status == "unique" and all(v >= 0 for v in x):
                 return True
     return False
