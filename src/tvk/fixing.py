@@ -20,12 +20,11 @@ from .errors import (
     SizeOutOfRange,
 )
 from .geometry import (
-    Containment,
     Point,
     PointSet,
+    _barycentric,
     _query,
     mk_point,
-    point_in_simplex,
     require_general_position,
     simplex_volume,
 )
@@ -179,13 +178,10 @@ def count_interior_points(simplex, ps: PointSet) -> int:
     """Points of ps strictly inside the simplex's hull (vertices never count);
     an index outside 0..n-1 raises ValueError."""
     _check_indices(simplex, ps)
-    verts = [ps.points[i] for i in simplex]
-    return sum(
-        1
-        for i in range(len(ps))
-        if i not in simplex
-        and point_in_simplex(ps.points[i], verts) == Containment.INTERIOR
-    )
+    pts = ps.frame[0]
+    verts = [pts[i] for i in simplex]
+    weights = (_barycentric((*p, 1), verts) for i, p in enumerate(pts) if i not in simplex)
+    return sum(1 for ws in weights if ws is not None and all(c > 0 for c in ws))
 
 
 @dataclass

@@ -354,33 +354,39 @@ def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
 
     Returns the coordinate list, or None when p is off the vertices' affine
     hull. Raises DegenerateSimplex when the vertices are affinely dependent.
-    For d+1 affinely independent vertices the weights are the vertices'
-    facet rows (`_facets`) applied to p, over their determinant, with p and
-    the vertices scaled into one integer frame once. Other vertex sets read
-    the nullspace of sum w_i v_i = t p, sum w_i = t: p is off the hull when
-    no basis vector has t != 0, the vertices are dependent when there is
-    more than one, and one basis vector (w, t) gives the weights w / t.
+    The weights are `_barycentric`'s, on p and the vertices scaled into one
+    integer frame.
     """
     d = len(p)
     for v in vertices:
         if len(v) != d:
             raise DimensionMismatch("point/simplex dimension mismatch")
-    if len(vertices) == d + 1:
-        x, *verts = _int_frame([p, *vertices])[0]
+    x, *verts = _int_frame([p, *vertices])[0]
+    return _barycentric((*x, 1), verts)
+
+
+def _barycentric(q, verts):
+    """`barycentric_coordinates` of the homogeneous integer point q = (x, w),
+    w > 0, over integer vertices: for d+1 affinely independent ones their
+    facet rows (`_facets`) at q, row_i . q / (w * full). Other vertex sets
+    read the nullspace of sum l_i (w v_i) = t x, sum l_i = t: None when no
+    basis vector has t != 0, DegenerateSimplex when there is more than one,
+    and l / t from one basis vector (l, t)."""
+    *x, w = q
+    if len(verts) == len(x) + 1:
         facets = _facets(verts)
         if facets is not None:
             rows, full = facets
-            q = (*x, 1)
-            return [Fraction(sum(map(mul, row, q)), full) for row in rows]
-    rows = [[*[v[c] for v in vertices], -p[c]] for c in range(d)]
-    rows.append([1] * len(vertices) + [-1])
-    basis = linalg.nullspace(rows, len(vertices) + 1)
+            return [Fraction(sum(map(mul, row, q)), w * full) for row in rows]
+    rows = [[*[w * v[c] for v in verts], -x[c]] for c in range(len(x))]
+    rows.append([1] * len(verts) + [-1])
+    basis = linalg.nullspace(rows, len(verts) + 1)
     if not any(v[-1] for v in basis):
         return None
     if len(basis) > 1:
         raise DegenerateSimplex("simplex vertices are affinely dependent")
-    *w, t = basis[0]
-    return [c / t for c in w]
+    *lam, t = basis[0]
+    return [c / t for c in lam]
 
 
 def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:

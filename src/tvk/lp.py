@@ -11,14 +11,16 @@ or the index of a point of the set, and `_hull_test` prepares it once per
 part for callers that test many points. It has three rules: the signs of
 the facet rows (`geometry._facets`) for d+1 affinely independent points
 in every d, an integer halfplane test for other planar parts, and the LP
-for other parts beyond the plane.
+for other parts beyond the plane. `relative_interior_witness` halves a
+shift until its LP is feasible; in the plane `_separated` first tries to
+rule the shift out along directions it generates as it tests them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -27,10 +29,10 @@ from .errors import DimensionMismatch, InternalError
 from .geometry import (
     Point,
     PointSet,
+    _barycentric,
     _facets,
     _in_planar_hull,
     _query,
-    barycentric_coordinates,
     mk_point,
     rat,
 )
@@ -193,9 +195,10 @@ def barycentric_witness(o: Point, parts, ps: PointSet) -> Witness:
     Callers have established that o lies in every part, so a part missing o
     is a bug and raises InternalError.
     """
+    q, pts = _query(o, ps), ps.frame[0]
     weights = []
     for part in parts:
-        coords = barycentric_coordinates(o, [ps.points[i] for i in part])
+        coords = _barycentric(q, [pts[i] for i in part])
         if coords is None or any(c < 0 for c in coords):
             raise InternalError(f"witness point is not in the hull of part {tuple(part)}")
         weights.append(coords)
@@ -313,40 +316,31 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     return _decode_witness(res.x, parts, ps)
 
 
-def _planar_shift_screen(parts, ps: PointSet):
-    """Projections that rule out shifts t = 1/q of planar parts without an LP.
+def _separated(parts, ps: PointSet, q: int) -> bool:
+    """Whether planar parts shrunk to lambda >= 1/q project, along some
+    direction, onto intervals without a common point, which rules out the
+    shift t = 1/q without an LP.
 
     For a direction w, a part of k points shrinks, scaled by q, to the
     integer interval [S + (q-k) min, S + (q-k) max] of p.w over `ps.frame`,
     S the sum of its p.w: the points sum_j lambda_j p_j with lambda >= 1/q.
-    The directions are the coordinate axes and the normal of every segment
-    within a part (a triangle's edge normals). Returns one (k, S, min, max)
-    row per part for each direction.
+    The directions are the coordinate axes, then the normal of every
+    segment within a part (a triangle's edge normals), each generated when
+    it is tested. Along one, the largest lower end so far only rises and
+    the smallest upper end only falls, so the scan stops once they cross.
     """
     pts = ps.frame[0]
-    dirs = [(1, 0), (0, 1)]
-    for part in parts:
-        for i, j in combinations(part, 2):
-            (ax, ay), (bx, by) = pts[i], pts[j]
-            dirs.append((ay - by, bx - ax))
-    table = []
-    for wx, wy in dirs:
-        rows = []
-        for part in parts:
-            proj = [pts[i][0] * wx + pts[i][1] * wy for i in part]
-            rows.append((len(part), sum(proj), min(proj), max(proj)))
-        table.append(rows)
-    return table
-
-
-def _separated(table, q: int) -> bool:
-    """Whether, along some direction of `_planar_shift_screen`, the parts
-    shrunk to lambda >= 1/q have intervals without a common point."""
-    return any(
-        max(s + (q - k) * lo for k, s, lo, _ in rows)
-        > min(s + (q - k) * hi for k, s, _, hi in rows)
-        for rows in table
-    )
+    verts = [[pts[i] for i in part] for part in parts]
+    normals = ((ay - by, bx - ax) for vs in verts for (ax, ay), (bx, by) in combinations(vs, 2))
+    for wx, wy in chain([(1, 0), (0, 1)], normals):
+        lo, hi = -math.inf, math.inf
+        for vs in verts:
+            proj = [x * wx + y * wy for x, y in vs]
+            s, k = sum(proj), q - len(vs)
+            lo, hi = max(lo, s + k * min(proj)), min(hi, s + k * max(proj))
+            if lo > hi:
+                return True
+    return False
 
 
 def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
@@ -359,17 +353,16 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     solves A lambda = b exactly when A mu = q b - A 1: only the integer
     right-hand side changes, and the pivots are those at t. In the plane a shift
     whose shrunk parts are separated along an axis or a part's edge normal
-    (`_planar_shift_screen`) is infeasible and is halved without an LP, so
-    the LP runs first at the same shift as without the screen and returns
-    the same vertex; beyond the plane every shift is solved.
+    (`_separated`) is infeasible and is halved without an LP, so the LP
+    runs first at the same shift as without the screen and returns the
+    same vertex; beyond the plane every shift is solved.
     """
     parts = _disjoint_parts(parts, ps)
     q = 2 * max(map(len, parts))
     prob = _common_point_problem(parts, ps)
     rows = [(row[:-1], row[-1], sum(row) - row[-1]) for row in prob.rows]
-    screen = _planar_shift_screen(parts, ps) if ps.dim == 2 else None
     for _ in range(MAX_HALVINGS):
-        if screen is None or not _separated(screen, q):
+        if ps.dim != 2 or not _separated(parts, ps, q):
             shifted = [[*a, q * b - s] for a, b, s in rows]
             res = solve_feasibility(_integer_problem(shifted, prob.scales))
             if res.feasible:

@@ -267,7 +267,8 @@ def centerpoint_planar(ps: PointSet) -> Point:
     input point.
 
     Candidates are all pairwise line intersections in lexicographic
-    line-pair order; two lines through a common input point meet at that
+    line-pair order, generated as they are tested, so the scan holds no
+    table of lines; two lines through a common input point meet at that
     point, so such a pair is skipped before any arithmetic. Every halfplane
     `_depth` finds with fewer than ceil(n/3) = m points is kept, as its
     inner normal w and thr, the m-th largest projection p.w: any closed
@@ -324,20 +325,20 @@ def centerpoint_planar(ps: PointSet) -> Point:
             return None
         return lo, hi
 
-    # each line through two input points as (their indices, a point, its
-    # direction)
-    lines = [
-        ((j, k), a, (b[0] - a[0], b[1] - a[1]))
-        for (j, a), (k, b) in combinations(enumerate(pts), 2)
-    ]
-    for i, ((j, k), (ax, ay), (ux, uy)) in enumerate(lines):
+    for j, k in combinations(range(n), 2):
+        (ax, ay), (bx, by) = pts[j], pts[k]
+        ux, uy = bx - ax, by - ay
         kept = len(shallow)
         bounds = window(ax, ay, ux, uy)
-        for ends, (cx, cy), (vx, vy) in lines[i + 1:]:
+        # the later line pairs in order: none holds j, and one that holds k
+        # meets this line at an input point
+        for i, h in combinations(range(j + 1, n), 2):
             if bounds is None:
                 break
-            if j in ends or k in ends:  # the lines meet at an input point
+            if i == k or h == k:
                 continue
+            (cx, cy), (ex, ey) = pts[i], pts[h]
+            vx, vy = ex - cx, ey - cy
             den = ux * vy - uy * vx
             if den == 0:
                 continue

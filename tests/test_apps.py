@@ -40,7 +40,7 @@ from tvk.apps import (
     verify_linking_counterexample,
 )
 
-from conftest import NESTED_SIX, NINE_ONE_FIX, lp_hull_contains
+from conftest import NESTED_SIX, NINE_ONE_FIX, NINE_TRIPLE_NESTED, lp_hull_contains
 
 
 def test_crossing_nine_points_r3():
@@ -284,6 +284,18 @@ def test_counterexample_report():
     assert not rep.falsified
     ps = PointSet(3, LINKING_COUNTEREXAMPLE_POINTS)
     assert rep.origin_pairs == oracle_origin_pairs_lp(ps, (F(0), F(0), F(0)))
+
+
+@pytest.mark.parametrize(
+    "verdict, linked, intersecting, falsified",
+    [(FaceLinkVerdict.LINKED, 2, 0, True), (FaceLinkVerdict.FACES_INTERSECT, 0, 2, False)],
+)
+def test_counterexample_counts_each_verdict(monkeypatch, verdict, linked, intersecting, falsified):
+    # a linked pair falsifies the report; pairs whose faces meet are only counted
+    monkeypatch.setattr(apps, "tetrahedra_face_linked", lambda a, b, ps: verdict)
+    rep = verify_linking_counterexample()
+    assert (rep.linked_pairs, rep.faces_intersect_pairs) == (linked, intersecting)
+    assert rep.falsified is falsified
 
 
 def test_counterexample_negated_is_identical(monkeypatch):
@@ -576,6 +588,14 @@ def test_fixing_without_a_measure_drop_is_an_internal_error(monkeypatch):
             fixing.fix_all(
                 Partition([(0, 1, 2), (3, 4, 5)], w), ps, measure=measure, budget=8
             )
+
+
+def test_a_measure_vector_that_does_not_drop_is_an_internal_error(monkeypatch):
+    # the triple-nested nine points take one fixing step at r=2; a measure
+    # vector that reads the same before and after it must raise
+    monkeypatch.setattr(fixing, "_measure_vector", lambda *args: [1])
+    with pytest.raises(InternalError, match="measure vector did not drop"):
+        apps.crossing_tverberg(PointSet(2, NINE_TRIPLE_NESTED), 2)
 
 
 def unknown_measure_rejected_before_fixing(monkeypatch, ps, r):

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from tvk import apps, geometry
+from tvk import apps, fixing, geometry
 from tvk.cli import main
 from tvk.fileio import partition_from_payload, parse_points
+from tvk.generate import random_point_set
 from tvk.lp import witness_violations
 
 from conftest import NESTED_SIX
@@ -354,6 +355,25 @@ def test_fs_command(capsys):
     assert data["origin_pair_count"] % 2 == 0
     assert data["linked_pairs"] == 0
     assert data["falsified"] is False
+
+
+def test_fs_command_exits_5_when_a_pair_is_linked(monkeypatch, capsys):
+    monkeypatch.setattr(apps, "tetrahedra_face_linked", lambda a, b, ps: apps.FaceLinkVerdict.LINKED)
+    code, out, _ = run_cli(capsys, "fs")
+    assert code == 5
+    data = json.loads(out)
+    assert data["linked_pairs"] == 2 and data["falsified"] is True
+
+
+def test_cocycle_command_exits_5_with_the_offending_subset(tmp_path, capsys, monkeypatch):
+    # with only (0, 1, 2) holding o, the first 4-subset counts one, not 0 or 2
+    path = tmp_path / "six.txt"
+    path.write_text(rows_text(random_point_set(2, 6, seed=3).points))
+    monkeypatch.setattr(fixing, "hull_contains", lambda o, f, ps: tuple(f) == (0, 1, 2))
+    code, out, _ = run_cli(capsys, "cocycle", "--input", str(path), "--point", "1/7,1/11")
+    assert code == 5
+    data = json.loads(out)
+    assert data["ok"] is False and data["offending"] == [0, 1, 2, 3]
 
 
 def test_link_command(tmp_path, capsys):

@@ -225,6 +225,13 @@ def test_cocycle_hexagon():
     assert cocycle_check(PointSet(2, HEXAGON), ORIGIN2).ok
 
 
+def test_cocycle_check_reports_the_first_offending_subset(monkeypatch):
+    # with only (0, 1, 2) holding o, the first 4-subset counts one, not 0 or 2
+    ps = random_point_set(2, 6, seed=3)
+    monkeypatch.setattr(fixing, "hull_contains", lambda o, f, ps: tuple(f) == (0, 1, 2))
+    assert cocycle_check(ps, (F(1, 7), F(1, 11))) == fixing.CocycleResult(False, (0, 1, 2, 3))
+
+
 def test_cocycle_halfplane_all_zero():
     ps = PointSet(2, HALFPLANE_SIX)
     assert cocycle_check(ps, ORIGIN2).ok
@@ -307,6 +314,11 @@ def test_fix_all_rejects_a_witness_outside_a_part():
     far = Partition([(0, 1, 2), (3, 4, 5)], Witness((F(1000), F(1000)), [thirds, thirds]))
     with pytest.raises(ValueError):
         fix_all(far, ps)
+
+
+def test_fix_all_rejects_a_partition_without_a_witness():
+    with pytest.raises(ValueError, match="fix_all needs a witness"):
+        fix_all(Partition([(0, 1, 2), (3, 4, 5)]), nested_six_ps())
 
 
 def ref_unnest_pair(t1, t2, ps, o):

@@ -15,6 +15,7 @@ predicates compute must leave every verdict, volume, raised error and
 returned point equal.
 """
 import math
+import random
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import accumulate, combinations
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import geometry, tverberg
-from tvk.errors import DegenerateSimplex, DimensionMismatch
+from tvk.errors import DegenerateSimplex, DimensionMismatch, GeneralPositionViolated
 from tvk.generate import random_point_set
 from tvk.geometry import (
     Containment,
@@ -291,6 +292,104 @@ def test_centerpoint_with_points_on_a_kept_halfplane_boundary(points):
     # points: counting only the open side would reject the centerpoint
     ps = PointSet(2, points)
     assert centerpoint_planar(ps) == ref_centerpoint(ps)
+
+
+def table_centerpoint(ps):
+    """The centerpoint scan as it was with a stored table of all C(n,2)
+    lines (`lines[i + 1:]` for the later line pairs), for the generated
+    scan to match: the same windows and `_depth` calls, the same point."""
+    n = len(ps)
+    m = -(-n // 3)
+    pts, denom = ps.frame
+    input_set = set(pts)
+    shallow = []
+
+    def deep(qx, qy, qd):
+        if qd == 1 and (qx, qy) in input_set:
+            return None
+        depth, w = tverberg._depth(qx, qy, qd, pts, m)
+        if depth >= m:
+            return (F(qx, qd * denom), F(qy, qd * denom))
+        wx, wy = w
+        shallow.append((wx, wy, sorted(x * wx + y * wy for x, y in pts)[n - m]))
+        return None
+
+    def window(ax, ay, ux, uy):
+        lo = hi = None
+        for wx, wy, thr in shallow:
+            s = ux * wx + uy * wy
+            r = thr - ax * wx - ay * wy
+            if s > 0:
+                if hi is None or r * hi[1] < hi[0] * s:
+                    hi = (r, s)
+            elif s < 0:
+                if lo is None or r * lo[1] < lo[0] * s:
+                    lo = (-r, -s)
+            elif r < 0:
+                return None
+        if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
+            return None
+        return lo, hi
+
+    lines = [
+        ((j, k), a, (b[0] - a[0], b[1] - a[1]))
+        for (j, a), (k, b) in combinations(enumerate(pts), 2)
+    ]
+    for i, ((j, k), (ax, ay), (ux, uy)) in enumerate(lines):
+        kept = len(shallow)
+        bounds = window(ax, ay, ux, uy)
+        for ends, (cx, cy), (vx, vy) in lines[i + 1:]:
+            if bounds is None:
+                break
+            if j in ends or k in ends:
+                continue
+            den = ux * vy - uy * vx
+            if den == 0:
+                continue
+            t_num = (cx - ax) * vy - (cy - ay) * vx
+            if den < 0:
+                t_num, den = -t_num, -den
+            lo, hi = bounds
+            if lo and t_num * lo[1] < lo[0] * den or hi and t_num * hi[1] > hi[0] * den:
+                continue
+            qx = ax * den + t_num * ux
+            qy = ay * den + t_num * uy
+            g = math.gcd(qx, qy, den)
+            hit = deep(qx // g, qy // g, den // g)
+            if hit:
+                return hit
+            if len(shallow) > kept:
+                kept = len(shallow)
+                bounds = window(ax, ay, ux, uy)
+    return GeneralPositionViolated
+
+
+def centerpoint_or_error(ps):
+    try:
+        return centerpoint_planar(ps)
+    except GeneralPositionViolated:
+        return GeneralPositionViolated
+
+
+def generated_scan_inputs():
+    """Seeded sets of 6..240 points (a third with denominators), then small
+    grids, where collinear and repeated points are common."""
+    sizes = [6, 7, 8, 9, 10, 12, 15, 20, 27, 33, 34, 35, 48, 60, 90, 120, 180, 240]
+    for seed, n in enumerate(sizes):
+        ps = random_point_set(2, n, seed=seed, bound=[3 * n, 10000][seed % 2])
+        if seed % 3 == 2:
+            ps = PointSet(2, [(x / 3 + F(1, 5), y / 7 - F(2, 9)) for x, y in ps.points])
+        yield ps
+    rng = random.Random(5)
+    for k in range(40):
+        b = 1 + k % 3
+        grid = [(x, y) for x in range(-b, b + 1) for y in range(-b, b + 1)]
+        yield PointSet(2, [rng.choice(grid) for _ in range(rng.randint(3, 12))])
+
+
+def test_generated_line_pairs_match_the_line_table():
+    for ps in generated_scan_inputs():
+        assert centerpoint_or_error(ps) == table_centerpoint(ps)
 
 
 # --- planar hulls without LPs ---------------------------------------------------

@@ -11,6 +11,7 @@ from tvk.generate import random_point_set
 from tvk.geometry import Containment, PointSet, point_in_simplex
 from tvk.lp import (
     FeasibilityProblem,
+    LPResult,
     Witness,
     common_point,
     hull_contains,
@@ -26,6 +27,8 @@ from conftest import HEXAGON, ref_solve_unique
 def test_trivial_feasible():
     res = solve_feasibility(FeasibilityProblem([[1]], [1]))
     assert res.feasible and res.x == [F(1)]
+    # no constraint and no variable: feasible, with the empty x
+    assert solve_feasibility(FeasibilityProblem([], [])) == LPResult(True, [])
 
 
 def test_trivial_infeasible():
@@ -470,13 +473,47 @@ def planar_parts(draw):
 @given(planar_parts())
 def test_planar_shift_screen_rejects_only_infeasible_shifts(case):
     ps, parts = case
-    table = lp._planar_shift_screen(parts, ps)
     biggest = max(map(len, parts))
     # every q up to 4x the largest part, and the witness search's shifts
     qs = {*range(1, 4 * biggest + 1), *(2 * biggest << h for h in range(6))}
     for q in sorted(qs):
-        if lp._separated(table, q):
+        if lp._separated(parts, ps, q):
             assert fraction_witness(parts, ps, F(1, q)) is None, q
+
+
+def table_separated(parts, ps, q):
+    """The shift screen as it was, over a stored table of one (k, S, min,
+    max) row per part for each direction, for the scan to match."""
+    pts = ps.frame[0]
+    dirs = [(1, 0), (0, 1)]
+    for part in parts:
+        for i, j in combinations(part, 2):
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            dirs.append((ay - by, bx - ax))
+    table = []
+    for wx, wy in dirs:
+        rows = []
+        for part in parts:
+            proj = [pts[i][0] * wx + pts[i][1] * wy for i in part]
+            rows.append((len(part), sum(proj), min(proj), max(proj)))
+        table.append(rows)
+    return any(
+        max(s + (q - k) * lo for k, s, lo, _ in rows)
+        > min(s + (q - k) * hi for k, s, _, hi in rows)
+        for rows in table
+    )
+
+
+@example((PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), [(0, 1, 2), (3, 4, 5)]))
+@example((PointSet(2, [(0, 0), (4, 0), (0, 4), (1, 1), (9, 9)]), [(0, 1, 2), (3, 4)]))
+@settings(max_examples=150)
+@given(planar_parts())
+def test_shift_screen_matches_the_direction_table(case):
+    ps, parts = case
+    biggest = max(map(len, parts))
+    qs = {*range(1, 4 * biggest + 1), *(2 * biggest << h for h in range(6))}
+    for q in sorted(qs):
+        assert lp._separated(parts, ps, q) == table_separated(parts, ps, q), q
 
 
 def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau(monkeypatch):

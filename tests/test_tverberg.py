@@ -499,6 +499,12 @@ def test_extend_outside_point_keeps_crossing():
     assert verify_crossing_partition(ps2, out).ok
 
 
+def test_extend_rejects_a_partition_without_a_witness():
+    ps = random_point_set(2, 9, seed=3)
+    with pytest.raises(ValueError, match="extend_partition needs a witness"):
+        extend_partition(Partition([(0, 1, 2), (3, 4, 5)]), [6, 7, 8], ps)
+
+
 def test_extend_rejects_bad_leftover_indices():
     from tvk.apps import crossing_tverberg
 
