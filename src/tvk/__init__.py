@@ -18,13 +18,11 @@ from .errors import (
     TvkError,
 )
 from .geometry import (
-    Containment,
     Point,
     PointSet,
     in_general_position,
     orientation,
     perturb,
-    point_in_simplex,
     simplex_volume,
 )
 from .lp import (

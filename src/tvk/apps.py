@@ -5,7 +5,8 @@ partition (planar fast path or brute force), witness refinement to a
 generic interior common point, the fixing loop, and optional extension
 with leftover points. `verify_crossing_partition` re-checks everything
 from scratch using only the exact predicates, with no pipeline state.
-The linking section decides whether two triangles in R^3 are linked.
+The linking section decides whether two triangles in R^3 are linked, by
+segment tests and then orientations alone.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .fixing import FixTrace, classify_pair, enumerate_origin_pairs, fix_all
 from .geometry import (
-    Containment,
     Point,
     PointSet,
     _query,
@@ -34,7 +34,6 @@ from .geometry import (
     longest_side,
     mk_point,
     orientation,
-    point_in_simplex,
     require_general_position,
     vsub,
 )
@@ -227,24 +226,30 @@ def _curve_pierce_parity(curve: Sequence[Point], surface: Sequence[Point]) -> in
     Assumes the two boundary curves are disjoint, as `triangles_linked` has
     checked. A curve without vertices strictly on both sides of the
     surface's plane passes through it an even number of times. Otherwise it
-    passes at most twice: along an edge with ends strictly on opposite sides,
-    iff the crossing lies strictly on one side of all three edge lines (on
-    an edge line it is outside the closed triangle), and at the one vertex
-    in the plane, if any, iff that vertex is in the triangle.
+    passes at most twice: along an edge ab with ends strictly on opposite
+    sides, and at the one vertex b in the plane, if any, with a the curve's
+    vertex on the positive side, so that the line ab meets the plane at b
+    alone. Both read the same three orientations: the passage goes through
+    the triangle iff the line ab passes strictly on one side of all three
+    edge lines. Where it meets an edge line it is outside the closed
+    triangle or on its boundary, which the disjoint curves rule out, so the
+    strict test is exact.
     """
     sides = [orientation(list(surface) + [v]) for v in curve]
     if not {1, -1} <= set(sides):
         return 0
+
+    def through(a, b):
+        return {orientation([a, b, surface[k - 1], surface[k]]) for k in range(3)} in ({1}, {-1})
+
+    top = curve[sides.index(1)]
     parity = 0
     for i in range(3):
         a, b = curve[i - 1], curve[i]
         if sides[i - 1] * sides[i] < 0:
-            s1 = orientation([a, b, surface[0], surface[1]])
-            s2 = orientation([a, b, surface[1], surface[2]])
-            s3 = orientation([a, b, surface[2], surface[0]])
-            parity ^= s1 == s2 == s3 != 0
+            parity ^= through(a, b)
         elif sides[i] == 0:
-            parity ^= point_in_simplex(b, list(surface)) != Containment.OUTSIDE
+            parity ^= through(top, b)
     return parity
 
 

@@ -4,17 +4,21 @@ terminating fixing loop.
 Two simplices whose hulls share a point either cross or are nested; the
 fixing loop repeatedly repartitions the 2(d+1) points of a nested pair into
 a crossing pair with the same common point, and instruments the strictly
-decreasing measure that forces termination.
+decreasing measure that forces termination. Membership is `lp._hull_test`'s;
+the point-count measure reads a simplex's facet rows once per count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
+    DegenerateSimplex,
+    DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
@@ -22,7 +26,7 @@ from .errors import (
 from .geometry import (
     Point,
     PointSet,
-    _barycentric,
+    _facets,
     _query,
     mk_point,
     require_general_position,
@@ -175,13 +179,20 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
 
 
 def count_interior_points(simplex, ps: PointSet) -> int:
-    """Points of ps strictly inside the simplex's hull (vertices never count);
-    an index outside 0..n-1 raises ValueError."""
+    """Points of ps strictly inside the simplex's hull: those p of the frame
+    where every facet row (`geometry._facets`, built once) has the sign of
+    full at (p, 1). A vertex is on its own facets, so it never counts. An
+    index outside 0..n-1 raises ValueError, a vertex count other than d+1
+    DimensionMismatch and affinely dependent vertices DegenerateSimplex."""
     _check_indices(simplex, ps)
+    if len(simplex) != ps.dim + 1:
+        raise DimensionMismatch(f"need d+1={ps.dim + 1} vertices, got {len(simplex)}")
     pts = ps.frame[0]
-    verts = [pts[i] for i in simplex]
-    weights = (_barycentric((*p, 1), verts) for i, p in enumerate(pts) if i not in simplex)
-    return sum(1 for ws in weights if ws is not None and all(c > 0 for c in ws))
+    facets = _facets([pts[i] for i in simplex])
+    if facets is None:
+        raise DegenerateSimplex("simplex vertices are affinely dependent")
+    rows, full = facets
+    return sum(all(full * sum(map(mul, row, p), row[-1]) > 0 for row in rows) for p in pts)
 
 
 @dataclass

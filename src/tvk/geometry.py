@@ -4,18 +4,19 @@ Points hold `fractions.Fraction` (or int) coordinates. Every sign predicate
 works in an integer frame: the points it compares are scaled by the least
 common multiple of their denominators, which keeps every sign, so
 orientation and volume are integer determinants (closed forms for d <= 3,
-Bareiss elimination beyond), and simplex containment and barycentric
-weights both read a simplex's facet rows, `_facets`: d+1 integer linear
-forms in the homogeneous point, built once per simplex, whose values are
-the barycentric numerators. `angular_order` sorts by one exact key, the
-diamond angle. A `PointSet` computes its frame once, on first use, and
-the predicates on its points read that frame by index; a point from
-outside the set has one form in every dimension, the homogeneous integer
-point of the frame that `_query` builds. Only sub-dimensional and
-degenerate simplices fall back to a linear system, read off the
-nullspace that `linalg` computes fraction-free as well. There are no
-tolerances anywhere in this module; degenerate inputs raise rather than
-silently picking a side.
+Bareiss elimination beyond). A simplex's facet rows, `_facets`, are d+1
+integer linear forms in the homogeneous point, built once per simplex,
+whose values are the barycentric numerators: `lp.hull_contains` (the one
+membership predicate) and interior counts read their signs, and
+`_barycentric` their ratios, the witness weights. `angular_order` sorts
+by one exact key, the diamond angle. A `PointSet` computes its frame
+once, on first use, and the predicates on its points read that frame by
+index; a point from outside the set has one form in every dimension, the
+homogeneous integer point of the frame that `_query` builds. Only
+sub-dimensional and degenerate vertex sets fall back to a linear system,
+read off the nullspace that `linalg` computes fraction-free as well.
+There are no tolerances anywhere in this module; degenerate inputs raise
+rather than silently picking a side.
 One scan, `_dependent_through`, finds the d points that are affinely
 dependent together with a point q: in the plane by repeated primitive
 directions from q in O(n), beyond it by one determinant per d-subset. The
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -48,12 +48,6 @@ from .errors import (
 
 Point = tuple
 _numerator = attrgetter("numerator")
-
-
-class Containment(Enum):
-    INTERIOR = "interior"
-    ON_BOUNDARY = "on_boundary"
-    OUTSIDE = "outside"
 
 
 def rat(value) -> Fraction:
@@ -349,27 +343,12 @@ def _facets(verts):
     return (rows, full) if full else None
 
 
-def barycentric_coordinates(p: Point, vertices: Sequence[Point]):
-    """Exact barycentric coordinates of p w.r.t. affinely independent vertices.
-
-    Returns the coordinate list, or None when p is off the vertices' affine
-    hull. Raises DegenerateSimplex when the vertices are affinely dependent.
-    The weights are `_barycentric`'s, on p and the vertices scaled into one
-    integer frame.
-    """
-    d = len(p)
-    for v in vertices:
-        if len(v) != d:
-            raise DimensionMismatch("point/simplex dimension mismatch")
-    x, *verts = _int_frame([p, *vertices])[0]
-    return _barycentric((*x, 1), verts)
-
-
 def _barycentric(q, verts):
-    """`barycentric_coordinates` of the homogeneous integer point q = (x, w),
-    w > 0, over integer vertices: for d+1 affinely independent ones their
-    facet rows (`_facets`) at q, row_i . q / (w * full). Other vertex sets
-    read the nullspace of sum l_i (w v_i) = t x, sum l_i = t: None when no
+    """Exact barycentric coordinates of the homogeneous integer point
+    q = (x, w), w > 0, over integer vertices, or None when x / w is off
+    their affine hull: for d+1 affinely independent vertices their facet
+    rows (`_facets`) at q, row_i . q / (w * full). Other vertex sets read
+    the nullspace of sum l_i (w v_i) = t x, sum l_i = t: None when no
     basis vector has t != 0, DegenerateSimplex when there is more than one,
     and l / t from one basis vector (l, t)."""
     *x, w = q
@@ -387,19 +366,6 @@ def _barycentric(q, verts):
         raise DegenerateSimplex("simplex vertices are affinely dependent")
     *lam, t = basis[0]
     return [c / t for c in lam]
-
-
-def point_in_simplex(p: Point, vertices: Sequence[Point]) -> Containment:
-    """Containment of p in the simplex spanned by up to d+1 vertices, read
-    off the signs of `barycentric_coordinates`' weights.
-
-    Sub-dimensional simplices are tested in their affine hull: INTERIOR means
-    relative interior, and points off the hull are OUTSIDE.
-    """
-    coords = barycentric_coordinates(p, vertices)
-    if coords is None or any(c < 0 for c in coords):
-        return Containment.OUTSIDE
-    return Containment.ON_BOUNDARY if 0 in coords else Containment.INTERIOR
 
 
 def _in_planar_hull(q, pts) -> bool:

@@ -11,7 +11,8 @@ or the index of a point of the set, and `_hull_test` prepares it once per
 part for callers that test many points. It has three rules: the signs of
 the facet rows (`geometry._facets`) for d+1 affinely independent points
 in every d, an integer halfplane test for other planar parts, and the LP
-for other parts beyond the plane. `relative_interior_witness` halves a
+for other parts beyond the plane. `barycentric_witness` alone reads the
+weights, `geometry._barycentric`. `relative_interior_witness` halves a
 shift until its LP is feasible; in the plane `_separated` first tries to
 rule the shift out along directions it generates as it tests them.
 """

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, settings
 
+from tvk.errors import DegenerateSimplex
 from tvk.lp import FeasibilityProblem, Partition, Witness, solve_feasibility
 
 settings.register_profile(
@@ -120,6 +121,22 @@ def ref_solve_unique(a_rows, b):
     for i, col in enumerate(pivots):
         x[col] = aug[i][ncols]
     return "unique", x
+
+
+def ref_containment(p, verts):
+    """Containment of p in the simplex on the vertices by `ref_solve_unique`
+    of sum w_i v_i = p, sum w_i = 1: "outside" off the affine hull (checked
+    before uniqueness) or with a negative weight, "on_boundary" with a zero
+    weight, "interior" otherwise. A consistent system with more than one
+    solution raises DegenerateSimplex."""
+    rows = [[v[c] for v in verts] for c in range(len(p))]
+    rows.append([1] * len(verts))
+    status, w = ref_solve_unique(rows, [*p, 1])
+    if status == "underdetermined":
+        raise DegenerateSimplex("reference: dependent vertices")
+    if status == "inconsistent" or any(c < 0 for c in w):
+        return "outside"
+    return "on_boundary" if 0 in w else "interior"
 
 
 def ref_depth(q, points):

@@ -17,14 +17,12 @@ from tvk.errors import (
 from tvk.fileio import partition_from_payload, partition_payload
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import (
-    Containment,
     PointSet,
     gp_violations_with_extra,
     in_general_position,
     orientation,
-    point_in_simplex,
 )
-from tvk.lp import Witness, witness_violations
+from tvk.lp import Witness, hull_contains, witness_violations
 from tvk.fixing import enumerate_origin_pairs
 from tvk.tverberg import Partition
 from tvk.apps import (
@@ -40,7 +38,13 @@ from tvk.apps import (
     verify_linking_counterexample,
 )
 
-from conftest import NESTED_SIX, NINE_ONE_FIX, NINE_TRIPLE_NESTED, lp_hull_contains
+from conftest import (
+    NESTED_SIX,
+    NINE_ONE_FIX,
+    NINE_TRIPLE_NESTED,
+    lp_hull_contains,
+    ref_containment,
+)
 
 
 def test_crossing_nine_points_r3():
@@ -697,13 +701,13 @@ def wrapping_pierce_parity(curve, surface):
         j = i
         while j < n and sides[j] == 0:
             j += 1
-        statuses = [point_in_simplex(curve[m], list(surface)) for m in range(i, j)]
-        if any(s == Containment.ON_BOUNDARY for s in statuses):
+        statuses = [ref_containment(curve[m], list(surface)) for m in range(i, j)]
+        if "on_boundary" in statuses:
             raise OldRuleRaised("curve vertex on the surface boundary")
         kinds = set(statuses)
         if len(kinds) > 1:
             raise OldRuleRaised("in-plane edge would cross the surface boundary")
-        if kinds == {Containment.INTERIOR} and sides[i - 1] != sides[j % n]:
+        if kinds == {"interior"} and sides[i - 1] != sides[j % n]:
             parity ^= 1
         i = j
     return parity
@@ -740,11 +744,11 @@ def disjoint_pairs(draw, count):
     return out
 
 
-def disjoint_triangle_pairs(seed, count):
-    """The first `count` seeded triangle pairs on the grid [-2, 2]^3 whose
-    boundary curves are disjoint."""
+def disjoint_triangle_pairs(seed, count, bound=2):
+    """The first `count` seeded triangle pairs on the grid [-bound, bound]^3
+    whose boundary curves are disjoint."""
     rng = random.Random(seed)
-    tri = lambda: [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+    tri = lambda: [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(3)]
     return disjoint_pairs(lambda: (tri(), tri()), count)
 
 
@@ -760,6 +764,51 @@ def test_pierce_parity_matches_the_wrapping_version():
             wrapped += sides[0] == sides[-1] == 0 and any(sides)
     assert wrapped > 50  # the old in-loop rotation ran this often
     assert compared > 18000
+
+
+def in_plane_vertex_pairs(seed, count):
+    """The first `count` seeded pairs with disjoint boundary curves whose
+    curve has a vertex b in the surface's plane: b = sum w_i s_i / sum w_i
+    over the surface's vertices s_i, with w_i in -1..3, so b is inside, on
+    an edge line or outside; the other two curve vertices and the surface
+    lie on the grid [-2, 2]^3."""
+    rng = random.Random(seed)
+    point = lambda: tuple(rng.randint(-2, 2) for _ in range(3))
+
+    def draw():
+        surface = [point(), point(), point()]
+        ws = [rng.randint(-1, 3) for _ in range(3)]
+        ws[0] += not sum(ws)
+        b = tuple(F(sum(w * s[c] for w, s in zip(ws, surface)), sum(ws)) for c in range(3))
+        k = rng.randrange(3)
+        curve = [point(), b, point()]
+        return curve[k:] + curve[:k], surface
+
+    return disjoint_pairs(draw, count)
+
+
+def test_pierce_parity_at_an_in_plane_vertex_matches_the_wrapping_version():
+    """At a curve vertex b in the surface's plane, between curve vertices
+    strictly on either side, the parity asks whether the line from the
+    curve's vertex on the positive side through b passes through the
+    triangle; the earlier rule asked the reference's containment of b.
+    Every such direction where the earlier rule did not raise must agree,
+    on the grid [-1, 1]^3 and on pairs built with a vertex in the plane."""
+    vertex = compared = inside = 0
+    pairs = disjoint_triangle_pairs(31, 10000, bound=1) + in_plane_vertex_pairs(37, 4000)
+    for t1, t2 in pairs:
+        for curve, surface in ((t1, t2), (t2, t1)):
+            sides = [orientation(list(surface) + [v]) for v in curve]
+            if not ({1, -1} <= set(sides) and 0 in sides):
+                continue
+            vertex += 1
+            expect = old_rule(curve, surface)
+            if expect is not None:
+                assert apps._curve_pierce_parity(curve, surface) == expect
+                compared += 1
+                inside += ref_containment(curve[sides.index(0)], list(surface)) == "interior"
+    assert vertex > 2500 and compared > 0.9 * vertex
+    assert inside > 400  # b inside the triangle: the branch's passages
 
 
 def test_linking_where_the_old_rule_raised_matches_a_generic_perturbation():
@@ -828,9 +877,8 @@ def run_scan_pierce_parity(curve, surface):
         j = i
         while j < n and sides[j] == 0:
             j += 1
-        if sides[i - 1] != sides[j % n] and (
-            point_in_simplex(curve[i], list(surface)) == Containment.INTERIOR
-        ):
+        inside = hull_contains(curve[i], (0, 1, 2), PointSet(3, surface))
+        if sides[i - 1] != sides[j % n] and inside:
             parity ^= 1
         i = j
     return parity

@@ -7,16 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import fixing
-from tvk.errors import BudgetExceeded, GeneralPositionViolated, InternalError, SizeOutOfRange
+from tvk.errors import (
+    BudgetExceeded,
+    DegenerateSimplex,
+    DimensionMismatch,
+    GeneralPositionViolated,
+    InternalError,
+    SizeOutOfRange,
+)
 from tvk.generate import random_extension, random_point_set
 from tvk.geometry import (
-    Containment,
     PointSet,
-    point_in_simplex,
+    _barycentric,
+    orientation,
     require_general_position,
     simplex_volume,
 )
-from tvk.lp import Witness, barycentric_witness, canonical_parts
+from tvk.lp import Witness, _check_indices, barycentric_witness, canonical_parts, hull_contains
 from tvk.fixing import (
     PairClass,
     classify_pair,
@@ -289,7 +296,7 @@ def test_unnest_nested_pair():
     assert sorted(s1 + s2) == [0, 1, 2, 3, 4, 5]
     assert classify_pair(s1, s2, ps, ORIGIN2).kind == "crossing"
     for part in (s1, s2):
-        assert point_in_simplex(ORIGIN2, [ps.points[i] for i in part]) != Containment.OUTSIDE
+        assert hull_contains(ORIGIN2, part, ps)
     outer_vol = simplex_volume([ps.points[i] for i in (0, 1, 2)])
     for part in (s1, s2):
         assert simplex_volume([ps.points[i] for i in part]) < outer_vol
@@ -679,6 +686,62 @@ def test_count_interior_points():
     assert count_interior_points((0, 1, 2), ps) == 0
     ps2 = nested_six_ps()
     assert count_interior_points((0, 1, 2), ps2) >= 3  # inner vertices inside outer
+
+
+def barycentric_interior_count(simplex, ps):
+    """`fixing.count_interior_points` as it was before it read facet rows
+    once: every point but the vertices gets its Fraction weights from
+    `geometry._barycentric`, and counts when all of them are positive."""
+    _check_indices(simplex, ps)
+    pts = ps.frame[0]
+    verts = [pts[i] for i in simplex]
+    weights = (_barycentric((*p, 1), verts) for i, p in enumerate(pts) if i not in simplex)
+    return sum(1 for ws in weights if ws is not None and all(c > 0 for c in ws))
+
+
+def interior_count_sets():
+    """Seeded general-position sets in d = 2 and d = 3 at several bounds,
+    each also with rational coordinates, and small grids on which points
+    often lie on a simplex's facets."""
+    rng = random.Random(8)
+    for d, n in ((2, 14), (3, 10)):
+        for bound in (4, 10, 1000):
+            ps = random_point_set(d, n, seed=bound, bound=bound)
+            yield ps
+            yield PointSet(d, [tuple(F(c, 3) + F(1, 5) for c in p) for p in ps.points])
+        for _ in range(3):
+            grid = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)}
+            yield PointSet(d, sorted(grid))
+
+
+def test_count_interior_points_matches_the_barycentric_count():
+    """On every (d+1)-subset the facet-row count equals the per-point
+    weight count; affinely dependent vertices raise DegenerateSimplex."""
+    simplices = boundary = 0
+    for ps in interior_count_sets():
+        for simplex in combinations(range(len(ps)), ps.dim + 1):
+            if orientation([ps.points[i] for i in simplex]) == 0:
+                with pytest.raises(DegenerateSimplex):
+                    count_interior_points(simplex, ps)
+                continue
+            count = count_interior_points(simplex, ps)
+            assert count == barycentric_interior_count(simplex, ps)
+            simplices += 1
+            others = [i for i in range(len(ps)) if i not in simplex]
+            boundary += not count and any(hull_contains(i, simplex, ps) for i in others)
+    assert simplices > 3000
+    assert boundary > 50  # points on a facet and none inside: only the strict test decides
+
+
+def test_count_interior_points_needs_d_plus_1_independent_vertices():
+    ps = PointSet(2, [(0, 0), (1, 1), (2, 2), (4, 0), (0, 4)])
+    for simplex in ((0, 3), (0, 1, 3, 4), ()):
+        with pytest.raises(DimensionMismatch):
+            count_interior_points(simplex, ps)
+    for simplex in ((0, 1, 2), (0, 0, 3)):
+        with pytest.raises(DegenerateSimplex):
+            count_interior_points(simplex, ps)
+    assert count_interior_points((0, 3, 4), ps) == 1  # (1, 1); (2, 2) is on an edge
 
 
 def test_count_interior_points_rejects_an_index_outside_the_set():

@@ -9,24 +9,23 @@ from tvk.errors import (
     DegenerateSimplex,
     DimensionMismatch,
     GeneralPositionViolated,
+    InternalError,
     PerturbationFailed,
     TrianglesIntersect,
 )
 from tvk.geometry import (
-    Containment,
     PointSet,
-    barycentric_coordinates,
     gp_violations_with_extra,
     in_general_position,
     orientation,
     perturb,
-    point_in_simplex,
     require_general_position,
     simplex_volume,
 )
 from tvk import generate, geometry, linalg
 from tvk.apps import segments_intersect_3d, triangles_linked
-from tvk.fixing import enumerate_origin_pairs
+from tvk.fixing import count_interior_points, enumerate_origin_pairs
+from tvk.lp import barycentric_witness, hull_contains
 
 coords = st.integers(min_value=-50, max_value=50)
 
@@ -232,27 +231,36 @@ def test_volume_permutation_invariant():
 
 
 # --- point in simplex ----------------------------------------------------------
+# Closed membership is `hull_contains`, strict interiority of points of the set
+# `count_interior_points`, and weights `barycentric_witness`.
 
 
 def test_point_in_triangle_cases():
     tri = [(0, 0), (1, 0), (0, 1)]
-    assert point_in_simplex((F(1, 3), F(1, 3)), tri) == Containment.INTERIOR
-    assert point_in_simplex((2, 2), tri) == Containment.OUTSIDE
-    assert point_in_simplex((F(1, 2), F(1, 2)), tri) == Containment.ON_BOUNDARY
-    assert point_in_simplex((0, 0), tri) == Containment.ON_BOUNDARY
+    queries = [(F(1, 3), F(1, 3)), (2, 2), (F(1, 2), F(1, 2)), (0, 0)]
+    ps = PointSet(2, tri)
+    assert [hull_contains(p, (0, 1, 2), ps) for p in queries] == [True, False, True, True]
+    for k, inside in enumerate([1, 0, 0, 0]):
+        assert count_interior_points((0, 1, 2), PointSet(2, [*tri, queries[k]])) == inside
 
 
 def test_segment_relative_interior_is_interior():
     # sub-dimensional simplices are judged in their affine hull
-    assert point_in_simplex((F(1, 2), F(1, 2)), [(0, 0), (1, 1)]) == Containment.INTERIOR
-    assert point_in_simplex((0, 0), [(0, 0), (1, 1)]) == Containment.ON_BOUNDARY
-    assert point_in_simplex((2, 2), [(0, 0), (1, 1)]) == Containment.OUTSIDE
-    assert point_in_simplex((1, 0), [(0, 0), (1, 1)]) == Containment.OUTSIDE
+    ps = PointSet(2, [(0, 0), (1, 1)])
+    assert barycentric_witness((F(1, 2), F(1, 2)), [(0, 1)], ps).weights == [[F(1, 2), F(1, 2)]]
+    assert barycentric_witness((0, 0), [(0, 1)], ps).weights == [[1, 0]]
+    for p in [(2, 2), (1, 0)]:
+        assert not hull_contains(p, (0, 1), ps)
+        with pytest.raises(InternalError):
+            barycentric_witness(p, [(0, 1)], ps)
 
 
 def test_degenerate_simplex_raises():
+    ps = PointSet(2, [(0, 0), (1, 1), (2, 2), (0, 1)])
     with pytest.raises(DegenerateSimplex):
-        point_in_simplex((0, 0), [(0, 0), (1, 1), (2, 2)])
+        barycentric_witness((0, 0), [(0, 1, 2)], ps)
+    with pytest.raises(DegenerateSimplex):
+        count_interior_points((0, 1, 2), ps)
 
 
 @given(st.tuples(coords, coords), st.tuples(coords, coords), st.tuples(coords, coords),
@@ -264,13 +272,13 @@ def test_barycentric_reconstruction(a, b, c, wa, wb, wc):
     p = tuple(
         (F(wa) * a[k] + F(wb) * b[k] + F(wc) * c[k]) / total for k in range(2)
     )
-    coordsv = barycentric_coordinates(p, [a, b, c])
+    coordsv = barycentric_witness(p, [(0, 1, 2)], PointSet(2, [a, b, c])).weights[0]
     assert coordsv == [F(wa, total), F(wb, total), F(wc, total)]
     rebuilt = tuple(
         sum(coordsv[i] * v[k] for i, v in enumerate((a, b, c))) for k in range(2)
     )
     assert rebuilt == p
-    assert point_in_simplex(p, [a, b, c]) == Containment.INTERIOR
+    assert count_interior_points((0, 1, 2), PointSet(2, [a, b, c, p])) == 1
 
 
 # --- perturbation ----------------------------------------------------------------

@@ -3,7 +3,9 @@
 The references below share no code with the predicates they check: a
 determinant by Fraction elimination (with one vertex replaced by the
 query, also the reference for each facet row), barycentric containment
-by solving the affine system in Fractions, and a centerpoint scan that asks a
+by solving the affine system in Fractions (`conftest.ref_containment`,
+the reference for closed membership, strict interiority and the witness
+weights of one simplex), and a centerpoint scan that asks a
 Fraction depth (`conftest.ref_depth`) about every candidate in the
 documented order. The hull tests, in the plane and beyond it, use as
 their reference the phase-1 LP on the rational points
@@ -25,23 +27,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvk import geometry, tverberg
-from tvk.errors import DegenerateSimplex, DimensionMismatch, GeneralPositionViolated
+from tvk.errors import (
+    DegenerateSimplex,
+    DimensionMismatch,
+    GeneralPositionViolated,
+    InternalError,
+)
+from tvk.fixing import count_interior_points
 from tvk.generate import random_point_set
 from tvk.geometry import (
-    Containment,
     PointSet,
     _int_frame,
     _query,
     angular_order,
-    barycentric_coordinates,
     orientation,
-    point_in_simplex,
     simplex_volume,
 )
-from tvk.lp import common_point, hull_contains
+from tvk.lp import barycentric_witness, common_point, hull_contains
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar
 
-from conftest import lp_hull_contains, ref_depth, ref_solve_unique
+from conftest import lp_hull_contains, ref_containment, ref_depth, ref_solve_unique
 
 
 def ref_det(rows):
@@ -66,41 +71,6 @@ def ref_det(rows):
 def ref_volume_det(simplex):
     p0 = simplex[0]
     return ref_det([[F(a) - F(b) for a, b in zip(p, p0)] for p in simplex[1:]])
-
-
-def ref_containment(p, verts):
-    """Containment by an exact solve of sum w_i v_i = p, sum w_i = 1.
-
-    Off the affine hull is OUTSIDE, checked before uniqueness; a consistent
-    system with more than one solution raises DegenerateSimplex.
-    """
-    k = len(verts)
-    aug = [[F(v[c]) for v in verts] + [F(p[c])] for c in range(len(p))]
-    aug.append([F(1)] * k + [F(1)])
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        aug[row] = [v / aug[row][col] for v in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    if any(aug[r][k] != 0 for r in range(row, len(aug))):
-        return Containment.OUTSIDE
-    if len(pivots) < k:
-        raise DegenerateSimplex("reference: dependent vertices")
-    w = [aug[i][k] for i in range(k)]
-    if any(c < 0 for c in w):
-        return Containment.OUTSIDE
-    if any(c == 0 for c in w):
-        return Containment.ON_BOUNDARY
-    return Containment.INTERIOR
 
 
 def outcome(fn, *args):
@@ -156,18 +126,55 @@ def test_simplex_volume_matches_fraction_determinant(case):
     assert got == abs(ref_volume_det(verts)) / math.factorial(len(verts) - 1)
 
 
+def witness_weights(p, verts):
+    """`lp.barycentric_witness`'s weights of p in the one part `verts`."""
+    part = tuple(range(len(verts)))
+    return barycentric_witness(p, [part], PointSet(len(p), verts)).weights[0]
+
+
 @settings(max_examples=400)
 @given(simplex_case())
 def test_point_in_full_simplex_matches_barycentric_reference(case):
+    """d+1 vertices with p as one more point of the set: closed membership
+    (`hull_contains`) and strict interiority (`count_interior_points`, which
+    counts p alone, since a vertex never counts) agree with the reference.
+    Affinely dependent vertices make the count raise, wherever p lies."""
     p, verts = case
-    assert outcome(point_in_simplex, p, verts) == outcome(ref_containment, p, verts)
+    ps = PointSet(len(p), [*verts, p])
+    simplex = tuple(range(len(verts)))
+    if ref_volume_det(verts) == 0:
+        with pytest.raises(DegenerateSimplex):
+            count_interior_points(simplex, ps)
+        assert hull_contains(p, simplex, ps) == lp_hull_contains(p, simplex, ps)
+        return
+    expect = ref_containment(p, verts)
+    assert hull_contains(p, simplex, ps) == (expect != "outside")
+    assert count_interior_points(simplex, ps) == (expect == "interior")
 
 
 @settings(max_examples=300)
 @given(simplex_case(full=False))
 def test_point_in_subdimensional_simplex_matches_barycentric_reference(case):
+    """1..d+1 vertices: closed membership (`hull_contains`) agrees with the
+    reference, and the witness weights are all positive exactly in the
+    relative interior; off the hull `barycentric_witness` raises
+    InternalError, and where the reference raises, DegenerateSimplex."""
     p, verts = case
-    assert outcome(point_in_simplex, p, verts) == outcome(ref_containment, p, verts)
+    ps = PointSet(len(p), verts)
+    part = tuple(range(len(verts)))
+    try:
+        expect = ref_containment(p, verts)
+    except DegenerateSimplex:
+        with pytest.raises(DegenerateSimplex):
+            witness_weights(p, verts)
+        assert hull_contains(p, part, ps) == lp_hull_contains(p, part, ps)
+        return
+    assert hull_contains(p, part, ps) == (expect != "outside")
+    if expect == "outside":
+        with pytest.raises(InternalError):
+            witness_weights(p, verts)
+    else:
+        assert all(w > 0 for w in witness_weights(p, verts)) == (expect == "interior")
 
 
 @st.composite
@@ -206,21 +213,30 @@ def test_facet_rows_match_fraction_determinants(case):
 
 
 def test_degenerate_simplex_raises_only_for_points_on_its_hull():
+    """Witness weights over dependent vertices: DegenerateSimplex for a point
+    on their affine hull; off it the point is in no hull (InternalError)."""
     flat = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(DegenerateSimplex):
-        point_in_simplex((F(1, 2), F(1, 2)), flat)
-    assert point_in_simplex((1, 0), flat) == Containment.OUTSIDE
+        witness_weights((F(1, 2), F(1, 2)), flat)
+    with pytest.raises(InternalError):
+        witness_weights((1, 0), flat)
     flat3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSimplex):
-        point_in_simplex((F(1, 3), F(1, 3), 0), flat3)
-    assert point_in_simplex((0, 0, F(1, 9)), flat3) == Containment.OUTSIDE
+        witness_weights((F(1, 3), F(1, 3), 0), flat3)
+    with pytest.raises(InternalError):
+        witness_weights((0, 0, F(1, 9)), flat3)
 
 
 def test_int_and_fraction_inputs_agree():
     tri_int = [(0, 0), (6, 0), (0, 6)]
     tri_frac = [tuple(F(c) for c in p) for p in tri_int]
-    for p in [(1, 1), (3, 3), (4, 4), (0, 2), (F(1, 3), F(1, 5))]:
-        assert point_in_simplex(p, tri_int) == point_in_simplex(p, tri_frac)
+    queries = [(1, 1), (3, 3), (4, 4), (0, 2), (F(1, 3), F(1, 5))]
+    for tri in (tri_int, tri_frac):
+        ps = PointSet(2, tri)
+        inside = [hull_contains(p, (0, 1, 2), ps) for p in queries]
+        assert inside == [True, True, False, True, True]
+        # (1, 1) and (1/3, 1/5) are inside; (3, 3) and (0, 2) are on edges
+        assert count_interior_points((0, 1, 2), PointSet(2, [*tri, *queries])) == 2
     assert orientation(tri_int) == orientation(tri_frac) == 1
     assert simplex_volume(tri_int) == simplex_volume(tri_frac) == F(18)
 
@@ -690,25 +706,38 @@ def barycentric_case(draw):
 
 @settings(max_examples=500)
 @given(barycentric_case())
-def test_barycentric_coordinates_match_the_linear_solve(case):
+def test_barycentric_witness_matches_the_linear_solve(case):
+    """`lp.barycentric_witness` on one part of 0..d+2 vertices: in the hull
+    its weights are the linear solve's; off the hull (a negative weight, or
+    off the affine hull) it raises InternalError, and where the solve has
+    many solutions DegenerateSimplex."""
     p, verts = case
-    got = outcome(barycentric_coordinates, p, verts)
-    assert got == outcome(ref_barycentric, p, verts)
-    if isinstance(got, list):
-        assert all(type(w) is F for w in got)
+    expect = outcome(ref_barycentric, p, verts)
+    if expect is DegenerateSimplex:
+        with pytest.raises(DegenerateSimplex):
+            witness_weights(p, verts)
+    elif expect is None or any(w < 0 for w in expect):
+        with pytest.raises(InternalError):
+            witness_weights(p, verts)
+    else:
+        got = witness_weights(p, verts)
+        assert got == expect and all(type(w) is F for w in got)
 
 
-def test_barycentric_coordinates_on_dependent_and_subdimensional_vertices():
+def test_barycentric_witness_on_dependent_and_subdimensional_vertices():
     tri = [(0, 0), (4, 0), (0, 4)]
-    assert barycentric_coordinates((1, 1), tri) == [F(1, 2), F(1, 4), F(1, 4)]
-    assert barycentric_coordinates((-1, 1), tri) == [F(1), F(-1, 4), F(1, 4)]
+    assert witness_weights((1, 1), tri) == [F(1, 2), F(1, 4), F(1, 4)]
+    with pytest.raises(InternalError):
+        witness_weights((-1, 1), tri)  # weights 1, -1/4, 1/4
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSimplex):
-        barycentric_coordinates((F(1, 3), F(1, 3), 0), flat)
-    assert barycentric_coordinates((0, 0, 1), flat) is None
+        witness_weights((F(1, 3), F(1, 3), 0), flat)
+    with pytest.raises(InternalError):
+        witness_weights((0, 0, 1), flat)
     edge = [(0, 0, 0, 0), (2, 2, 2, 2)]
-    assert barycentric_coordinates((1, 1, 1, 1), edge) == [F(1, 2), F(1, 2)]
-    assert barycentric_coordinates((1, 1, 1, 0), edge) is None
+    assert witness_weights((1, 1, 1, 1), edge) == [F(1, 2), F(1, 2)]
+    with pytest.raises(InternalError):
+        witness_weights((1, 1, 1, 0), edge)
 
 
 def ref_angular_order(vectors):

@@ -17,7 +17,7 @@ from tvk.errors import (
 )
 from tvk.fixing import PairClass
 from tvk.generate import random_extension, random_point_set
-from tvk.geometry import Containment, PointSet, _query, point_in_simplex
+from tvk.geometry import PointSet, _query
 from tvk.lp import Witness, common_point, hull_contains, witness_violations
 from tvk.tverberg import (
     Partition,
@@ -33,10 +33,7 @@ from conftest import HEXAGON, NESTED_SIX, lp_hull_contains, ref_depth, ref_radon
 
 def witness_in_all_hulls(partition, ps):
     o = partition.witness.point
-    for part in partition.parts:
-        if point_in_simplex(o, [ps.points[i] for i in part]) == Containment.OUTSIDE:
-            return False
-    return True
+    return all(hull_contains(o, part, ps) for part in partition.parts)
 
 
 # --- radon ---------------------------------------------------------------------
