@@ -219,9 +219,9 @@ def _measure(part, ps: PointSet, measure: str) -> Fraction:
     return Fraction(count_interior_points(part, ps))
 
 
-def _measure_vector(parts, ps: PointSet, measure: str) -> list:
-    full = [p for p in parts if len(p) == ps.dim + 1]
-    return sorted((_measure(p, ps, measure) for p in full), reverse=True)
+def _measure_vector(parts, d: int, size) -> list:
+    """The sizes of the full-dimensional parts, largest first."""
+    return sorted((size(p) for p in parts if len(p) == d + 1), reverse=True)
 
 
 def fix_all(
@@ -235,7 +235,8 @@ def fix_all(
     The witness point is left untouched and part sizes are preserved. Each
     step must measure both new parts below the nested pair's outer one and
     strictly decrease the sorted measure vector in lexicographic order;
-    either violation is a bug and raises InternalError. An explicit
+    either violation is a bug and raises InternalError. Each part is
+    measured once per call, as a step changes two parts. An explicit
     budget that runs out raises BudgetExceeded with the partial trace, and
     an unknown measure raises ValueError before the first step.
     """
@@ -248,8 +249,14 @@ def fix_all(
     q = _query(o, ps)
     parts = canonical_parts(partition.parts)
     trace = FixTrace(measure=measure)
-    # a step changes two parts, so verdicts are kept by part contents
-    verdicts = {}
+    # a step changes two parts, so verdicts and measures are kept by part contents
+    verdicts, measures = {}, {}
+
+    def size(part):
+        if part not in measures:
+            measures[part] = _measure(part, ps, measure)
+        return measures[part]
+
     while True:
         full = [i for i, p in enumerate(parts) if len(p) == d + 1]
         for i, j in combinations(full, 2):
@@ -270,14 +277,14 @@ def fix_all(
                 trace=trace,
             )
         # a step's parts are the next step's, so its measure is the last after
-        before = trace.steps[-1].after if trace.steps else _measure_vector(parts, ps, measure)
+        before = trace.steps[-1].after if trace.steps else _measure_vector(parts, d, size)
         s1, s2 = unnest_pair(parts[i], parts[j], ps, o)
-        outer = _measure(verdict.outer, ps, measure)
-        if any(_measure(s, ps, measure) >= outer for s in (s1, s2)):
+        outer = size(verdict.outer)
+        if any(size(s) >= outer for s in (s1, s2)):
             raise InternalError("replacement simplex not smaller than the outer one")
         parts[i], parts[j] = s1, s2
         parts = canonical_parts(parts)
-        after = _measure_vector(parts, ps, measure)
+        after = _measure_vector(parts, d, size)
         if not after < before:
             raise InternalError(
                 f"measure vector did not drop lexicographically: {before} -> {after}"

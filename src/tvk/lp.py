@@ -2,8 +2,9 @@
 
 The solver is a phase-1 simplex with Bland's rule, so it terminates on
 every input and is deterministic for a fixed variable order. Its tableau is
-fraction-free: each row is integer with a positive scale of its own, and
-every pivot divides the rows it changes by their gcd. The LPs built here
+fraction-free and condensed: a row stores only its nonbasic columns, as
+integers, with its basic entry as its positive scale, and every pivot
+divides the rows it changes by their gcd. The LPs built here
 read their rows from `PointSet.frame`, so Fractions appear only in the
 returned x and Witness. Only feasibility is supported; nothing here
 optimizes. `hull_contains` is the one membership predicate, for a point
@@ -76,73 +77,99 @@ class LPResult:
     x: Optional[list] = None
 
 
-def _pivot(tab, k, col):
-    """One row-normalised pivot on tab[k][col] > 0, in place.
-
-    Row k and every row with a zero in `col` stay; every other row a
-    becomes p*a - f*b over its gcd, with b row k, p its entry in `col` and
-    f a's, so that a's entry in `col` is zero and its scale stays positive.
-    """
-    b = tab[k]
-    p = b[col]
-    for r, a in enumerate(tab):
-        f = a[col]
-        if f and r != k:
-            row = [p * x - f * y for x, y in zip(a, b)]
-            g = math.gcd(*row)
-            tab[r] = [x // g for x in row] if g > 1 else row
-
-
 def solve_feasibility(prob: FeasibilityProblem) -> LPResult:
     """Phase-1 simplex with Bland's rule; exact, never cycles.
 
-    The tableau is integer, and each row carries its own positive scale
-    (Edmonds, J. Res. NBS 1967; Applegate, Cook, Dash and Espinoza, Oper.
-    Res. Lett. 2007), which `_pivot` keeps positive and free of common
-    factors. Bland's rule reads only signs and per-row ratios, which a
-    positive row scale keeps, so the pivots and x are those of the
-    rational tableau; x[var] is its row's right-hand side over its entry.
+    The tableau is fraction-free (Edmonds, J. Res. NBS 1967; Applegate,
+    Cook, Dash and Espinoza, Oper. Res. Lett. 2007) and condensed: a basic
+    column is a unit column, so a row stores only the nonbasic ones, slot s
+    holding variable `cols[s]`, and row i is `diag[i]` > 0, its basic
+    entry, times its rational row. A pivot on slot s and row k turns every
+    other row a with f = a[s] != 0 into p*a - f*b over the gcd of its
+    entries and its diag, b row k and p its entry in s, and gives row k the
+    diag p. When an artificial leaves, slot s goes, since artificials never
+    re-enter, and the last slot takes its place. When a structural v
+    leaves, v takes slot s: its column held diag[k] in row k and 0 in every
+    other row, so a changed row gets -f * diag[k]. A row the pivot changes
+    must keep a right-hand side >= 0 and a diag > 0, as phase 1 keeps them,
+    or InternalError is raised. Slots are not in variable order, so Bland's
+    rule enters the smallest label with a positive reduced cost. It reads
+    only signs and per-row ratios, which a positive diag keeps, so the
+    pivots and x are those of the rational tableau: x[var] is its row's
+    right-hand side over its diag. The caller's problem is left unchanged.
     """
     m = len(prob.rows)
     if m == 0:
         return LPResult(True, [])
     n = len(prob.rows[0]) - 1
-    # rows with b >= 0 and column n holding b; artificial i is basis label
+    # rows with b >= 0 as their last entry; artificial i is basis label
     # n + i, and its column is never stored: artificials never re-enter
-    tab = [[-x for x in row] if row[n] < 0 else row for row in prob.rows]
+    tab = [[-x for x in row] if row[n] < 0 else row[:] for row in prob.rows]
+    diag = list(prob.scales)
     basis = [n + i for i in range(m)]
+    cols = list(range(n))
     # reduced costs z_j - c_j for minimizing the artificial sum, as the last
-    # row: the sum of the rational rows, times the lcm of the row scales
-    lcm = math.lcm(*prob.scales)
-    weights = [lcm // s for s in prob.scales]
-    tab.append([sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n + 1)])
+    # row: the sum of the rational rows, with the lcm of their scales as diag
+    lcm = math.lcm(*diag)
+    weights = [lcm // s for s in diag]
+    tab.append([sum(map(mul, weights, col)) for col in zip(*tab)])
+    diag.append(lcm)
     while True:
-        entering = next((j for j in range(n) if tab[m][j] > 0), None)
-        if entering is None:
+        s = None
+        for j, c in enumerate(tab[m][:-1]):
+            if c > 0 and (s is None or cols[j] < entering):
+                s, entering = j, cols[j]
+        if s is None:
             break
         # Bland's ratio test, cross-multiplied: every coefficient is positive
-        leaving = None
+        k = None
         for i in range(m):
-            coef = tab[i][entering]
+            coef = tab[i][s]
             if coef > 0:
-                if leaving is not None:
-                    lhs, rhs = tab[i][n] * den, num * coef
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                if k is not None:
+                    lhs, rhs = tab[i][-1] * den, num * coef
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[k]):
                         continue
-                leaving, num, den = i, tab[i][n], coef
-        if leaving is None:
+                k, num, den = i, tab[i][-1], coef
+        if k is None:
             raise InternalError("phase-1 objective unbounded: malformed tableau")
-        _pivot(tab, leaving, entering)
-        if tab[m][entering]:
-            # Bland's rule terminates only if the entering column is cleared
-            raise InternalError("a pivot left its column in the reduced costs")
-        basis[leaving] = entering
-    if any(tab[i][n] for i in range(m) if basis[i] >= n):
+        b, dk, leaving = tab[k], diag[k], basis[k]
+        p, drop = b[s], leaving >= n
+        for r, a in enumerate(tab):
+            f = a[s]
+            if f and r != k:
+                row = [p * x - f * y for x, y in zip(a, b)]
+                if drop:
+                    row[s] = row[-2]
+                    del row[-2]
+                else:
+                    row[s] = -f * dk
+                d = p * diag[r]
+                g = math.gcd(d, *row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    d //= g
+                if row[-1] < 0 or d <= 0:
+                    raise InternalError("a pivot left a row with b < 0 or a scale <= 0")
+                tab[r], diag[r] = row, d
+            elif drop and r != k:
+                a[s] = a[-2]
+                del a[-2]
+        basis[k], diag[k] = entering, p
+        if drop:
+            # the artificial's slot goes, and the last slot takes its place
+            b[s] = b[-2]
+            del b[-2]
+            cols[s] = cols[-1]
+            cols.pop()
+        else:
+            b[s], cols[s] = dk, leaving
+    if any(tab[i][-1] for i in range(m) if basis[i] >= n):
         return LPResult(False, None)
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tab[i][n], tab[i][var])
+            x[var] = Fraction(tab[i][-1], diag[i])
     return LPResult(True, x)
 
 
@@ -361,11 +388,13 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     parts = _disjoint_parts(parts, ps)
     q = 2 * max(map(len, parts))
     prob = _common_point_problem(parts, ps)
-    rows = [(row[:-1], row[-1], sum(row) - row[-1]) for row in prob.rows]
+    # b and A 1, row by row; each shift rewrites the right-hand sides in place
+    sides = [(row[-1], sum(row) - row[-1]) for row in prob.rows]
     for _ in range(MAX_HALVINGS):
         if ps.dim != 2 or not _separated(parts, ps, q):
-            shifted = [[*a, q * b - s] for a, b, s in rows]
-            res = solve_feasibility(_integer_problem(shifted, prob.scales))
+            for row, (b, s) in zip(prob.rows, sides):
+                row[-1] = q * b - s
+            res = solve_feasibility(prob)
             if res.feasible:
                 return _decode_witness(res.x, parts, ps, q)
         q *= 2

@@ -758,3 +758,17 @@ def test_classify_nested_in_a_four_point_part():
     v = classify_pair((6, 4, 5), (0, 1, 2, 3), ps, ORIGIN2)
     assert v.kind == "nested"
     assert v.inner == (4, 5, 6) and v.outer == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("measure", ["volume", "point-count"])
+def test_fix_all_measures_each_part_once(monkeypatch, measure):
+    # a step changes two parts, so the parts of one call are measured once each
+    calls = []
+    size = fixing._measure
+    monkeypatch.setattr(fixing, "_measure", lambda *args: calls.append(args[0]) or size(*args))
+    ps = random_point_set(2, 3 * 9, seed=0)
+    partition = _partition_with_witness(bounded_partition(ps, 9).parts, ps, 0)
+    fixed, trace = fix_all(partition, ps, measure=measure)
+    assert trace.iterations >= 1
+    assert (fixed, trace) == ref_fix_all(partition, ps, measure)
+    assert len(calls) == len(set(calls)) > 9

@@ -227,7 +227,9 @@ def test_feasibility_matches_bfs_enumeration(a, b):
 # costs, the same ratio-test ties) and so return the same x.
 
 
-def fraction_solve(a, b):
+def fraction_solve(a, b, left=None):
+    """The reference solve; the label of each leaving variable is appended
+    to `left` when a list is given."""
     m = len(a)
     n = len(a[0]) if m else 0
     if m == 0:
@@ -263,6 +265,8 @@ def fraction_solve(a, b):
             if f and row is not prow:
                 for j in nonzero:
                     row[j] -= f * prow[j]
+        if left is not None:
+            left.append(basis[leaving])
         basis[leaving] = entering
     if sum(tab[i][n] for i in range(m) if basis[i] >= n) != 0:
         return False, None
@@ -395,6 +399,59 @@ def test_ratio_test_ties_go_to_the_smallest_basis_label():
     got = solve_feasibility(FeasibilityProblem(a, b))
     assert (got.feasible, got.x) == fraction_solve(a, b)
     assert got.x == [F(3, 2), 1, 0, 2]
+
+
+# x0 enters and artificial 0 leaves; its slot goes to x2, so x2 sits in
+# slot 0 and x1 in slot 1, and Bland's rule must enter x1, the smaller
+# label, not x2, the first slot: x = (0, 0, 1) if x2 entered
+ARTIFICIALS_LEAVE = ([[1, 0, 0], [1, 1, 1]], [0, 1])
+# structural variables leave the basis, and later pivots read the columns
+# they take: x = (1/2, 1, 1), and the second system is infeasible
+STRUCTURALS_LEAVE = [
+    ([[-2, -1, 1], [0, 0, -1], [0, -1, 0]], [-1, -1, -1]),
+    ([[-1, -1], [0, -1]], [-1, -2]),
+]
+
+
+def test_only_artificials_leave_and_the_smallest_label_enters():
+    a, b = ARTIFICIALS_LEAVE
+    left = []
+    expect = fraction_solve(a, b, left)
+    assert left and all(v >= 3 for v in left)
+    got = solve_feasibility(FeasibilityProblem(a, b))
+    assert (got.feasible, got.x) == expect == (True, [0, 1, 0])
+
+
+def test_structural_variables_leave_the_basis():
+    expected = [(True, [F(1, 2), 1, 1]), (False, None)]
+    for (a, b), want in zip(STRUCTURALS_LEAVE, expected):
+        left = []
+        expect = fraction_solve(a, b, left)
+        assert any(v < len(a[0]) for v in left)
+        got = solve_feasibility(FeasibilityProblem(a, b))
+        assert (got.feasible, got.x) == expect == want
+
+
+def test_a_solve_leaves_the_problem_as_it_was():
+    # rows with b >= 0 that lose a column, a row scale of 3, negated rows
+    a, b = ARTIFICIALS_LEAVE
+    cases = [ARTIFICIALS_LEAVE, ([[F(1, 3), 0, 0], *a[1:]], b), *STRUCTURALS_LEAVE]
+    for a, b in cases:
+        prob = FeasibilityProblem(a, b)
+        rows, scales = [row[:] for row in prob.rows], prob.scales[:]
+        solve_feasibility(prob)
+        assert (prob.rows, prob.scales) == (rows, scales)
+
+
+def test_a_pivot_that_breaks_phase_1_is_an_internal_error():
+    # a negative row scale, which FeasibilityProblem never builds: pivoting
+    # x0 in on row 0 leaves row 1 with scale -2 in the first system, every
+    # right-hand side >= 0, and the reduced costs with right-hand side -6
+    # in the second, every scale > 0
+    cases = [([[2, 1], [1, 1], [0, 5]], [1, -1, 1]), ([[2, 0, 1], [0, 1, 3]], [1, -1])]
+    for rows, scales in cases:
+        with pytest.raises(InternalError, match="a pivot left a row"):
+            solve_feasibility(lp._integer_problem(rows, scales))
 
 
 def test_malformed_tableau_is_an_internal_error(monkeypatch):
