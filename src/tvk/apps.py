@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -25,7 +26,7 @@ from .errors import (
     SizeOutOfRange,
     TrianglesIntersect,
 )
-from .fixing import FixTrace, classify_pair, enumerate_origin_pairs, fix_all
+from .fixing import FixTrace, _classify, enumerate_origin_pairs, fix_all
 from .geometry import (
     Point,
     PointSet,
@@ -372,9 +373,9 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     parts; a pair involving an affinely dependent (d+1)-point part is
     "degenerate".
     Returns violations and never raises; no state from any producing
-    pipeline is used. The membership tests read `ps.frame`, which is a
-    pure function of `ps.points`, computed on first use and never written
-    by a pipeline.
+    pipeline is used. Each part's membership test is prepared once, when a
+    pair first needs it; the tests read `ps.frame`, a pure function of
+    `ps.points` computed on first use and never written by a pipeline.
     """
     d = ps.dim
     n = len(ps)
@@ -406,7 +407,8 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
     if out:
         return VerificationReport(out)
     out.extend(witness_violations(witness, parts, ps))
-    o = _query(witness.point, ps)
+    q, pts = _query(witness.point, ps), ps.frame[0]
+    test = cache(lambda i: _hull_test(parts[i], ps))  # part i's test
     r = len(parts)
     degenerate = {
         i
@@ -420,7 +422,7 @@ def verify_crossing_partition(ps: PointSet, partition: Partition) -> Verificatio
         if i in degenerate or j in degenerate:
             kind = "degenerate"
         else:
-            kind = classify_pair(parts[i], parts[j], ps, o).kind
+            kind = _classify(parts[i], parts[j], q, test(i), test(j), pts).kind
         verdicts[i][j] = verdicts[j][i] = kind
         if kind != "crossing":
             out.append(f"parts {parts[i]} and {parts[j]} do not cross ({kind})")

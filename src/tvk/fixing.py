@@ -4,13 +4,15 @@ terminating fixing loop.
 Two simplices whose hulls share a point either cross or are nested; the
 fixing loop repeatedly repartitions the 2(d+1) points of a nested pair into
 a crossing pair with the same common point, and instruments the strictly
-decreasing measure that forces termination. Membership is `lp._hull_test`'s;
-the point-count measure reads a simplex's facet rows once per count.
+decreasing measure that forces termination. Membership is `lp._hull_test`'s,
+each part's test prepared once per scan and read by `_classify`; the
+point-count measure reads a simplex's facet rows once per count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Optional
@@ -42,7 +44,7 @@ from .lp import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PairClass:
     """Trichotomy verdict for two hulls sharing (or not) a common point."""
 
@@ -51,28 +53,33 @@ class PairClass:
     outer: Optional[tuple] = None
 
 
+_CROSSING, _NO_COMMON_POINT = PairClass("crossing"), PairClass("no_common_point")
+
+
 def classify_pair(a, b, ps: PointSet, o: Point) -> PairClass:
     """Classify two disjoint parts of any size relative to a candidate point o.
 
     NoCommonPoint when o misses either hull; Nested when one part's points
     all lie in the other's closed hull; Crossing otherwise: for d >= 2,
     where a hull's boundary is connected, the boundaries meet, and in d = 1
-    the segments overlap without nesting. Each part's membership test is
-    prepared once (`lp._hull_test`) and asked about o, then about the other
-    part's points; o enters as `geometry._query(o, ps)`, which callers that
-    classify many pairs at one o build once and pass in.
+    the segments overlap without nesting. Scans that classify many pairs
+    call `_classify` with each part's test (`lp._hull_test`) prepared once
+    per call; here the two are prepared for the one pair.
     """
     a, b = tuple(sorted(a)), tuple(sorted(b))
-    o = _query(o, ps)
-    in_a, in_b = _hull_test(a, ps), _hull_test(b, ps)
-    if not (in_a(o) and in_b(o)):
-        return PairClass("no_common_point")
-    pts = ps.frame[0]
+    return _classify(a, b, _query(o, ps), _hull_test(a, ps), _hull_test(b, ps), ps.frame[0])
+
+
+def _classify(a, b, q, in_a, in_b, pts) -> PairClass:
+    """`classify_pair` on parts a and b, named as given, o as the homogeneous
+    point q, the parts' prepared tests and the frame points pts."""
+    if not (in_a(q) and in_b(q)):
+        return _NO_COMMON_POINT
     if all(in_b((*pts[i], 1)) for i in a):
         return PairClass("nested", inner=a, outer=b)
     if all(in_a((*pts[i], 1)) for i in b):
         return PairClass("nested", inner=b, outer=a)
-    return PairClass("crossing")
+    return _CROSSING
 
 
 def _require_origin_setup(ps: PointSet, o: Point):
@@ -104,7 +111,7 @@ def enumerate_origin_pairs(ps: PointSet, o: Point) -> list:
     return [
         (f, g)
         for f, g in _splits(range(len(ps)), ps.dim)
-        if hull_contains(q, f, ps) and hull_contains(q, g, ps)
+        if _hull_test(f, ps)(q) and _hull_test(g, ps)(q)
     ]
 
 
@@ -158,17 +165,22 @@ def unnest_pair(t1, t2, ps: PointSet, o: Point):
     not the input and that `classify_pair` calls crossing.
     """
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
-    o = mk_point(o)
-    verdict = classify_pair(t1, t2, ps, o)
+    return _unnest(t1, t2, ps, mk_point(o), lambda part: _hull_test(part, ps))
+
+
+def _unnest(t1, t2, ps: PointSet, o: Point, test):
+    """`unnest_pair` on sorted parts; `test` gives a part's prepared test,
+    from `fix_all`'s memo (one walk alone meets each part once)."""
+    q, pts = _query(o, ps), ps.frame[0]
+    verdict = _classify(t1, t2, q, test(t1), test(t2), pts)
     if verdict.kind == "no_common_point":
         raise GeneralPositionViolated("common point missing; unnesting undefined")
     if verdict.kind == "crossing":
         return t1, t2
     union = sorted(t1 + t2)
     _require_origin_setup(ps.take(union), o)
-    q = _query(o, ps)
     for f, g in _splits(union, ps.dim):
-        if f not in (t1, t2) and classify_pair(f, g, ps, q).kind == "crossing":
+        if f not in (t1, t2) and _classify(f, g, q, test(f), test(g), pts).kind == "crossing":
             return f, g
     raise InternalError(
         "no crossing repartition exists: contradicts the parity argument"
@@ -236,9 +248,9 @@ def fix_all(
     step must measure both new parts below the nested pair's outer one and
     strictly decrease the sorted measure vector in lexicographic order;
     either violation is a bug and raises InternalError. Each part is
-    measured once per call, as a step changes two parts. An explicit
-    budget that runs out raises BudgetExceeded with the partial trace, and
-    an unknown measure raises ValueError before the first step.
+    measured and its test prepared once per call, as a step changes two
+    parts. An explicit budget that runs out raises BudgetExceeded with the
+    partial trace, and an unknown measure raises ValueError before any step.
     """
     if measure not in ("volume", "point-count"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -246,16 +258,13 @@ def fix_all(
         raise ValueError("fix_all needs a witness")
     d = ps.dim
     o = partition.witness.point
-    q = _query(o, ps)
+    q, pts = _query(o, ps), ps.frame[0]
     parts = canonical_parts(partition.parts)
     trace = FixTrace(measure=measure)
-    # a step changes two parts, so verdicts and measures are kept by part contents
-    verdicts, measures = {}, {}
-
-    def size(part):
-        if part not in measures:
-            measures[part] = _measure(part, ps, measure)
-        return measures[part]
+    # a step changes two parts, so verdicts, tests and measures are kept by part
+    verdicts = {}
+    test = cache(lambda part: _hull_test(part, ps))
+    size = cache(lambda part: _measure(part, ps, measure))
 
     while True:
         full = [i for i, p in enumerate(parts) if len(p) == d + 1]
@@ -263,7 +272,7 @@ def fix_all(
             key = (parts[i], parts[j])
             verdict = verdicts.get(key)
             if verdict is None:
-                verdict = verdicts[key] = classify_pair(*key, ps, q)
+                verdict = verdicts[key] = _classify(*key, q, *map(test, key), pts)
             if verdict.kind == "no_common_point":
                 raise ValueError("fix_all needs a witness inside every part")
             if verdict.kind == "nested":
@@ -278,7 +287,7 @@ def fix_all(
             )
         # a step's parts are the next step's, so its measure is the last after
         before = trace.steps[-1].after if trace.steps else _measure_vector(parts, d, size)
-        s1, s2 = unnest_pair(parts[i], parts[j], ps, o)
+        s1, s2 = _unnest(parts[i], parts[j], ps, o, test)
         outer = size(verdict.outer)
         if any(size(s) >= outer for s in (s1, s2)):
             raise InternalError("replacement simplex not smaller than the outer one")

@@ -6,13 +6,13 @@ common multiple of their denominators, which keeps every sign, so
 orientation and volume are integer determinants (closed forms for d <= 3,
 Bareiss elimination beyond). A simplex's facet rows, `_facets`, are d+1
 integer linear forms in the homogeneous point, built once per simplex,
-whose values are the barycentric numerators: `lp.hull_contains` (the one
-membership predicate) and interior counts read their signs, and
+whose values are the barycentric numerators: the membership tests that
+`lp._hull_test` prepares and interior counts read their signs, and
 `_barycentric` their ratios, the witness weights. `angular_order` sorts
 by one exact key, the diamond angle. A `PointSet` computes its frame
 once, on first use, and the predicates on its points read that frame by
-index; a point from outside the set has one form in every dimension, the
-homogeneous integer point of the frame that `_query` builds. Only
+index; those tests read homogeneous points, (p, 1) for a frame point p
+and, for a point from outside the set, the plain tuple `_query` builds. Only
 sub-dimensional and degenerate vertex sets fall back to a linear system,
 read off the nullspace that `linalg` computes fraction-free as well.
 There are no tolerances anywhere in this module; degenerate inputs raise
@@ -54,9 +54,7 @@ def rat(value) -> Fraction:
     """Exact rational from int, Fraction, or a string like '3', '-1/7', '0.25'."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass a string or Fraction")
@@ -123,23 +121,16 @@ def _int_frame(points):
     return [tuple([c.numerator * (den // c.denominator) for c in p]) for p in points], den
 
 
-class _Query(tuple):
-    """A point from outside a PointSet in the one form its predicates read,
-    built once by `_query` for callers that test it against many parts."""
-
-
-def _query(p: Point, ps: PointSet) -> _Query:
+def _query(p: Point, ps: PointSet) -> tuple:
     """p validated once (`rat` on every coordinate, d of them) and made the
     homogeneous integer point (x_1, ..., x_d, w) of `ps.frame`, with w > 0
-    and p * den == x / w; a _Query is returned as it is."""
-    if type(p) is _Query:
-        return p
+    and p * den == x / w."""
     p = mk_point(p)
     if len(p) != ps.dim:
         raise DimensionMismatch(f"point has {len(p)} coordinates, expected {ps.dim}")
     den = ps.frame[1]
     w = math.lcm(*[c.denominator for c in p])
-    return _Query((*[c.numerator * (w // c.denominator) * den for c in p], w))
+    return (*[c.numerator * (w // c.denominator) * den for c in p], w)
 
 
 def _det(simplex) -> int:

@@ -1,21 +1,21 @@
 """Exact rational feasibility LP and convex-hull intersection certificates.
 
-The solver is a phase-1 simplex with Bland's rule, so it terminates on
-every input and is deterministic for a fixed variable order. Its tableau is
+The solver is a phase-1 simplex with Bland's rule, so it terminates on every
+input and is deterministic for a fixed variable order. Its tableau is
 fraction-free and condensed: a row stores only its nonbasic columns, as
 integers, with its basic entry as its positive scale, and every pivot
-divides the rows it changes by their gcd. The LPs built here
-read their rows from `PointSet.frame`, so Fractions appear only in the
-returned x and Witness. Only feasibility is supported; nothing here
-optimizes. `hull_contains` is the one membership predicate, for a point
-or the index of a point of the set, and `_hull_test` prepares it once per
-part for callers that test many points. It has three rules: the signs of
-the facet rows (`geometry._facets`) for d+1 affinely independent points
-in every d, an integer halfplane test for other planar parts, and the LP
-for other parts beyond the plane. `barycentric_witness` alone reads the
-weights, `geometry._barycentric`. `relative_interior_witness` halves a
-shift until its LP is feasible; in the plane `_separated` first tries to
-rule the shift out along directions it generates as it tests them.
+divides the rows it changes by their gcd. The LPs built here read their rows
+from `PointSet.frame`, so Fractions appear only in the returned x and
+Witness. Only feasibility is supported; nothing here optimizes.
+`hull_contains` is the one membership predicate, for a point; `_hull_test`
+prepares it for a part, once per call of each scan over many parts. It has
+three rules: the signs of the facet rows (`geometry._facets`) for d+1
+affinely independent points in every d, an integer halfplane test for other
+planar parts, and the LP for other parts beyond the plane.
+`barycentric_witness` alone reads the weights, `geometry._barycentric`.
+`relative_interior_witness` halves a shift until its LP is feasible; in the
+plane `_separated` first tries to rule the shift out along directions it
+generates as it tests them.
 """
 from __future__ import annotations
 
@@ -442,20 +442,15 @@ def _hull_test(indices: Sequence[int], ps: PointSet):
     return lp_rule
 
 
-def hull_contains(p: Point | int, indices: Sequence[int], ps: PointSet) -> bool:
+def hull_contains(p: Point, indices: Sequence[int], ps: PointSet) -> bool:
     """Exact test p in conv({ps[i] : i in indices}), the one membership
-    predicate, and `_hull_test(indices, ps)` applied to p. p is a point,
-    `_query(point, ps)` or the index of a point of ps (`type(p) is int`),
-    read either way as one homogeneous point (x, w) of `ps.frame`. Three
-    rules: d+1 affinely independent points, in every d, decide by the
-    signs of their facet rows (`geometry._facets`) against their
-    determinant's; other planar parts, of any size, by the integer
-    halfplane test `geometry._in_planar_hull`; other parts beyond the plane
-    by the LP w P lambda = x, sum lambda = 1 over the frame points P, whose
-    coordinate rows have scale w * den. An index outside 0..n-1, as p or
-    in the part, raises ValueError."""
-    test = _hull_test(indices, ps)
-    if type(p) is int:
-        _check_indices([p], ps)
-        return test((*ps.frame[0][p], 1))
-    return test(_query(p, ps))
+    predicate, and `_hull_test(indices, ps)` applied to `_query(p, ps)`,
+    the homogeneous point (x, w) of `ps.frame`. Three rules: d+1 affinely
+    independent points, in every d, decide by the signs of their facet
+    rows (`geometry._facets`) against their determinant's; other planar
+    parts, of any size, by the integer halfplane test
+    `geometry._in_planar_hull`; other parts beyond the plane by the LP
+    w P lambda = x, sum lambda = 1 over the frame points P, whose
+    coordinate rows have scale w * den. An index outside 0..n-1 in the
+    part raises ValueError."""
+    return _hull_test(indices, ps)(_query(p, ps))

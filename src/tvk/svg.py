@@ -94,7 +94,7 @@ def _hull_vertices(part, ps: PointSet) -> list:
     return [
         i
         for i in part
-        if not hull_contains(i, [j for j in part if ps.points[j] != ps.points[i]], ps)
+        if not hull_contains(ps.points[i], [j for j in part if ps.points[j] != ps.points[i]], ps)
     ]
 
 

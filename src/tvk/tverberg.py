@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from operator import gt
 from typing import Sequence
@@ -26,7 +27,7 @@ from .errors import (
     InternalError,
     SizeOutOfRange,
 )
-from .fixing import classify_pair
+from .fixing import _classify
 from .geometry import Point, PointSet, _query, angular_order
 from .lp import (
     Partition,
@@ -35,23 +36,21 @@ from .lp import (
     _hull_test,
     barycentric_witness,
     common_point,
-    hull_contains,
 )
 
 BRUTE_FORCE_MAX_POINTS = 14
 
 
-def _planar_hulls_meet(family, ps: PointSet) -> bool:
-    """Whether the convex hulls of at most three planar parts share a point.
+def _planar_hulls_meet(family, tests, ps: PointSet) -> bool:
+    """Whether the convex hulls of at most three planar parts share a point,
+    given their prepared membership tests (`lp._hull_test`).
 
     Such hulls that meet share a vertex of one of them or the crossing of
     two non-parallel edges (point pairs) of two of them, so only those
-    candidates are tested: a vertex against the other parts' membership
-    tests, an edge crossing against every part's, each test prepared once
-    per call.
+    candidates are tested: a vertex against the other parts' tests, an edge
+    crossing against every part's.
     """
     pts = ps.frame[0]
-    tests = [_hull_test(part, ps) for part in family]
 
     def common(q):
         return all(test(q) for test in tests)
@@ -96,16 +95,17 @@ class _Search:
     By Helly's theorem r hulls in R^d meet iff every d+1 of them do. At a
     leaf, after every box, the sub-families of 2..d+1 parts are tested in
     `combinations` order, each once per search: in the plane by
-    `_planar_hulls_meet`, in d >= 3 by `common_point`; in d = 1 the boxes
-    are the hulls. A sub-family that misses rules out every candidate that
-    holds it, so the search moves past its last part. In d >= 3 a
+    `_planar_hulls_meet` on tests prepared once per part and search, in
+    d >= 3 by `common_point`; in d = 1 the boxes are the hulls. A
+    sub-family that misses rules out every candidate that holds it, so the
+    search moves past its last part. In d >= 3 a
     sub-family of r-1 or r parts belongs to no other candidate, so it is
     left to the final LP, which then decides the candidate; otherwise the
     tests are complete, and the final LP of the first candidate to pass
     them must be feasible.
     """
 
-    __slots__ = ("ps", "r", "m", "families", "complete", "parts", "boxes", "verdicts")
+    __slots__ = ("ps", "r", "m", "families", "complete", "parts", "boxes", "verdicts", "test")
 
     def __init__(self, ps: PointSet, r: int):
         d = ps.dim
@@ -122,6 +122,7 @@ class _Search:
         self.parts = []  # the placed parts
         self.boxes = {}  # part -> its bounding box (lo, hi)
         self.verdicts = {}  # sub-family -> whether its hulls meet
+        self.test = cache(lambda part: _hull_test(part, ps))  # part -> its membership test
 
     def first(self):
         """The first partition whose hulls meet, or None."""
@@ -187,7 +188,7 @@ class _Search:
     def _hulls_meet(self, family) -> bool:
         """Whether the hulls of a sub-family of parts share a point."""
         if self.ps.dim == 2:
-            return _planar_hulls_meet(family, self.ps)
+            return _planar_hulls_meet(family, [self.test(part) for part in family], self.ps)
         return common_point(family, self.ps) is not None
 
 
@@ -407,9 +408,9 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     other grown hull is a proper subset of it), and the search stops there.
     After every insertion the crossings of the grown part with every other
     full-dimensional part are re-verified exactly; no other pair changed,
-    so a partition whose full pairs all cross keeps them crossing. A
-    leftover index outside 0..n-1, repeated or already in a part raises
-    ValueError.
+    so a partition whose full pairs all cross keeps them crossing. Each
+    part's membership test is prepared once per call. A leftover index
+    outside 0..n-1, repeated or already in a part raises ValueError.
     """
     if partition.witness is None:
         raise ValueError("extend_partition needs a witness")
@@ -422,15 +423,15 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
     if len(set(leftover)) < len(leftover) or {i for p in parts for i in p} & set(leftover):
         raise ValueError("a leftover index is repeated or already in a part")
     pts = ps.frame[0]
+    test = cache(lambda part: _hull_test(part, ps))
     for idx in sorted(leftover):
-        target = next((i for i, part in enumerate(parts) if hull_contains(idx, part, ps)), None)
+        target = next((i for i, part in enumerate(parts) if test(part)((*pts[idx], 1))), None)
         if target is None:
             grown = [part + (idx,) for part in parts]
-            tests = [_hull_test(part, ps) for part in grown]
 
             def inside(i, j):
                 """Whether grown part j's hull lies in grown part i's."""
-                return all(tests[i]((*pts[v], 1)) for v in grown[j])
+                return all(map(test(grown[i]), ((*pts[v], 1) for v in grown[j])))
 
             # i is inclusion-minimal iff no grown hull is a proper subset of it
             target = next(
@@ -451,7 +452,7 @@ def extend_partition(partition: Partition, leftover: Sequence[int], ps: PointSet
             if j == target or len(part) < d + 1:
                 continue
             a, b = sorted((target, j))
-            verdict = classify_pair(parts[a], parts[b], ps, q)
+            verdict = _classify(parts[a], parts[b], q, test(parts[a]), test(parts[b]), pts)
             if verdict.kind != "crossing":
                 raise InternalError(
                     f"inserting point {idx} broke crossing of parts "

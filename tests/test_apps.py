@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tvk import apps, fixing, lp, tverberg
 from tvk.errors import (
+    DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
@@ -39,6 +40,7 @@ from tvk.apps import (
 )
 
 from conftest import (
+    HEXAGON,
     NESTED_SIX,
     NINE_ONE_FIX,
     NINE_TRIPLE_NESTED,
@@ -516,9 +518,9 @@ def test_simplices_verify_each_result_once(monkeypatch):
 
         return wrapped
 
-    verify, pair = apps.verify_crossing_partition, apps.classify_pair
+    verify, pair = apps.verify_crossing_partition, apps._classify
     monkeypatch.setattr(apps, "verify_crossing_partition", counting("verify", verify))
-    monkeypatch.setattr(apps, "classify_pair", counting("pair", pair))
+    monkeypatch.setattr(apps, "_classify", counting("pair", pair))
     ps = random_point_set(2, 14, seed=6)
     rep = crossing_simplices(ps)
     assert calls == {"verify": 1, "pair": 4 * 3 // 2}
@@ -584,7 +586,7 @@ def test_bruteforce_without_a_partition_is_an_internal_error(monkeypatch):
 def test_fixing_without_a_measure_drop_is_an_internal_error(monkeypatch):
     ps = PointSet(2, NESTED_SIX)
     w = refine_witness([(0, 1, 2), (3, 4, 5)], ps, seed=0)
-    monkeypatch.setattr(fixing, "unnest_pair", lambda t1, t2, ps, o: (t1, t2))
+    monkeypatch.setattr(fixing, "_unnest", lambda t1, t2, ps, o, test: (t1, t2))
     for measure in ("volume", "point-count"):
         with pytest.raises(InternalError):
             # a budget, so that a loop that misses the drop ends in
@@ -917,3 +919,55 @@ def test_pierce_parity_of_two_passages_matches_the_run_scan():
                     at_a_vertex += 0 in [side(*surface, v) for v in curve]
     assert at_a_vertex > 120  # a passage at a curve vertex in the plane
     assert linked > 3000
+
+
+# --- public raises that no other test or workload reaches -----------------------
+
+TRIANGLES = [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 5), (1, 0, 5), (0, 1, 5)]
+
+
+def nudges_exhausted(monkeypatch):
+    # every candidate is rejected, as if it lay on a hyperplane of d points
+    monkeypatch.setattr(apps, "gp_violations_with_extra", lambda points, extra: [(0,)])
+    refine_witness([(0, 2, 4), (1, 3, 5)], PointSet(2, HEXAGON))
+
+
+def parities_differ(monkeypatch):
+    parities = iter([0, 1])
+    monkeypatch.setattr(apps, "_curve_pierce_parity", lambda curve, surface: next(parities))
+    triangles_linked(*TRIANGLES)
+
+
+APPS_RAISES = {
+    "refine_witness gives up after 512 nudges": (
+        nudges_exhausted,
+        GeneralPositionViolated,
+        "no generic common point found after 512 seeded attempts",
+    ),
+    "crossing_simplices on fewer than d+1 points": (
+        lambda mp: crossing_simplices(PointSet(2, [(0, 0), (1, 0)])),
+        SizeOutOfRange,
+        r"need at least d\+1=3 points, got 2",
+    ),
+    "triangles_linked outside R^3": (
+        lambda mp: triangles_linked([(0, 0), (1, 0), (0, 1)], TRIANGLES[1]),
+        DimensionMismatch,
+        r"defined in R\^3 only",
+    ),
+    "triangles_linked with the parities differing": (
+        parities_differ,
+        InternalError,
+        "linking parity differs between directions",
+    ),
+    "tetrahedra_face_linked outside R^3": (
+        lambda mp: tetrahedra_face_linked((0, 1, 2), (3, 4, 5), PointSet(2, HEXAGON)),
+        SizeOutOfRange,
+        r"face linking is defined in R\^3 only",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", APPS_RAISES.values(), ids=APPS_RAISES)
+def test_apps_public_raises(monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)

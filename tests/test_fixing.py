@@ -385,7 +385,7 @@ def test_unnest_matches_the_origin_pair_search(d, seed):
 
 def test_unnest_without_a_repartition_is_an_internal_error(monkeypatch):
     # parity guarantees a crossing repartition; finding none is a bug
-    monkeypatch.setattr(fixing, "classify_pair", lambda a, b, ps, o: PairClass("nested"))
+    monkeypatch.setattr(fixing, "_classify", lambda *args: PairClass("nested"))
     with pytest.raises(InternalError):
         unnest_pair((0, 1, 2), (3, 4, 5), nested_six_ps(), ORIGIN2)
 
@@ -728,7 +728,9 @@ def test_count_interior_points_matches_the_barycentric_count():
             assert count == barycentric_interior_count(simplex, ps)
             simplices += 1
             others = [i for i in range(len(ps)) if i not in simplex]
-            boundary += not count and any(hull_contains(i, simplex, ps) for i in others)
+            boundary += not count and any(
+                hull_contains(ps.points[i], simplex, ps) for i in others
+            )
     assert simplices > 3000
     assert boundary > 50  # points on a facet and none inside: only the strict test decides
 
@@ -772,3 +774,18 @@ def test_fix_all_measures_each_part_once(monkeypatch, measure):
     assert trace.iterations >= 1
     assert (fixed, trace) == ref_fix_all(partition, ps, measure)
     assert len(calls) == len(set(calls)) > 9
+
+
+FIXING_RAISES = {
+    "unnest_pair without a common point": (
+        lambda: unnest_pair((0, 1, 2), (3, 4, 5), PointSet(2, NESTED_SIX), (100, 100)),
+        GeneralPositionViolated,
+        "common point missing; unnesting undefined",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", FIXING_RAISES.values(), ids=FIXING_RAISES)
+def test_fixing_public_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -468,3 +468,44 @@ def test_segments_intersect_3d_matches_reference(pts):
     # coordinates in [-2, 2] make coplanar, collinear, shared-endpoint and
     # zero-length segments common
     assert segments_intersect_3d(*pts) == reference_segments_intersect(*pts)
+
+
+def perturbation_gives_up(monkeypatch):
+    # no round ever reaches general position
+    monkeypatch.setattr(geometry, "in_general_position", lambda ps: [(0, 1, 2)])
+    perturb(PointSet(2, [(0, 0), (1, 1), (2, 2)]), seed=3)
+
+
+GEOMETRY_RAISES = {
+    "rat of an unconvertible type": (
+        lambda mp: geometry.rat([1]),
+        TypeError,
+        "cannot convert list to a rational",
+    ),
+    "PointSet of dimension 0": (
+        lambda mp: PointSet(0, []),
+        DimensionMismatch,
+        "dimension must be positive, got 0",
+    ),
+    "orientation of points of the wrong dimension": (
+        lambda mp: orientation([(0, 0), (1, 1)]),
+        DimensionMismatch,
+        r"need d\+1 points in R\^d with d >= 1, got 2",
+    ),
+    "gp_violations_with_extra across dimensions": (
+        lambda mp: gp_violations_with_extra([(0, 0)], (1, 2, 3)),
+        DimensionMismatch,
+        r"need points in R\^d with d >= 1 for an extra point in R\^3",
+    ),
+    "perturb gives up after 64 rounds": (
+        perturbation_gives_up,
+        PerturbationFailed,
+        r"no general-position perturbation after 64 rounds \(seed=3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GEOMETRY_RAISES.values(), ids=GEOMETRY_RAISES)
+def test_geometry_public_raises(monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)

@@ -43,7 +43,7 @@ from tvk.geometry import (
     orientation,
     simplex_volume,
 )
-from tvk.lp import barycentric_witness, common_point, hull_contains
+from tvk.lp import _hull_test, barycentric_witness, common_point, hull_contains
 from tvk.tverberg import _planar_hulls_meet, centerpoint_planar
 
 from conftest import lp_hull_contains, ref_containment, ref_depth, ref_solve_unique
@@ -495,8 +495,12 @@ def planar_parts_case(draw):
 
 def helly_planar_meet(ps, parts):
     """The brute-force search's rule: planar hulls meet iff every three of
-    them do, each three decided by `_planar_hulls_meet`."""
-    return all(_planar_hulls_meet(f, ps) for f in combinations(parts, min(3, len(parts))))
+    them do, each three decided by `_planar_hulls_meet` on their prepared
+    membership tests."""
+    return all(
+        _planar_hulls_meet(f, [_hull_test(part, ps) for part in f], ps)
+        for f in combinations(parts, min(3, len(parts)))
+    )
 
 
 @settings(max_examples=500)
@@ -558,8 +562,8 @@ def test_frame_hull_contains_matches_lp_on_subsets(points, data):
     assert hull_contains(p, idx, ps) == expected
     sub = ps.take(idx)
     assert hull_contains(p, range(len(idx)), sub) == expected
-    for i in range(len(points)):
-        assert hull_contains(i, idx, ps) == lp_hull_contains(points[i], idx, ps)
+    for q in points:
+        assert hull_contains(q, idx, ps) == lp_hull_contains(q, idx, ps)
 
 
 # --- membership beyond the plane ------------------------------------------------
@@ -603,14 +607,13 @@ def spatial_part_case(draw):
 @given(spatial_part_case())
 def test_spatial_hull_contains_matches_lp(case):
     """Facet-row signs for d+1 independent points, the frame LP for every
-    other part: either way the verdict is the rational LP's, for p given as a
-    point, as `_query` and as the index of every point of the set."""
+    other part: either way the verdict is the rational LP's, for p and for
+    every point of the set."""
     ps, idx, p = case
     expected = lp_hull_contains(p, idx, ps)
     assert hull_contains(p, idx, ps) == expected
-    assert hull_contains(_query(p, ps), idx, ps) == expected
-    for i, q in enumerate(ps.points):
-        assert hull_contains(i, idx, ps) == lp_hull_contains(q, idx, ps)
+    for q in ps.points:
+        assert hull_contains(q, idx, ps) == lp_hull_contains(q, idx, ps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -634,8 +637,9 @@ def test_hull_contains_input_contract(d):
 @pytest.mark.parametrize("d", [3, 4])
 def test_spatial_hull_contains_reads_the_frame(d, monkeypatch):
     """With `ps.frame` computed, membership beyond the plane scales nothing
-    again: a point, a `_query` and an index against a simplex part and
-    against parts of other sizes call `_int_frame` zero times."""
+    again: a point from outside the set and a point of it against a
+    simplex part and against parts of other sizes call `_int_frame` zero
+    times."""
     ps = random_point_set(d, d + 4, seed=5)
     assert ps.frame
     calls = []
@@ -643,7 +647,7 @@ def test_spatial_hull_contains_reads_the_frame(d, monkeypatch):
     monkeypatch.setattr(geometry, "_int_frame", lambda pts: calls.append(pts) or scale(pts))
     p = tuple(sum(c) / (d + 1) for c in zip(*ps.points[: d + 1]))
     for part in (range(d + 1), range(d + 2), range(d)):
-        for q in (p, _query(p, ps), d + 3):
+        for q in (p, ps.points[d + 3]):
             hull_contains(q, part, ps)
     assert calls == []
 

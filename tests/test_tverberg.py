@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tvk import tverberg
 from tvk.errors import (
+    DimensionMismatch,
     GeneralPositionViolated,
     InternalError,
     SizeOutOfRange,
@@ -585,13 +586,13 @@ def _three_part_extension():
 
 def test_extend_classifies_only_pairs_with_the_grown_part(monkeypatch):
     partition, grown = _three_part_extension()
-    real, calls = tverberg.classify_pair, []
+    real, calls = tverberg._classify, []
 
-    def recording(a, b, ps, o):
+    def recording(a, b, *args):
         calls.append(a + b)
-        return real(a, b, ps, o)
+        return real(a, b, *args)
 
-    monkeypatch.setattr(tverberg, "classify_pair", recording)
+    monkeypatch.setattr(tverberg, "_classify", recording)
     extend_partition(partition, [9, 10, 11], grown)
     # k insertions times r - 1 partners, each pair holding the new point
     assert len(calls) == 3 * 2
@@ -600,14 +601,50 @@ def test_extend_classifies_only_pairs_with_the_grown_part(monkeypatch):
 
 def test_extend_raises_when_a_pair_with_the_grown_part_breaks(monkeypatch):
     partition, grown = _three_part_extension()
-    real = tverberg.classify_pair
+    real = tverberg._classify
 
-    def broken_at_10(a, b, ps, o):
+    def broken_at_10(a, b, *args):
         if 10 in a + b:
             return PairClass("nested", inner=a, outer=b)
-        return real(a, b, ps, o)
+        return real(a, b, *args)
 
-    monkeypatch.setattr(tverberg, "classify_pair", broken_at_10)
+    monkeypatch.setattr(tverberg, "_classify", broken_at_10)
     broke = r"inserting point 10 broke crossing of parts .* \(nested\)"
     with pytest.raises(InternalError, match=broke):
         extend_partition(partition, [9, 10, 11], grown)
+
+
+SPATIAL = PointSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+TVERBERG_RAISES = {
+    "brute force with r = 0": (
+        lambda: tverberg_partition_bruteforce(PointSet(2, HEXAGON), 0),
+        SizeOutOfRange,
+        "r must be at least 1",
+    ),
+    "centerpoint_planar beyond the plane": (
+        lambda: centerpoint_planar(SPATIAL),
+        DimensionMismatch,
+        "centerpoint_planar requires d=2",
+    ),
+    "centerpoint_planar of no points": (
+        lambda: centerpoint_planar(PointSet(2, [])),
+        SizeOutOfRange,
+        "empty point set has no centerpoint",
+    ),
+    "birch_partition_planar beyond the plane": (
+        lambda: birch_partition_planar(SPATIAL, 1),
+        DimensionMismatch,
+        "birch_partition_planar requires d=2",
+    ),
+    "birch_partition_planar with n != 3r": (
+        lambda: birch_partition_planar(PointSet(2, HEXAGON), 3),
+        SizeOutOfRange,
+        "need exactly 3r points, got n=6, r=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TVERBERG_RAISES.values(), ids=TVERBERG_RAISES)
+def test_tverberg_public_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
