@@ -8,9 +8,12 @@ their `tvk.apps` bindings: the general-position gate
 (`require_general_position`), the partition (`bounded_partition`), the
 witness (`refine_witness`), fixing (`fix_all`) and the verification
 (`verify_crossing_partition`). After each stage it reads the peak RSS of
-the process (`resource.getrusage`, ru_maxrss, in KiB on Linux). Nothing in
-the package is changed; the pipeline's own verification still checks the
-result.
+the process (`resource.getrusage`, ru_maxrss, in KiB on Linux) and the LP
+solves the stage ran (`lp.solve_feasibility`): the witness runs exactly
+one, since each of its shifts is decided first by clipping the shrunk
+parts (`geometry._planar_hulls_meet`, timed in total below the table).
+Nothing in the package is changed; the pipeline's own verification still
+checks the result.
 
 Usage: python3 scripts/scale_profile.py [--n 480 960] [--seed 1] [--measure volume]
 """
@@ -38,17 +41,32 @@ def peak_rss_mib() -> float:
 
 def profile(n: int, seed: int, measure: str) -> None:
     """Run one instance in this process and print its stage table."""
-    from tvk import apps
+    from tvk import apps, lp
     from tvk.generate import random_point_set
 
+    solves, decisions = [], []
+    solve, meet = lp.solve_feasibility, lp._planar_hulls_meet
+
+    def counted_solve(prob):
+        solves.append(None)  # keeping prob would hold the LP and raise the peak RSS
+        return solve(prob)
+
+    def timed_meet(hulls):
+        start = time.perf_counter()
+        result = meet(hulls)
+        decisions.append(time.perf_counter() - start)
+        return result
+
+    lp.solve_feasibility, lp._planar_hulls_meet = counted_solve, timed_meet
     rows = []
     for label, name in STAGES:
         real = getattr(apps, name)
 
         def timed(*args, real=real, label=label, **kwargs):
-            start = time.perf_counter()
+            start, before = time.perf_counter(), len(solves)
             result = real(*args, **kwargs)
-            rows.append((label, time.perf_counter() - start, peak_rss_mib()))
+            seconds = time.perf_counter() - start
+            rows.append((label, seconds, peak_rss_mib(), len(solves) - before))
             return result
 
         setattr(apps, name, timed)
@@ -60,9 +78,10 @@ def profile(n: int, seed: int, measure: str) -> None:
         f"n={n} seed={seed} measure={measure}: {len(report.partition.parts)} triangles, "
         f"{report.trace.iterations} fixing steps, {total:.2f} s in crossing_simplices"
     )
-    print(f"  {'stage':<10} {'wall_s':>8} {'peak_rss_mib':>13}")
-    for label, seconds, rss in rows:
-        print(f"  {label:<10} {seconds:>8.3f} {rss:>13.1f}")
+    print(f"  {'stage':<10} {'wall_s':>8} {'peak_rss_mib':>13} {'lp_solves':>10}")
+    for label, seconds, rss, lps in rows:
+        print(f"  {label:<10} {seconds:>8.3f} {rss:>13.1f} {lps:>10}")
+    print(f"  witness shift decisions: {len(decisions)} in {sum(decisions):.3f} s")
 
 
 def main() -> int:

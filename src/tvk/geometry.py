@@ -26,6 +26,9 @@ runs it from the new point. Fewer than d+1 points are dependent when
 their difference vectors have a nontrivial nullspace.
 `require_general_position` is the one gate that raises on a point set not
 in general position.
+`_planar_hulls_meet` is the one planar hull-intersection decision, for the
+brute force's sub-families and the witness's shifts: it clips one hull by
+the others' edge halfplanes in homogeneous integers.
 """
 from __future__ import annotations
 
@@ -379,6 +382,89 @@ def _in_planar_hull(q, pts) -> bool:
         else:
             return False
     return bool(vs)
+
+
+def _planar_hull(pts) -> list:
+    """The vertices of conv(pts) for integer points in the plane, counter-
+    clockwise (Andrew's monotone chain): repeated points collapse to one,
+    and collinear points become the two extremes of their segment."""
+    pts = sorted(set(pts))
+    if len(pts) < 3:
+        return pts
+    hull = []
+    for chain in (pts, pts[::-1]):
+        start = len(hull)
+        for p in chain:
+            while len(hull) > start + 1:
+                (ax, ay), (bx, by) = hull[-2], hull[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                hull.pop()
+            hull.append(p)
+        hull.pop()
+    return hull
+
+
+def _halfplanes(hull) -> list:
+    """Rows (a, b, c) whose closed halfplanes a x + b y + c w >= 0, over
+    homogeneous points (x, y, w) with w > 0, meet exactly in the hull of
+    `_planar_hull`'s vertices: the left side of every edge; for a segment
+    both sides of its line and a cap at either end; for a point the two
+    coordinate equalities."""
+    if len(hull) == 1:
+        ((x, y),) = hull
+        return [(1, 0, -x), (-1, 0, x), (0, 1, -y), (0, -1, y)]
+    rows = [
+        (ay - by, bx - ax, ax * by - ay * bx)
+        for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])
+    ]
+    if len(hull) == 2:
+        (ax, ay), (bx, by) = hull
+        ux, uy = bx - ax, by - ay
+        rows += [(ux, uy, -ux * ax - uy * ay), (-ux, -uy, ux * bx + uy * by)]
+    return rows
+
+
+def _planar_hulls_meet(hulls) -> bool:
+    """Exact test whether the convex hulls of planar integer point lists,
+    each nonempty, share a point: the closed-halfplane case of 2-D LP
+    feasibility (Seidel, Discrete Comput. Geom. 1991), decided by clipping
+    (Sutherland and Hodgman, CACM 1974).
+
+    Each list is reduced by `_planar_hull`, and the hull with the fewest
+    vertices is clipped by every halfplane of the others (`_halfplanes`).
+    Clipping a convex polygon, a segment walked there and back or a point
+    by a closed halfplane keeps the vertices on its side and adds the
+    crossing of every edge whose ends lie strictly on opposite sides, so
+    the vertices span the clipped set; the hulls meet iff a vertex is left.
+    A vertex is homogeneous, (X, Y, W) with W > 0, and gcd-reduced: it is
+    the crossing of two lines through input points, so its size stays that
+    of a 2x2 determinant however often it is clipped.
+    """
+    first, *rest = sorted(map(_planar_hull, hulls), key=len)
+    poly = [(x, y, 1) for x, y in first]
+    for hull in rest:
+        for a, b, c in _halfplanes(hull):
+            vals = [a * x + b * y + c * w for x, y, w in poly]
+            if min(vals) >= 0:
+                continue
+            if max(vals) < 0:
+                return False
+            out = []
+            for i, fp in enumerate(vals):
+                fq = vals[i - 1]  # the edge from vertex i-1 to vertex i
+                if fp * fq < 0:
+                    # the point of the edge where the row is 0, with W > 0
+                    if fp < 0:
+                        fp, fq = -fp, -fq
+                    (px, py, pw), (qx, qy, qw) = poly[i], poly[i - 1]
+                    x, y, w = fp * qx - fq * px, fp * qy - fq * py, fp * qw - fq * pw
+                    g = math.gcd(x, y, w)
+                    out.append((x // g, y // g, w // g))
+                if vals[i] >= 0:
+                    out.append(poly[i])
+            poly = [v for i, v in enumerate(out) if v != out[i - 1]] or out[:1]
+    return True
 
 
 # --- planar angular order -------------------------------------------------

@@ -14,15 +14,15 @@ affinely independent points in every d, an integer halfplane test for other
 planar parts, and the LP for other parts beyond the plane.
 `barycentric_witness` alone reads the weights, `geometry._barycentric`.
 `relative_interior_witness` halves a shift until its LP is feasible; in the
-plane `_separated` first tries to rule the shift out along directions it
-generates as it tests them.
+plane it decides each shift exactly first, by clipping the shrunk parts
+(`geometry._planar_hulls_meet`), so it runs one LP, at the first feasible
+shift.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -34,6 +34,7 @@ from .geometry import (
     _barycentric,
     _facets,
     _in_planar_hull,
+    _planar_hulls_meet,
     _query,
     mk_point,
     rat,
@@ -344,31 +345,13 @@ def common_point(parts: Sequence[Sequence[int]], ps: PointSet) -> Optional[Witne
     return _decode_witness(res.x, parts, ps)
 
 
-def _separated(parts, ps: PointSet, q: int) -> bool:
-    """Whether planar parts shrunk to lambda >= 1/q project, along some
-    direction, onto intervals without a common point, which rules out the
-    shift t = 1/q without an LP.
-
-    For a direction w, a part of k points shrinks, scaled by q, to the
-    integer interval [S + (q-k) min, S + (q-k) max] of p.w over `ps.frame`,
-    S the sum of its p.w: the points sum_j lambda_j p_j with lambda >= 1/q.
-    The directions are the coordinate axes, then the normal of every
-    segment within a part (a triangle's edge normals), each generated when
-    it is tested. Along one, the largest lower end so far only rises and
-    the smallest upper end only falls, so the scan stops once they cross.
-    """
-    pts = ps.frame[0]
-    verts = [[pts[i] for i in part] for part in parts]
-    normals = ((ay - by, bx - ax) for vs in verts for (ax, ay), (bx, by) in combinations(vs, 2))
-    for wx, wy in chain([(1, 0), (0, 1)], normals):
-        lo, hi = -math.inf, math.inf
-        for vs in verts:
-            proj = [x * wx + y * wy for x, y in vs]
-            s, k = sum(proj), q - len(vs)
-            lo, hi = max(lo, s + k * min(proj)), min(hi, s + k * max(proj))
-            if lo > hi:
-                return True
-    return False
+def _shrunk(verts, q: int) -> list:
+    """The integer points (q - k) p + S of a part of k frame points p with
+    sum S; for q >= k, their hull is the set of the points sum lambda_j p_j
+    with every lambda_j >= 1/q, scaled by q."""
+    k = len(verts)
+    sums = [sum(col) for col in zip(*verts)]
+    return [tuple((q - k) * c + s for c, s in zip(p, sums)) for p in verts]
 
 
 def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
@@ -379,24 +362,36 @@ def relative_interior_witness(parts, ps: PointSet) -> Optional[Witness]:
     positive certificate whenever one exists (down to 2^-MAX_HALVINGS of
     the starting threshold). Every t is 1/q, and lambda = (mu + 1) / q
     solves A lambda = b exactly when A mu = q b - A 1: only the integer
-    right-hand side changes, and the pivots are those at t. In the plane a shift
-    whose shrunk parts are separated along an axis or a part's edge normal
-    (`_separated`) is infeasible and is halved without an LP, so the LP
-    runs first at the same shift as without the screen and returns the
-    same vertex; beyond the plane every shift is solved.
+    right-hand side changes, and the pivots are those at t. In the plane
+    each shift is decided exactly first, by whether the shrunk parts
+    (`_shrunk`) meet (`geometry._planar_hulls_meet`), and halved without an
+    LP while they miss; so the LP runs once, at the first feasible shift,
+    and returns the vertex it returns without the decision. An LP that is
+    infeasible where the parts meet raises InternalError. Beyond the plane
+    every shift is solved.
     """
     parts = _disjoint_parts(parts, ps)
     q = 2 * max(map(len, parts))
     prob = _common_point_problem(parts, ps)
     # b and A 1, row by row; each shift rewrites the right-hand sides in place
     sides = [(row[-1], sum(row) - row[-1]) for row in prob.rows]
+    planar = ps.dim == 2
+    if planar:
+        pts = ps.frame[0]
+        verts = [[pts[i] for i in part] for part in parts]
     for _ in range(MAX_HALVINGS):
-        if ps.dim != 2 or not _separated(parts, ps, q):
-            for row, (b, s) in zip(prob.rows, sides):
-                row[-1] = q * b - s
-            res = solve_feasibility(prob)
-            if res.feasible:
-                return _decode_witness(res.x, parts, ps, q)
+        if planar and not _planar_hulls_meet([_shrunk(vs, q) for vs in verts]):
+            q *= 2
+            continue
+        for row, (b, s) in zip(prob.rows, sides):
+            row[-1] = q * b - s
+        res = solve_feasibility(prob)
+        if res.feasible:
+            return _decode_witness(res.x, parts, ps, q)
+        if planar:
+            raise InternalError(
+                f"the parts shrunk to weights >= 1/{q} meet, yet their LP is infeasible"
+            )
         q *= 2
     return None
 

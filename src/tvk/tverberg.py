@@ -2,13 +2,14 @@
 
 The brute force is one depth-first search over canonical partitions that
 prunes by bounding boxes and by Helly's theorem, deciding each sub-family
-it tests once (in the plane every one of at most three parts, by an exact
-integer predicate; in d >= 3 those that another candidate can hold, by
-the exact LP), and certifies the first survivor with the exact LP. The
-planar fast path groups the points by angle around an exactly computed
-centerpoint, and Birch's theorem puts that centerpoint in every group, so
-its barycentric weights are the witness and a group missing it is an
-InternalError. Results are always independently checkable: every
+it tests once (in the plane every one of at most three parts, by clipping
+one hull by the others' edge halfplanes in integers,
+`geometry._planar_hulls_meet`; in d >= 3 those that another candidate can
+hold, by the exact LP), and certifies the first survivor with the exact
+LP. The planar fast path groups the points by angle around an exactly
+computed centerpoint, and Birch's theorem puts that centerpoint in every
+group, so its barycentric weights are the witness and a group missing it
+is an InternalError. Results are always independently checkable: every
 returned partition carries a witness whose certificates re-verify by
 exact arithmetic.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import gt
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     SizeOutOfRange,
 )
 from .fixing import _classify
-from .geometry import Point, PointSet, _query, angular_order
+from .geometry import Point, PointSet, _planar_hulls_meet, _query, angular_order
 from .lp import (
     Partition,
     Witness,
@@ -39,38 +40,6 @@ from .lp import (
 )
 
 BRUTE_FORCE_MAX_POINTS = 14
-
-
-def _planar_hulls_meet(family, tests, ps: PointSet) -> bool:
-    """Whether the convex hulls of at most three planar parts share a point,
-    given their prepared membership tests (`lp._hull_test`).
-
-    Such hulls that meet share a vertex of one of them or the crossing of
-    two non-parallel edges (point pairs) of two of them, so only those
-    candidates are tested: a vertex against the other parts' tests, an edge
-    crossing against every part's.
-    """
-    pts = ps.frame[0]
-
-    def common(q):
-        return all(test(q) for test in tests)
-
-    for k, part in enumerate(family):
-        others = tests[:k] + tests[k + 1:]
-        if any(all(test((*pts[i], 1)) for test in others) for i in part):
-            return True
-    edges = [list(combinations([pts[i] for i in part], 2)) for part in family]
-    for es, fs in combinations(edges, 2):
-        for ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) in product(es, fs):
-            ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
-            den = ux * vy - uy * vx
-            if den == 0:
-                continue
-            t = (cx - ax) * vy - (cy - ay) * vx
-            q = (ax * den + t * ux, ay * den + t * uy, den)
-            if common(q if den > 0 else tuple(-c for c in q)):
-                return True
-    return False
 
 
 def _parts(remaining: tuple, lo: int, hi: int) -> list:
@@ -95,8 +64,8 @@ class _Search:
     By Helly's theorem r hulls in R^d meet iff every d+1 of them do. At a
     leaf, after every box, the sub-families of 2..d+1 parts are tested in
     `combinations` order, each once per search: in the plane by
-    `_planar_hulls_meet` on tests prepared once per part and search, in
-    d >= 3 by `common_point`; in d = 1 the boxes are the hulls. A
+    `geometry._planar_hulls_meet` on the parts' frame points, in d >= 3 by
+    `common_point`; in d = 1 the boxes are the hulls. A
     sub-family that misses rules out every candidate that holds it, so the
     search moves past its last part. In d >= 3 a
     sub-family of r-1 or r parts belongs to no other candidate, so it is
@@ -105,7 +74,7 @@ class _Search:
     them must be feasible.
     """
 
-    __slots__ = ("ps", "r", "m", "families", "complete", "parts", "boxes", "verdicts", "test")
+    __slots__ = ("ps", "r", "m", "families", "complete", "parts", "boxes", "verdicts")
 
     def __init__(self, ps: PointSet, r: int):
         d = ps.dim
@@ -122,7 +91,6 @@ class _Search:
         self.parts = []  # the placed parts
         self.boxes = {}  # part -> its bounding box (lo, hi)
         self.verdicts = {}  # sub-family -> whether its hulls meet
-        self.test = cache(lambda part: _hull_test(part, ps))  # part -> its membership test
 
     def first(self):
         """The first partition whose hulls meet, or None."""
@@ -188,7 +156,8 @@ class _Search:
     def _hulls_meet(self, family) -> bool:
         """Whether the hulls of a sub-family of parts share a point."""
         if self.ps.dim == 2:
-            return _planar_hulls_meet(family, [self.test(part) for part in family], self.ps)
+            pts = self.ps.frame[0]
+            return _planar_hulls_meet([[pts[i] for i in part] for part in family])
         return common_point(family, self.ps) is not None
 
 

@@ -544,6 +544,62 @@ def test_planar_extension_runs_almost_no_lp(monkeypatch, r, k):
     assert 1 <= len(solves) < 5
 
 
+# seeded shapes of the planar workloads: planar-scale (crossing_simplices,
+# n = 33..35), planar-extend (n = 3r + k) and bruteforce-planar (n = 7, r = 3)
+PLANAR_WITNESS_RUNS = [
+    *[(crossing_simplices, n, None, seed) for n in (33, 34, 35) for seed in (0, 4)],
+    *[(crossing_tverberg, 3 * r + k, r, seed) for r, k in ((4, 3), (5, 6)) for seed in (1, 2)],
+    *[(crossing_tverberg, 7, 3, seed) for seed in range(6)],
+]
+
+
+def count_witness_solves(monkeypatch):
+    """Per call of `relative_interior_witness` (through `apps`), the LP
+    solves it runs."""
+    solves, per_call = [], []
+    solve, witness = lp.solve_feasibility, apps.relative_interior_witness
+
+    def counting(prob):
+        solves.append(prob)
+        return solve(prob)
+
+    def witness_counting(parts, ps):
+        before = len(solves)
+        found = witness(parts, ps)
+        per_call.append(len(solves) - before)
+        return found
+
+    monkeypatch.setattr(lp, "solve_feasibility", counting)
+    monkeypatch.setattr(apps, "relative_interior_witness", witness_counting)
+    return per_call
+
+
+@pytest.mark.parametrize("pipeline, n, r, seed", PLANAR_WITNESS_RUNS)
+def test_every_planar_witness_runs_one_lp(monkeypatch, pipeline, n, r, seed):
+    per_call = count_witness_solves(monkeypatch)
+    ps = random_point_set(2, n, seed=seed)
+    pipeline(*(ps,) if r is None else (ps, r))
+    assert per_call == [1]
+
+
+def test_planar_witness_at_an_infeasible_first_shift_runs_one_lp(monkeypatch):
+    # n = 120, seed 1: 40 triangles whose first shift, t = 1/6, is infeasible
+    per_call = count_witness_solves(monkeypatch)
+    ps = random_point_set(2, 120, seed=1)
+    parts = tverberg.birch_partition_planar(ps, 40).parts
+    assert lp.common_point(parts, ps) is not None
+    apps.relative_interior_witness(parts, ps)
+    assert per_call == [1]
+
+
+def test_an_infeasible_lp_where_the_shrunk_parts_meet_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(lp, "solve_feasibility", lambda prob: lp.LPResult(False))
+    ps = random_point_set(2, 9, seed=1)
+    parts = tverberg.birch_partition_planar(ps, 3).parts
+    with pytest.raises(InternalError, match="meet, yet their LP is infeasible"):
+        lp.relative_interior_witness(parts, ps)
+
+
 @pytest.mark.parametrize("n, seed", [(6, 1), (7, 2), (8, 3)])
 def test_bruteforce_d3_solves_every_common_point_through_the_solver(monkeypatch, n, seed):
     solves, per_call = [], []

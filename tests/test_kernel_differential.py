@@ -43,8 +43,8 @@ from tvk.geometry import (
     orientation,
     simplex_volume,
 )
-from tvk.lp import _hull_test, barycentric_witness, common_point, hull_contains
-from tvk.tverberg import _planar_hulls_meet, centerpoint_planar
+from tvk.lp import barycentric_witness, common_point, hull_contains
+from tvk.tverberg import centerpoint_planar
 
 from conftest import lp_hull_contains, ref_containment, ref_depth, ref_solve_unique
 
@@ -495,10 +495,11 @@ def planar_parts_case(draw):
 
 def helly_planar_meet(ps, parts):
     """The brute-force search's rule: planar hulls meet iff every three of
-    them do, each three decided by `_planar_hulls_meet` on their prepared
-    membership tests."""
+    them do, each three decided by `geometry._planar_hulls_meet` on their
+    frame points."""
+    pts = ps.frame[0]
     return all(
-        _planar_hulls_meet(f, [_hull_test(part, ps) for part in f], ps)
+        geometry._planar_hulls_meet([[pts[i] for i in part] for part in f])
         for f in combinations(parts, min(3, len(parts)))
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tvk import linalg, lp
 from tvk.errors import DimensionMismatch, InternalError
 from tvk.generate import random_point_set
-from tvk.geometry import PointSet
+from tvk.geometry import PointSet, _planar_hulls_meet
 from tvk.lp import (
     FeasibilityProblem,
     LPResult,
@@ -508,67 +508,63 @@ def test_relative_interior_witness_matches_fraction_tableau(case):
 
 
 @st.composite
-def planar_parts(draw):
-    """Two to four planar parts of one to four points with Fraction
-    coordinates."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
-    pts = [(draw(coords), draw(coords)) for _ in range(sum(sizes))]
-    parts, pos = [], 0
-    for s in sizes:
-        parts.append(tuple(range(pos, pos + s)))
-        pos += s
+def planar_hulls(draw):
+    """Two to four parts of one to five planar points, as a point set and
+    its consecutive parts. A point lies on a small grid, on the line
+    through two earlier points (t = 0 or 1 repeats a point, within the part
+    or from an earlier one, t = 1/2 lies on an earlier edge, other t extend
+    it: collinear triples), or is the previous point moved by the
+    difference of two earlier ones, which makes translated, parallel
+    segments."""
+    pts, parts = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        start = len(pts)
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(["grid", "line", "line", "parallel"])) if pts else "grid"
+            if kind == "grid":
+                pts.append((draw(st.integers(-3, 3)), draw(st.integers(-3, 3))))
+                continue
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            if kind == "line":
+                t = F(draw(st.integers(-2, 4)), 2)
+                pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+            else:
+                pts.append(tuple(c + y - x for c, x, y in zip(pts[-1], a, b)))
+        parts.append(tuple(range(start, len(pts))))
     return PointSet(2, pts), parts
 
 
-# two triangles apart along the x axis: every shift is separated
+def frame_hulls(parts, ps):
+    pts = ps.frame[0]
+    return [[pts[i] for i in part] for part in parts]
+
+
+@settings(max_examples=500)
+@given(planar_hulls())
+def test_planar_hulls_meet_matches_common_point(case):
+    ps, parts = case
+    assert _planar_hulls_meet(frame_hulls(parts, ps)) == (common_point(parts, ps) is not None)
+
+
+# two triangles apart along the x axis: every shift misses
 @example((PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), [(0, 1, 2), (3, 4, 5)]))
-# a triangle around a point of another part: small shifts pass the screen
+# a triangle around a point of another part: small shifts meet
 @example((PointSet(2, [(0, 0), (4, 0), (0, 4), (1, 1), (9, 9)]), [(0, 1, 2), (3, 4)]))
 @settings(max_examples=150)
-@given(planar_parts())
-def test_planar_shift_screen_rejects_only_infeasible_shifts(case):
+@given(planar_hulls())
+def test_shrunk_parts_meet_exactly_where_the_shifted_lp_is_feasible(case):
     ps, parts = case
+    hulls = frame_hulls(parts, ps)
     biggest = max(map(len, parts))
     # every q up to 4x the largest part, and the witness search's shifts
     qs = {*range(1, 4 * biggest + 1), *(2 * biggest << h for h in range(6))}
     for q in sorted(qs):
-        if lp._separated(parts, ps, q):
-            assert fraction_witness(parts, ps, F(1, q)) is None, q
-
-
-def table_separated(parts, ps, q):
-    """The shift screen as it was, over a stored table of one (k, S, min,
-    max) row per part for each direction, for the scan to match."""
-    pts = ps.frame[0]
-    dirs = [(1, 0), (0, 1)]
-    for part in parts:
-        for i, j in combinations(part, 2):
-            (ax, ay), (bx, by) = pts[i], pts[j]
-            dirs.append((ay - by, bx - ax))
-    table = []
-    for wx, wy in dirs:
-        rows = []
-        for part in parts:
-            proj = [pts[i][0] * wx + pts[i][1] * wy for i in part]
-            rows.append((len(part), sum(proj), min(proj), max(proj)))
-        table.append(rows)
-    return any(
-        max(s + (q - k) * lo for k, s, lo, _ in rows)
-        > min(s + (q - k) * hi for k, s, _, hi in rows)
-        for rows in table
-    )
-
-
-@example((PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), [(0, 1, 2), (3, 4, 5)]))
-@example((PointSet(2, [(0, 0), (4, 0), (0, 4), (1, 1), (9, 9)]), [(0, 1, 2), (3, 4)]))
-@settings(max_examples=150)
-@given(planar_parts())
-def test_shift_screen_matches_the_direction_table(case):
-    ps, parts = case
-    biggest = max(map(len, parts))
-    qs = {*range(1, 4 * biggest + 1), *(2 * biggest << h for h in range(6))}
-    for q in sorted(qs):
-        assert lp._separated(parts, ps, q) == table_separated(parts, ps, q), q
+        feasible = fraction_witness(parts, ps, F(1, q)) is not None
+        if q < biggest:
+            # no weights >= 1/q for a part of more than q points
+            assert not feasible, q
+        else:
+            assert _planar_hulls_meet([lp._shrunk(vs, q) for vs in hulls]) == feasible, q
 
 
 def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau(monkeypatch):
@@ -586,7 +582,7 @@ def test_planar_witness_lps_with_over_100_rows_match_fraction_tableau(monkeypatc
         assert (got.feasible, got.x) == (feasible, x)
         verdicts.append(feasible)
     assert verdicts == [False, True, True]
-    # the shift screen rules out t = 1/6 without an LP: one solve, at 1/12
+    # the exact shift decision rules out t = 1/6 without an LP: one solve, at 1/12
     solves = []
 
     def counted(prob):
