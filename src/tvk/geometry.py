@@ -19,7 +19,8 @@ There are no tolerances anywhere in this module; degenerate inputs raise
 rather than silently picking a side.
 One scan, `_dependent_through`, finds the d points that are affinely
 dependent together with a point q: in the plane by repeated primitive
-directions from q in O(n), beyond it by one determinant per d-subset. The
+directions from q in O(n), beyond it by one integer hyperplane normal per
+(d-1)-subset and one dot product per later point, with no determinant. The
 gate `in_general_position` runs it from each point over the later ones;
 `gp_violations_with_extra`, the witness check's and the generator's test,
 runs it from the new point. Fewer than d+1 points are dependent when
@@ -179,13 +180,34 @@ def _dependent_through(q, pts, start=0):
     points of pts[start:] (indices into pts) that are affinely dependent
     with q; all points are integer. In the plane (j, l) is dependent
     exactly when p_j or p_l coincides with q or both have the same
-    primitive direction from q: O(n) plus the report. Beyond the plane
-    each d-subset takes one `_det`."""
-    d = len(q)
+    primitive direction from q: O(n) plus the report. Otherwise each
+    (d-1)-subset S takes once the integer normal N of the hyperplane
+    through q and S, and (S, l) is dependent exactly when N . (p_l - q)
+    is zero: in d = 3 N is a cross product, otherwise the integer
+    nullspace vector of S's difference vectors, which is (1,) in d = 1;
+    N is zero, and every l dependent, when those vectors are dependent."""
+    d, n = len(q), len(pts)
+    if d == 3:
+        x0, y0, z0 = q
+        vs = [(x - x0, y - y0, z - z0) for x, y, z in pts]
+        for i in range(start, n - 2):
+            ax, ay, az = vs[i]
+            for j in range(i + 1, n - 1):
+                bx, by, bz = vs[j]
+                nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+                for l in range(j + 1, n):
+                    cx, cy, cz = vs[l]
+                    if not nx * cx + ny * cy + nz * cz:
+                        yield i, j, l
+        return
     if d != 2:
-        for idx in combinations(range(start, len(pts)), d):
-            if not _det([q, *[pts[i] for i in idx]]):
-                yield idx
+        vs = [vsub(p, q) for p in pts]
+        for idx in combinations(range(start, n - 1), d - 1):
+            basis = linalg.nullspace([vs[i] for i in idx], d)
+            normal = linalg._int_row(basis[0])[0] if len(basis) == 1 else (0,) * d
+            for l in range(idx[-1] + 1 if idx else start, n):
+                if not sum(map(mul, normal, vs[l])):
+                    yield (*idx, l)
         return
     x0, y0 = q
     rays = {}  # primitive direction from q, sign fixed, (0, 0) if coincident

@@ -158,12 +158,12 @@ def test_planar_gate_matches_the_subset_scan(ps):
 @settings(max_examples=120)
 @given(st.sampled_from([1, 3, 4]).flatmap(lambda d: grid_sets(d=d)))
 def test_gate_in_space_matches_the_subset_scan(ps):
-    # every d but 2 takes the scan's determinant branch
+    # d = 3 takes the scan's cross products, d = 1 and d = 4 its nullspace normals
     assert in_general_position(ps) == ref_in_general_position(ps)
 
 
 @settings(max_examples=150)
-@given(st.integers(1, 3).flatmap(lambda d: grid_sets(d=d)))
+@given(st.integers(1, 4).flatmap(lambda d: grid_sets(d=d)))
 def test_gp_violations_with_extra_is_the_first_subset_through_the_last_point(ps):
     # the pool is every point but the last, which is the extra point
     if not ps.points:
@@ -183,6 +183,70 @@ def test_planar_scans_take_no_determinant(monkeypatch):
     assert gp_violations_with_extra(ps.points[:4], (3, 0)) == [(0, 1, 4)]
     assert gp_violations_with_extra(ps.points, (5, 7)) == []
     assert calls == []
+
+
+def test_scans_beyond_the_plane_take_no_determinant(monkeypatch):
+    # d = 1, 3 and 4 read hyperplane normals: a dot product per subset
+    sets = [
+        PointSet(1, [(0,), (2,), (F(1, 2),), (2,)]),
+        PointSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (F(1, 2), 3, 7)]),
+        PointSet(4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                     (1, 1, 0, 0), (F(1, 3), 2, 5, 7)]),
+    ]
+    expected = [ref_in_general_position(ps) for ps in sets]
+    calls = []
+    monkeypatch.setattr(geometry, "_det", lambda s: calls.append(s) or 1)
+    for ps, report in zip(sets, expected):
+        n = len(ps) - 1
+        assert in_general_position(ps) == report != []
+        through = [t for t in report if n in t][:1]
+        assert gp_violations_with_extra(ps.points[:n], ps.points[n]) == through
+    assert calls == []
+
+
+def ref_dependent_through(q, pts, start=0):
+    """The determinant loop: one `_det` per d-subset of pts[start:]."""
+    return [
+        idx
+        for idx in combinations(range(start, len(pts)), len(q))
+        if not geometry._det([q, *[pts[i] for i in idx]])
+    ]
+
+
+@st.composite
+def dependence_scans(draw):
+    # small integer grids repeat points, lines and planes; q may be a later point
+    d = draw(st.sampled_from([1, 3, 4]))
+    coord = st.integers(-draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), max_size=8))
+    q = draw(st.sampled_from(pts) if pts and draw(st.booleans()) else st.tuples(*[coord] * d))
+    return q, pts, draw(st.integers(0, len(pts)))
+
+
+@settings(max_examples=300)
+@given(dependence_scans())
+def test_dependence_scan_matches_the_determinant_loop(scan):
+    q, pts, start = scan
+    assert list(geometry._dependent_through(q, pts, start)) == ref_dependent_through(q, pts, start)
+
+
+@pytest.mark.parametrize(
+    "q, pts, start",
+    [
+        # q equals a later point: a zero vector
+        ((1,), [(0,), (1,), (3,), (1,)], 1),
+        ((1, 2, 3), [(0, 0, 0), (1, 2, 3), (4, 5, 6), (1, 2, 3), (7, 0, 1)], 0),
+        ((1, 1, 1, 1), [(0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 1, 3), (5, 1, 0, 2), (1, 0, 0, 9)], 1),
+        # q collinear with two points: a zero normal, so every later point is dependent
+        ((0, 0, 0), [(5, 5, 5), (1, 1, 1), (2, 2, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 1),
+        ((0, 0, 0, 0), [(1, 1, 1, 1), (2, 2, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], 0),
+        ((0, 0, 0, 0), [(9, 9, 9, 9), (1, 2, 3, 4), (2, 4, 6, 8), (1, 0, 0, 0), (0, 1, 0, 0),
+                        (0, 0, 0, 1)], 1),
+    ],
+)
+def test_dependence_scan_on_zero_vectors_and_zero_normals(q, pts, start):
+    report = list(geometry._dependent_through(q, pts, start))
+    assert report == ref_dependent_through(q, pts, start) != []
 
 
 def test_planar_gate_on_a_lattice_and_coincident_points():

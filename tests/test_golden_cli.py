@@ -61,6 +61,8 @@ GEN_CASES = [
     ("gen_d2_n8_s2_b5.txt", ["--d", "2", "--n", "8", "--seed", "2", "--bound", "5"]),
     ("gen_d3_n9_s2.txt", ["--d", "3", "--n", "9", "--seed", "2"]),
     ("gen_d3_n12_s4.txt", ["--d", "3", "--n", "12", "--seed", "4"]),
+    # large enough that the d=3 dependence scan dominates each draw
+    ("gen_d3_n40_s1.txt", ["--d", "3", "--n", "40", "--seed", "1"]),
 ]
 
 
